@@ -53,7 +53,6 @@ from .graded import (
     compact_conjugation,
     is_mp_element,
     is_mp_orbit,
-    killing_form,
     minimal_characteristic,
     mp_check_multidegree,
     mp_inverse_short,
@@ -99,7 +98,7 @@ __all__ = [
     "pinv_real", "pinv_quaternion",
     # graded
     "GradedAlgebra", "Sl2Triple", "CharacteristicResult", "bracket",
-    "compact_conjugation", "killing_form", "minimal_characteristic",
+    "compact_conjugation", "minimal_characteristic",
     "mp_inverse_short", "annihilates_positive_part", "is_mp_element",
     "orbit_height", "is_mp_orbit", "multidegree_characteristic",
     "mp_check_multidegree",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, complexes, forms, graded, homform, jordan
-from .errors import LiepinvError, NotMoorePenroseOrbit
+from .errors import LiepinvError, NotMoorePenroseOrbit, ZeroElement
 from .numcore import QuaternionMatrix, Tolerance, frob
 
 __all__ = ["JobSpec", "run_job", "main", "COMMANDS"]
@@ -409,8 +409,10 @@ def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, bool]:
     alg = _algebra_from(doc, job)
     e = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
     height = graded.orbit_height(alg, e, job.tol)
-    result = graded.is_mp_orbit(alg, e, job.tol)
-    return {"result": {"is_mp_orbit": result, "height": height}, "verification": {}}, True
+    if frob(e) == 0.0:
+        raise ZeroElement("the zero element does not generate a nilpotent orbit")
+    result = {"is_mp_orbit": height == 2, "height": height}
+    return {"result": result, "verification": {}}, True
 
 
 def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, bool]:

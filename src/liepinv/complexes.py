@@ -19,7 +19,6 @@ import numpy as np
 
 from . import classical
 from .errors import NotAComplex, ShapeMismatch
-from .graded import GradedAlgebra
 from .numcore import DEFAULT_TOL, Tolerance, as_matrix, frob, rank_decomposition
 
 __all__ = [
@@ -119,7 +118,3 @@ def complex_pinv(t: ChainTuple, tol: Tolerance = DEFAULT_TOL) -> ChainTuple:
     inverted = [classical.pinv(m, tol) for m in t.maps]
     return ChainTuple(t.sizes[::-1], tuple(inverted[::-1]))
 
-
-def graded_algebra_for(t: ChainTuple) -> GradedAlgebra:
-    """The block-graded sl realization in which the tuple lives."""
-    return GradedAlgebra("sl", t.sizes)

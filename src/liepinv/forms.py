@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical
 from .errors import ShapeMismatch, SymmetryViolation
-from .graded import GradedAlgebra, Sl2Triple, bracket
+from .graded import Sl2Triple, bracket
 from .numcore import DEFAULT_TOL, QuaternionMatrix, Tolerance, as_matrix, frob, rank_decomposition
 
 __all__ = [
@@ -145,9 +145,14 @@ def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = _as_vector(w)
     if v.shape != w.shape or v.size == 0:
         raise ShapeMismatch("vectors must share a positive dimension")
-    alg = GradedAlgebra("so", (1, v.size, 1))
-    e = alg.element_from_block(1, 2, v.reshape(1, -1))
-    f = alg.element_from_block(2, 1, w.reshape(-1, 1))
+    # blocks (1, 2) and (2, 1) with their partners under the split form
+    n = v.size + 2
+    e = np.zeros((n, n), dtype=complex)
+    e[0, 1:-1] = v
+    e[1:-1, -1] = -v
+    f = np.zeros_like(e)
+    f[1:-1, 0] = w
+    f[-1, 1:-1] = -w
     return e, bracket(e, f), f
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "CharacteristicResult",
     "bracket",
     "compact_conjugation",
-    "killing_form",
     "minimal_characteristic",
     "mp_inverse_short",
     "annihilates_positive_part",
@@ -74,6 +73,18 @@ def bracket(x, y) -> np.ndarray:
 def compact_conjugation(x) -> np.ndarray:
     """Conjugation theta(X) = -X* fixing the compact real form."""
     return -as_matrix(x).conj().T
+
+
+def _bracket_coords(x: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of [x, stack_k] in an orthonormal basis; column k for stack_k."""
+    br = x @ stack - stack @ x
+    return basis.reshape(basis.shape[0], -1).conj() @ br.reshape(stack.shape[0], -1).T
+
+
+def _unit_scale(x: np.ndarray) -> float:
+    """The power of two nearest |x|_F (1 for zero); dividing by it is exact."""
+    norm = frob(x)
+    return 2.0 ** np.round(np.log2(norm)) if norm > 0.0 else 1.0
 
 
 def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
@@ -310,11 +321,7 @@ class GradedAlgebra:
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) on the orthonormal basis of the algebra."""
-        x = self._check_ambient(x)
-        br = np.einsum("ab,kbc->kac", x, self._basis) - np.einsum(
-            "kab,bc->kac", self._basis, x
-        )
-        return np.einsum("jab,kab->jk", self._basis.conj(), br)
+        return _bracket_coords(self._check_ambient(x), self._basis, self._basis)
 
     def killing(self, x, y) -> complex:
         """Killing form B(x, y) = Tr(ad x . ad y) on the algebra."""
@@ -364,11 +371,6 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra({self.kind!r}, {self.blocks})"
-
-
-def killing_form(alg: GradedAlgebra, x, y) -> complex:
-    """Module-level alias for :meth:`GradedAlgebra.killing`."""
-    return alg.killing(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +434,12 @@ def _coords_in(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("kab,ab->k", basis.conj(), x)
 
 
+def _completion_system(e, neg, res) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets [e, y_k] and the matrix of y -> [[e, y], e] in res coordinates."""
+    br_e = e @ neg - neg @ e
+    return br_e, -_bracket_coords(e, br_e, res)
+
+
 def _minimal_triple(
     alg: GradedAlgebra,
     e: np.ndarray,
@@ -446,7 +454,9 @@ def _minimal_triple(
     and for homogeneous e the set is exactly the homogeneous characteristics,
     so the Frobenius minimizer is the one orthogonal to the direction space.
     The second leg f is recovered from the joint linear system
-    [e, f] = h, [h, f] = -2f, which has a unique solution.
+    [e, f] = h, [h, f] = -2f, which has a unique solution.  The systems are
+    solved for e / s with s a power of two near |e|: h does not depend on the
+    scale of e, and f scales by 1 / s.
     """
     n = alg.ambient_dim
     zero = np.zeros((n, n), dtype=complex)
@@ -455,14 +465,11 @@ def _minimal_triple(
     if neg_basis.shape[0] == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
-    br_e = np.einsum("ab,kbc->kac", e, neg_basis) - np.einsum(
-        "kab,bc->kac", neg_basis, e
-    )  # [e, y_k]
-    m_obj = np.einsum("jab,kab->jk", h_basis.conj(), br_e)
-    # [[e, y_k], e] = [h_k, e] = h_k e - e h_k
-    br2 = np.einsum("kab,bc->kac", br_e, e) - np.einsum("ab,kbc->kac", e, br_e)
-    c_mat = np.einsum("jab,kab->jk", res_basis.conj(), br2)
-    d = 2.0 * _coords_in(res_basis, e)
+    scale = _unit_scale(e)
+    unit = e / scale
+    br_e, c_mat = _completion_system(unit, neg_basis, res_basis)
+    m_obj = _bracket_coords(unit, neg_basis, h_basis)
+    d = 2.0 * _coords_in(res_basis, unit)
     try:
         y = solve_least_squares_constrained(
             m_obj, np.zeros(m_obj.shape[0]), c_mat, d, tol
@@ -473,19 +480,14 @@ def _minimal_triple(
     h = np.einsum("k,kab->ab", y, br_e)
 
     # recover f: [e, f] = h  and  [h, f] = -2 f, both inside the neg span
-    br_h = np.einsum("ab,kbc->kac", h, neg_basis) - np.einsum(
-        "kab,bc->kac", neg_basis, h
-    )
-    h_on_neg = np.einsum("jab,kab->jk", neg_basis.conj(), br_h)
-    a_top = m_obj
-    a_bot = h_on_neg + 2.0 * np.eye(neg_basis.shape[0])
-    a_full = np.vstack([a_top, a_bot])
+    a_bot = _bracket_coords(h, neg_basis, neg_basis) + 2.0 * np.eye(neg_basis.shape[0])
+    a_full = np.vstack([m_obj, a_bot])
     b_full = np.concatenate([_coords_in(h_basis, h), np.zeros(neg_basis.shape[0])])
     fc = np.linalg.lstsq(a_full, b_full, rcond=tol.rank_rtol)[0]
     gap = frob(a_full @ fc - b_full)
-    if gap > tol.residual_tol * (1.0 + frob(h) + frob(e)):
+    if gap > tol.residual_tol * (1.0 + frob(h) + frob(unit)):
         raise NoTriple(f"f-recovery residual {gap:.3e} above tolerance")
-    f = np.einsum("k,kab->ab", fc, neg_basis)
+    f = np.einsum("k,kab->ab", fc, neg_basis) / scale
 
     triple = Sl2Triple.from_elements(e, h, f)
     defect = frob(h - h.conj().T)
@@ -515,7 +517,7 @@ def minimal_characteristic(
         if degree is None:
             degree = 0
     if degree == 0:
-        _require_nilpotent(alg, e, tol)
+        orbit_height(alg, e, tol)  # raises NotNilpotent
         neg = alg.basis()
         res = alg.basis()
         h_basis = alg.basis()
@@ -547,9 +549,7 @@ def characteristic_direction_space(
     res = alg.basis(degree) if degree != 0 else alg.basis()
     if frob(e) == 0.0 or neg.shape[0] == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    br_e = np.einsum("ab,kbc->kac", e, neg) - np.einsum("kab,bc->kac", neg, e)
-    br2 = np.einsum("kab,bc->kac", br_e, e) - np.einsum("ab,kbc->kac", e, br_e)
-    c_mat = np.einsum("jab,kab->jk", res.conj(), br2)
+    br_e, c_mat = _completion_system(e / _unit_scale(e), neg, res)
     null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
     if null.shape[1] == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
@@ -590,17 +590,16 @@ def annihilates_positive_part(
     does not depend on the choice).  The degree-0 part of the algebra is
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
+    The test runs on e / s, s a power of two near |e|, so it is scale-free.
     """
     tol = tol or alg.tol
     e = alg.require_member(e)
+    e = e / _unit_scale(e)
     h = alg.require_member(h)
     zero_basis = alg.basis(0)
     if zero_basis.shape[0] == 0:
         return True
-    br_h = np.einsum("ab,kbc->kac", h, zero_basis) - np.einsum(
-        "kab,bc->kac", zero_basis, h
-    )
-    ad_h = np.einsum("jab,kab->jk", zero_basis.conj(), br_h)
+    ad_h = _bracket_coords(h, zero_basis, zero_basis)
     eigvals, eigvecs = np.linalg.eig(ad_h)
     e_norm = frob(e)
     for idx in np.nonzero(eigvals.real > 0.5)[0]:
@@ -641,40 +640,26 @@ def is_mp_element(
     return result.is_hermitian
 
 
-def _require_nilpotent(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> np.ndarray:
-    ad_e = alg.ad(e)
-    top = np.linalg.norm(ad_e, 2) if ad_e.size else 0.0
-    if top == 0.0:
-        return ad_e
-    power = np.eye(ad_e.shape[0], dtype=complex)
-    for _ in range(alg.dim):
-        power = power @ ad_e
-    if np.linalg.norm(power, 2) > tol.residual_tol * top**alg.dim:
-        raise NotNilpotent("ad(e)^dim does not vanish within tolerance")
-    return ad_e
-
-
 def orbit_height(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> int:
     """Height of the nilpotent orbit: the largest k with ad(e)^k != 0.
 
-    Powers are compared against residual_tol * |ad(e)|^k so the decision is
-    scale-invariant; the zero element has height 0.
+    Powers of ad(e / s), s a power of two near |e|, are compared against
+    residual_tol * |ad(e / s)|^k, so the decision is scale-invariant and the
+    powers stay in range; the zero element has height 0.  NotNilpotent is
+    raised when ad(e)^dim does not vanish.
     """
     tol = tol or alg.tol
     e = alg.require_member(e)
-    ad_e = _require_nilpotent(alg, e, tol)
+    ad_e = alg.ad(e / _unit_scale(e))
     top = np.linalg.norm(ad_e, 2) if ad_e.size else 0.0
-    if top == 0.0:
-        return 0
-    height = 0
     power = np.eye(ad_e.shape[0], dtype=complex)
     for k in range(1, alg.dim + 1):
         power = power @ ad_e
-        if np.linalg.norm(power, 2) > tol.residual_tol * top**k:
-            height = k
-        else:
-            break
-    return height
+        if np.linalg.norm(power, 2) <= tol.residual_tol * top**k:
+            return k - 1
+    if top > 0.0:
+        raise NotNilpotent("ad(e)^dim does not vanish within tolerance")
+    return 0
 
 
 def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> bool:

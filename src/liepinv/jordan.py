@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
-from .graded import GradedAlgebra, bracket, mp_inverse_short
+from .graded import GradedAlgebra, _bracket_coords, bracket, mp_inverse_short
 from .numcore import Tolerance, as_matrix, frob
 
 __all__ = [
@@ -50,6 +50,7 @@ class JordanPair:
         self.algebra = algebra
         self.basis_plus = algebra.basis(1)
         self.basis_minus = algebra.basis(-1)
+        self.pairing = pairing_matrix(self)
 
     @property
     def dim(self) -> int:
@@ -84,11 +85,8 @@ class JordanPair:
         """Coordinate matrix of z -> {x, y, z} on V_sign (x in V_sign, y opposite)."""
         basis = self._basis(sign)
         xy = bracket(as_matrix(x), as_matrix(y))
-        images = 0.5 * (
-            np.einsum("ab,kbc->kac", xy, basis) - np.einsum("kab,bc->kac", basis, xy)
-        )
         # column k holds the coordinates of the image of the k-th basis element
-        return np.einsum("jab,kab->jk", basis.conj(), images)
+        return 0.5 * _bracket_coords(xy, basis, basis)
 
 
 def triple_product(pair: JordanPair, x, y, z, tol: Tolerance | None = None) -> np.ndarray:
@@ -118,15 +116,16 @@ def killing_pairing(pair: JordanPair, x, y, tol: Tolerance | None = None) -> com
 
 
 def pairing_matrix(pair: JordanPair) -> np.ndarray:
-    """Matrix K[i, j] = B(b+_i, b-_j) of the Killing pairing in the fixed bases."""
-    dim = pair.dim
-    out = np.empty((dim, pair.basis_minus.shape[0]), dtype=complex)
-    for j in range(pair.basis_minus.shape[0]):
-        for i in range(dim):
-            out[i, j] = np.trace(
-                pair.operator_matrix(pair.basis_plus[i], pair.basis_minus[j], 1)
-            )
-    return out
+    """Matrix K[i, j] = B(b+_i, b-_j) of the Killing pairing in the fixed bases.
+
+    Closed form K[i, j] = Tr(b-_j [P, b+_i]) / 2 with P = sum_k [b+_k, b+_k*],
+    the trace of z -> [[x, y], z] / 2 over the orthonormal basis of V+.
+    """
+    plus = pair.basis_plus
+    plus_h = plus.conj().transpose(0, 2, 1)
+    p = (plus @ plus_h - plus_h @ plus).sum(axis=0)
+    # rows of conj(b-_j)^T pick out Tr(b-_j M) in _bracket_coords
+    return 0.5 * _bracket_coords(p, plus, pair.basis_minus.conj().transpose(0, 2, 1)).T
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def cartan_involution_from_group(pair: JordanPair, g) -> CartanInvolution:
 
 def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.ndarray:
     """Gram matrix of H(x, y) = B(x, omega(y)) on the chosen component."""
-    k = pairing_matrix(pair)
+    k = pair.pairing
     return k @ inv.omega_plus if sign > 0 else k.T @ inv.omega_minus
 
 

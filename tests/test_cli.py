@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liepinv.cli import (
@@ -10,12 +11,14 @@ from liepinv.cli import (
     COMMANDS,
     JobSpec,
     decode_complex_matrix,
+    encode_complex_matrix,
     main,
     run_job,
     to_json,
 )
 from liepinv.classical import verify_penrose
-from liepinv.numcore import Tolerance
+from liepinv.graded import GradedAlgebra
+from liepinv.numcore import Tolerance, frob
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,6 +127,15 @@ class TestErrorPaths:
         assert document["orbit"] == {"a": 2, "b": 1}
         assert document["certificate"] > 1e-3
 
+    def test_mp_orbit_of_zero_exits_one(self, tmp_path):
+        doc = tmp_path / "zero.json"
+        doc.write_text(
+            json.dumps({"algebra": "sl", "blocks": [2], "element": [[[0, 0]] * 2] * 2})
+        )
+        code, document = run_job(JobSpec("mp-orbit", str(doc)))
+        assert code == EXIT_INPUT
+        assert "zero element" in document["error"]
+
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError):
             Tolerance(rank_rtol=0.5)
@@ -181,3 +193,41 @@ class TestMainEntry:
         doc_a = json.loads(out_a.read_text())
         doc_b = json.loads(out_b.read_text())
         assert doc_a["result"] == doc_b["result"]
+
+
+class TestScaleFree:
+    @staticmethod
+    def run_scaled(tmp_path, command, kind, blocks, element, t):
+        doc = tmp_path / f"{command}-{t:g}.json"
+        doc.write_text(
+            json.dumps(
+                {"algebra": kind, "blocks": list(blocks),
+                 "element": encode_complex_matrix(t * element)}
+            )
+        )
+        return run_job(JobSpec(command, str(doc)))
+
+    @pytest.mark.parametrize("t", [1e-8, 1e150])
+    def test_sl2_complete(self, tmp_path, t):
+        alg = GradedAlgebra("sl", (4, 4))
+        x = alg.random_element(1, np.random.default_rng(61))
+        x /= frob(x)
+        _, ref = self.run_scaled(tmp_path, "sl2-complete", "sl", (4, 4), x, 1.0)
+        code, document = self.run_scaled(tmp_path, "sl2-complete", "sl", (4, 4), x, t)
+        assert code == EXIT_OK
+        h = decode_complex_matrix(document["result"]["h"], "h")
+        f = decode_complex_matrix(document["result"]["f"], "f")
+        ref_h = decode_complex_matrix(ref["result"]["h"], "h")
+        ref_f = decode_complex_matrix(ref["result"]["f"], "f")
+        assert frob(h - ref_h) <= 1e-9 * (1.0 + frob(ref_h))
+        assert frob(t * f - ref_f) <= 1e-9 * (1.0 + frob(ref_f))
+
+    @pytest.mark.parametrize("t", [1e-8, 1e150])
+    def test_orbit_height(self, tmp_path, t):
+        alg = GradedAlgebra("sl", (3, 3, 3))
+        x = alg.random_element(1, np.random.default_rng(62))
+        x /= frob(x)
+        _, ref = self.run_scaled(tmp_path, "orbit-height", "sl", (3, 3, 3), x, 1.0)
+        code, document = self.run_scaled(tmp_path, "orbit-height", "sl", (3, 3, 3), x, t)
+        assert code == EXIT_OK
+        assert document["result"]["height"] == ref["result"]["height"] == 4

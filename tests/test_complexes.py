@@ -8,10 +8,9 @@ from liepinv.complexes import (
     assemble_raising,
     certify_complex,
     complex_pinv,
-    graded_algebra_for,
 )
 from liepinv.errors import NotAComplex, ShapeMismatch
-from liepinv.graded import Sl2Triple, bracket, minimal_characteristic
+from liepinv.graded import GradedAlgebra, Sl2Triple, bracket, minimal_characteristic
 from liepinv.numcore import frob
 
 from helpers import complex_rank_profiles, random_exact_complex
@@ -110,7 +109,7 @@ class TestComplexPinv:
         maps = random_exact_complex(rng, sizes, [1, 1])
         t = chain(sizes, maps)
         out = complex_pinv(t)
-        alg = graded_algebra_for(t)
+        alg = GradedAlgebra("sl", t.sizes)
         e = assemble_raising(t)
         res = minimal_characteristic(alg, e, 1)
         f_expected = assemble_lowering(t, list(out.maps)[::-1])

@@ -19,7 +19,7 @@ from liepinv.forms import (
     verify_pseudo_euclidean_pinv,
     verify_vector_pinv,
 )
-from liepinv.graded import Sl2Triple
+from liepinv.graded import GradedAlgebra, Sl2Triple
 from liepinv.numcore import frob
 
 from helpers import random_complex, random_matrix_with_rank, random_quaternion_matrix
@@ -111,11 +111,20 @@ class TestVectorPinv:
             assert report.passed
 
     def test_triple_elements_live_in_grading(self):
-        v = np.array([3.0, 4.0])
-        e, h, f = vector_triple(v, vector_pinv(v))
-        t = Sl2Triple.from_elements(e, h, f)
-        assert t.passes()
-        assert frob(h - h.conj().T) < 1e-12
+        rng = np.random.default_rng(75)
+        for v in (random_complex(rng, 1), np.array([3.0, 4.0]), random_complex(rng, 5)):
+            alg = GradedAlgebra("so", (1, v.size, 1))
+            w = vector_pinv(v)
+            e, h, f = vector_triple(v, w)
+            assert alg.membership_residual(e) < 1e-12
+            assert alg.membership_residual(f) < 1e-12
+            assert alg.homogeneous_degree(e) == 1
+            assert alg.homogeneous_degree(f) == -1
+            assert frob(alg.block_component(e, 1, 2) - v.reshape(1, -1)) == 0.0
+            assert frob(alg.block_component(f, 2, 1) - w.reshape(-1, 1)) == 0.0
+            t = Sl2Triple.from_elements(e, h, f)
+            assert t.passes()
+            assert frob(h - h.conj().T) < 1e-12
 
 
 class TestPseudoEuclidean:

@@ -356,6 +356,40 @@ class TestOrbits:
             assert is_mp_element(alg, u @ e @ u.conj().T, 0)
 
 
+SCALE_ALGEBRAS = [("sl", (4, 4)), ("sp", (3, 3)), ("so", (1, 6, 1)), ("sl", (3, 3, 3))]
+SCALES = (1e-150, 1e-8, 1e150)
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("kind,blocks", SCALE_ALGEBRAS)
+    def test_completion_and_height_do_not_depend_on_scale(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(60)
+        x = alg.random_element(1, rng)
+        x /= frob(x)
+        ref = minimal_characteristic(alg, x, 1)
+        height = orbit_height(alg, x)
+        for t in SCALES:
+            res = minimal_characteristic(alg, t * x, 1)
+            assert res.triple.passes()
+            assert frob(res.h - ref.h) <= 1e-9 * (1.0 + frob(ref.h))
+            assert frob(t * res.f - ref.f) <= 1e-9 * (1.0 + frob(ref.f))
+            assert orbit_height(alg, t * x) == height
+
+    def test_criterion_does_not_depend_on_scale(self):
+        # a conjugate of the regular nilpotent of sl3 that is not Moore-Penrose
+        alg = GradedAlgebra("sl", (3,))
+        xi = np.zeros((3, 3), dtype=complex)
+        xi[0, 1] = 1.0
+        u = scipy.linalg.expm(xi)
+        moved = u @ jordan_nilpotent((3,)) @ np.linalg.inv(u)
+        h = minimal_characteristic(alg, moved, 0).h
+        for t in SCALES:
+            assert not annihilates_positive_part(alg, t * moved, h)
+            assert not is_mp_element(alg, t * moved, 0)
+            assert orbit_height(alg, t * moved) == 4
+
+
 class TestCriterion:
     def test_agrees_across_two_triples(self):
         # the raising-space criterion must not depend on the chosen triple

@@ -107,6 +107,15 @@ class TestKillingPairing:
         assert scale > 0.0
         assert frob(k_pair - scale * k_rest) <= 1e-9 * (1.0 + frob(k_pair))
 
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_matrix_entries_are_the_pairing(self, kind, blocks):
+        pair = JordanPair(GradedAlgebra(kind, blocks))
+        k_pair = pairing_matrix(pair)
+        assert frob(pair.pairing - k_pair) == 0.0
+        for i, plus in enumerate(pair.basis_plus):
+            for j, minus in enumerate(pair.basis_minus):
+                assert abs(k_pair[i, j] - killing_pairing(pair, plus, minus)) <= 1e-12
+
     def test_symmetry_across_the_pair(self):
         rng = np.random.default_rng(104)
         pair = matrix_pair(2, 2)
