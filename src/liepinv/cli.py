@@ -7,8 +7,16 @@ with 17 significant digits; complex scalars are two-element arrays [re, im]
 and quaternions four-element arrays [a, b, c, d]; matrices are row-major
 nested arrays.
 
-Exit codes: 0 success, 1 input error, 2 verification failure,
-3 orbit without a Moore-Penrose inverse.
+Each input matrix is read with one ``np.array`` call; a field that is not a
+regular nest of numbers is walked entry by entry, and a bad entry is reported
+as ``field[row][col]``.  ``run_job`` returns result matrices as float
+ndarrays: complex ones with a trailing [re, im] axis, quaternion ones with a
+trailing axis of 4.  ``to_json`` writes each such array in one pass, so
+``json.loads(to_json(document))`` gives plain JSON lists.
+
+Exit codes: 0 success, 1 input error, 2 verification failure (also when a
+result is not finite and cannot be written), 3 orbit without a Moore-Penrose
+inverse.
 """
 
 from __future__ import annotations
@@ -43,18 +51,24 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x) -> str:
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("cannot serialize non-finite number")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    text = format(x, ".17g")
-    return text
+def _array_template(shape: tuple[int, ...], indent: int) -> str:
+    """%-template for a float array: innermost axis inline, outer axes one item per line."""
+    if not shape:
+        return "%.17g"
+    if shape[0] == 0:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    item = "  " * (indent + 1) + _array_template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * indent + "]"
 
 
 def to_json(value, indent: int = 0) -> str:
-    """Deterministic JSON writer (insertion-ordered keys, 17-digit floats)."""
+    """Deterministic JSON writer (insertion-ordered keys, 17-digit floats).
+
+    Float arrays are written in one pass, laid out as the nested lists they
+    hold would be.  Non-finite numbers raise ValueError.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -78,8 +92,11 @@ def to_json(value, indent: int = 0) -> str:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
+    if isinstance(value, (float, np.floating, np.ndarray)):
+        a = np.asarray(value)
+        if not np.isfinite(a).all():
+            raise ValueError("cannot serialize non-finite number")
+        return _array_template(a.shape, indent) % tuple((a + 0.0).ravel().tolist())
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -88,6 +105,11 @@ def to_json(value, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # field decoding / encoding
 # ---------------------------------------------------------------------------
+#
+# A matrix decoder reads the whole field with one ``np.array`` call when it is
+# a regular nest of numbers of the expected shape.  Anything else (numbers
+# mixed with [re, im] pairs, ragged rows, wrong types) is walked entry by
+# entry, which builds the same matrix or names the first bad entry.
 
 
 def _field(doc: dict, name: str, kind=None, default=None, required: bool = False):
@@ -101,6 +123,17 @@ def _field(doc: dict, name: str, kind=None, default=None, required: bool = False
     return value
 
 
+def _numeric(data) -> np.ndarray | None:
+    """The list ``data`` as one array of numbers, or None if it is not one."""
+    if not isinstance(data, list):
+        return None
+    try:
+        arr = np.array(data)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return arr if arr.dtype.kind in "biuf" else None
+
+
 def _decode_scalar(entry, where: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry)
@@ -111,22 +144,37 @@ def _decode_scalar(entry, where: str) -> complex:
     raise InputError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
 
 
-def decode_complex_matrix(data, where: str) -> np.ndarray:
+def _rows(data, where: str) -> int:
+    """Check that ``data`` is a non-empty list of equally long lists; return the width."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise InputError(f"{where}: expected a nested array of rows")
     width = len(data[0])
-    rows = []
     for i, row in enumerate(data):
         if len(row) != width:
-            raise InputError(f"{where}: row {i} has length {len(row)}, expected {width}")
-        rows.append([_decode_scalar(v, f"{where}[{i}]") for v in row])
-    return np.array(rows, dtype=complex)
+            raise InputError(f"{where}[{i}]: row has length {len(row)}, expected {width}")
+    return width
+
+
+def decode_complex_matrix(data, where: str) -> np.ndarray:
+    arr = _numeric(data)
+    if arr is not None and arr.ndim == 2:
+        return arr.astype(complex)
+    if arr is not None and arr.ndim == 3 and arr.shape[2] == 2:  # [re, im] entries
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    _rows(data, where)
+    return np.array(
+        [[_decode_scalar(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+         for i, row in enumerate(data)],
+        dtype=complex,
+    )
 
 
 def decode_complex_vector(data, where: str) -> np.ndarray:
     if not isinstance(data, list):
         raise InputError(f"{where}: expected an array")
-    return np.array([_decode_scalar(v, where) for v in data], dtype=complex)
+    return np.array(
+        [_decode_scalar(v, f"{where}[{i}]") for i, v in enumerate(data)], dtype=complex
+    )
 
 
 def decode_real_vector(data, where: str) -> np.ndarray:
@@ -136,42 +184,34 @@ def decode_real_vector(data, where: str) -> np.ndarray:
 
 
 def decode_quaternion_matrix(data, where: str) -> QuaternionMatrix:
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{where}: expected a nested array of rows")
-    rows = []
+    arr = _numeric(data)
+    if arr is not None and arr.ndim == 3 and arr.shape[2] == 4:
+        return QuaternionMatrix(arr)
+    width = _rows(data, where)
     for i, row in enumerate(data):
-        out_row = []
         for j, q in enumerate(row):
-            if not (isinstance(q, list) and len(q) == 4):
-                raise InputError(f"{where}[{i}][{j}]: expected [a, b, c, d]")
-            out_row.append(q)
-        rows.append(out_row)
-    return QuaternionMatrix.from_entries(rows)
+            if not (isinstance(q, list) and len(q) == 4
+                    and all(isinstance(c, (int, float)) for c in q)):
+                raise InputError(f"{where}[{i}][{j}]: expected [a, b, c, d], got {q!r}")
+    return QuaternionMatrix(np.array(data, dtype=float).reshape(len(data), width, 4))
 
 
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def encode_complex_matrix(m) -> list:
+def encode_complex_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    return [[encode_complex(v) for v in row] for row in m]
+    return np.stack([m.real, m.imag], -1)
 
 
-def encode_complex_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+def encode_complex_vector(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return np.stack([v.real, v.imag], -1)
 
 
-def encode_real_matrix(m) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+def encode_real_matrix(m) -> np.ndarray:
+    return np.asarray(m, dtype=float)
 
 
-def encode_quaternion_matrix(q: QuaternionMatrix) -> list:
-    return [
-        [[float(c) for c in q.data[i, j]] for j in range(q.shape[1])]
-        for i in range(q.shape[0])
-    ]
+def encode_quaternion_matrix(q: QuaternionMatrix) -> np.ndarray:
+    return q.data
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +479,9 @@ def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, bool]:
 
 def _cmd_complex_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
     sizes = _field(doc, "sizes", list, required=True)
+    for i, d in enumerate(sizes):
+        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+            raise InputError(f"sizes[{i}]: expected a non-negative integer, got {d!r}")
     maps_doc = _field(doc, "maps", list, required=True)
     maps = [
         decode_complex_matrix(m, f"maps[{i}]") for i, m in enumerate(maps_doc)
@@ -601,6 +644,16 @@ def _job_from_args(args, input_path: str | None) -> JobSpec:
     )
 
 
+def _render(code: int, document: dict) -> tuple[int, dict, str]:
+    """Serialize one job's output; a result that cannot be written exits 2 with an error."""
+    try:
+        return code, document, to_json(document) + "\n"
+    except ValueError as exc:
+        envelope = {key: document[key] for key in ("command", "tolerance", "seed")}
+        envelope["error"] = f"result cannot be written: {exc}"
+        return EXIT_VERIFY, envelope, to_json(envelope) + "\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     inputs: list[str | None] = list(args.inputs) or [None]
@@ -615,8 +668,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     if len(jobs) == 1:
-        code, document = run_job(jobs[0])
-        text = to_json(document) + "\n"
+        code, document, text = _render(*run_job(jobs[0]))
         if args.output:
             Path(args.output).write_text(text)
         else:
@@ -632,10 +684,11 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(run_job, jobs))
     worst = EXIT_OK
-    for job, (code, document) in zip(jobs, results):
+    for job, result in zip(jobs, results):
+        code, document, text = _render(*result)
         stem = Path(job.input_path).stem if job.input_path else job.command
         target = (out_dir or Path(job.input_path).parent) / f"{stem}.out.json"
-        target.write_text(to_json(document) + "\n")
+        target.write_text(text)
         worst = max(worst, code)
         if code != EXIT_OK and "error" in document:
             print(f"{job.input_path}: {document['error']}", file=sys.stderr)

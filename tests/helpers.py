@@ -7,6 +7,8 @@ rank of its input.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import scipy.linalg
 
@@ -174,3 +176,44 @@ def compositions(n: int, min_parts: int = 1):
         if len(parts) >= min_parts:
             out.append(tuple(parts))
     return out
+
+
+def reference_format_float(x) -> str:
+    """One float as the CLI writes it: 17 significant digits, -0.0 written as 0."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError("cannot serialize non-finite number")
+    if x == 0.0:
+        x = 0.0
+    return format(x, ".17g")
+
+
+def reference_to_json(value, indent: int = 0) -> str:
+    """Scalar-at-a-time JSON writer: the oracle for the byte layout of ``cli.to_json``."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {reference_to_json(v, indent + 1)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        if all(isinstance(v, (int, float, bool)) or v is None for v in seq):
+            return "[" + ", ".join(reference_to_json(v) for v in seq) + "]"
+        items = [f"{inner}{reference_to_json(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return reference_format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")

@@ -3,11 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from liepinv.cli import (
     EXIT_INPUT,
     EXIT_NO_INVERSE,
     EXIT_OK,
+    EXIT_VERIFY,
     COMMANDS,
     JobSpec,
     decode_complex_matrix,
@@ -19,6 +23,7 @@ from liepinv.cli import (
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import Tolerance, frob
+from helpers import reference_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,6 +111,7 @@ class TestErrorPaths:
         code, document = run_job(JobSpec("pinv", str(doc)))
         assert code == EXIT_INPUT
         assert "matrix[1]" in document["error"]
+        assert "matrix[1][1]" in document["error"]
 
     def test_homform_middle_orbit_exits_three(self, tmp_path):
         doc = tmp_path / "doc.json"
@@ -135,6 +141,30 @@ class TestErrorPaths:
         code, document = run_job(JobSpec("mp-orbit", str(doc)))
         assert code == EXIT_INPUT
         assert "zero element" in document["error"]
+
+    def test_chain_sizes_must_be_integers(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"sizes": [[1], 2], "maps": [[[1, 0]]]}))
+        code, document = run_job(JobSpec("complex-pinv", str(doc)))
+        assert code == EXIT_INPUT
+        assert "sizes[0]" in document["error"]
+
+    def test_quaternion_entries_must_be_numbers(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"field": "quaternion", "matrix": [[["1", "0", "0", "0"]]]}))
+        code, document = run_job(JobSpec("pinv", str(doc)))
+        assert code == EXIT_INPUT
+        assert "matrix[0][0]" in document["error"]
+
+    def test_quaternion_rows_must_be_equally_long(self, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            json.dumps({"field": "quaternion",
+                        "matrix": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0]]]})
+        )
+        code, document = run_job(JobSpec("hermitian-pinv", str(doc)))
+        assert code == EXIT_INPUT
+        assert "matrix[1]" in document["error"]
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +210,35 @@ class TestMainEntry:
         got_b = json.loads((out_dir / "b.out.json").read_text())
         assert got_a == got_b
 
+    def test_non_finite_result_exits_two(self, tmp_path):
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({"field": "complex", "matrix": [[1e308, 1e308]] * 2}))
+        out = tmp_path / "huge.out.json"
+        assert main(["pinv", str(doc), "--output", str(out)]) == EXIT_VERIFY
+        payload = json.loads(out.read_text())
+        assert "non-finite" in payload["error"]
+        assert "result" not in payload
+
+    @pytest.mark.parametrize("command, bad, code", [
+        ("pinv", {"huge": {"field": "complex", "matrix": [[1e308, 1e308]] * 2},
+                  "strings": {"field": "quaternion", "matrix": [[["1", "0", "0", "0"]]]},
+                  "ragged": {"field": "quaternion",
+                             "matrix": [[[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]]]}}, EXIT_VERIFY),
+        ("complex-pinv", {"sizes": {"sizes": [[1], 2], "maps": [[[1, 0]]]}}, EXIT_INPUT),
+    ], ids=["pinv", "complex-pinv"])
+    def test_batch_writes_every_output(self, tmp_path, command, bad, code):
+        paths = [tmp_path / f"{stem}.json" for stem in bad]
+        for path, content in zip(paths, bad.values()):
+            path.write_text(json.dumps(content))
+        good = tmp_path / "good.json"
+        good.write_text((GOLDEN / f"{command}.in.json").read_text())
+        out_dir = tmp_path / "out"
+        assert main([command, *map(str, paths), str(good), "--output", str(out_dir)]) == code
+        for stem in bad:
+            assert "error" in json.loads((out_dir / f"{stem}.out.json").read_text())
+        want = (GOLDEN / f"{command}.out.json").read_text()
+        assert (out_dir / "good.out.json").read_text() == want
+
     def test_requires_input_except_report_table(self, capsys):
         assert main(["pinv"]) == EXIT_INPUT
         assert main(["report-table"]) == EXIT_OK
@@ -202,7 +261,7 @@ class TestScaleFree:
         doc.write_text(
             json.dumps(
                 {"algebra": kind, "blocks": list(blocks),
-                 "element": encode_complex_matrix(t * element)}
+                 "element": encode_complex_matrix(t * element).tolist()}
             )
         )
         return run_job(JobSpec(command, str(doc)))
@@ -215,6 +274,7 @@ class TestScaleFree:
         _, ref = self.run_scaled(tmp_path, "sl2-complete", "sl", (4, 4), x, 1.0)
         code, document = self.run_scaled(tmp_path, "sl2-complete", "sl", (4, 4), x, t)
         assert code == EXIT_OK
+        document, ref = json.loads(to_json(document)), json.loads(to_json(ref))
         h = decode_complex_matrix(document["result"]["h"], "h")
         f = decode_complex_matrix(document["result"]["f"], "f")
         ref_h = decode_complex_matrix(ref["result"]["h"], "h")
@@ -231,3 +291,43 @@ class TestScaleFree:
         code, document = self.run_scaled(tmp_path, "orbit-height", "sl", (3, 3, 3), x, t)
         assert code == EXIT_OK
         assert document["result"]["height"] == ref["result"]["height"] == 4
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-5, 7.0, -3.0, 1e16, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+SHAPES = st.one_of(
+    st.sampled_from([(), (0,), (1, 0, 2), (0, 3, 2), (3, 1, 2)]),
+    st.integers(0, 5).map(lambda k: (k,)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda mn: st.sampled_from([mn, mn + (2,), mn + (4,)])
+    ),
+)
+
+
+class TestArrayWriter:
+    """The one-pass array writer against the scalar-at-a-time reference writer."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(a=hnp.arrays(float, SHAPES, elements=FLOATS), indent=st.integers(0, 3))
+    def test_matches_reference_byte_for_byte(self, a, indent):
+        expected = reference_to_json(a.tolist() if a.ndim else float(a), indent)
+        assert to_json(a, indent) == expected
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(a=hnp.arrays(float, SHAPES.filter(len), elements=FLOATS))
+    def test_matches_reference_inside_documents(self, a):
+        document = {"result": {"x": a, "maps": [a, a]}, "residuals": [0.5, -0.0]}
+        reference = {"result": {"x": a.tolist(), "maps": [a.tolist()] * 2},
+                     "residuals": [0.5, -0.0]}
+        assert to_json(document) == reference_to_json(reference)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(a=hnp.arrays(float, SHAPES.filter(lambda s: np.prod(s) > 0), elements=FLOATS),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_raises(self, a, bad, data):
+        a = a.copy()
+        a.flat[data.draw(st.integers(0, a.size - 1))] = bad
+        with pytest.raises(ValueError):
+            to_json(a)
