@@ -11,14 +11,19 @@ formulation.  A batch CLI exposes every operation on JSON documents.
 """
 
 from .classical import (
-    PenroseReport,
     pinv,
     pinv_factorization,
     pinv_quaternion,
     pinv_real,
     verify_penrose,
 )
-from .complexes import ChainTuple, ComplexCertificate, certify_complex, complex_pinv
+from .complexes import (
+    ChainTuple,
+    ComplexCertificate,
+    certify_complex,
+    complex_pinv,
+    verify_complex_pinv,
+)
 from .errors import (
     DegenerateForm,
     EmbeddingMismatch,
@@ -60,7 +65,6 @@ from .graded import (
     orbit_height,
 )
 from .homform import (
-    FormAdjointReport,
     OrbitLabel,
     classify_orbit,
     mp_inverse_homform,
@@ -80,6 +84,7 @@ from .numcore import (
     DEFAULT_TOL,
     Quaternion,
     QuaternionMatrix,
+    Report,
     Tolerance,
     adjoint,
     rank_decomposition,
@@ -91,10 +96,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # numcore
-    "Tolerance", "DEFAULT_TOL", "adjoint", "rank_decomposition",
+    "Tolerance", "DEFAULT_TOL", "Report", "adjoint", "rank_decomposition",
     "solve_least_squares_constrained", "Quaternion", "QuaternionMatrix",
     # classical
-    "PenroseReport", "pinv", "pinv_factorization", "verify_penrose",
+    "pinv", "pinv_factorization", "verify_penrose",
     "pinv_real", "pinv_quaternion",
     # graded
     "GradedAlgebra", "Sl2Triple", "CharacteristicResult", "bracket",
@@ -106,10 +111,11 @@ __all__ = [
     "BilinearForm", "form_pinv", "vector_pinv", "PseudoEuclideanSpace",
     "pseudo_euclidean_pinv", "hermitian_pinv",
     # homform
-    "OrbitLabel", "FormAdjointReport", "sharp", "classify_orbit",
+    "OrbitLabel", "sharp", "classify_orbit",
     "mp_inverse_homform", "verify_homform",
     # complexes
     "ChainTuple", "ComplexCertificate", "certify_complex", "complex_pinv",
+    "verify_complex_pinv",
     # jordan
     "JordanPair", "CartanInvolution", "triple_product", "killing_pairing",
     "standard_cartan_involution", "mp_inverse_jordan", "verify_jordan_mp",

@@ -14,8 +14,6 @@ into a test instead of an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -23,6 +21,7 @@ from .errors import ShapeMismatch
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
+    Report,
     Tolerance,
     as_matrix,
     frob,
@@ -30,39 +29,12 @@ from .numcore import (
 )
 
 __all__ = [
-    "PenroseReport",
     "pinv",
     "pinv_factorization",
     "verify_penrose",
     "pinv_real",
     "pinv_quaternion",
 ]
-
-
-@dataclass(frozen=True)
-class PenroseReport:
-    """Relative residuals of the four Penrose conditions for a pair (A, X).
-
-    recover_a   |AXA - A| / (1 + |A|)
-    recover_x   |XAX - X| / (1 + |X|)
-    hermitian_ax  |AX - (AX)*| / (1 + |AX|)
-    hermitian_xa  |XA - (XA)*| / (1 + |XA|)
-
-    Each residual is normalized by its own natural scale so that ``passed``
-    is symmetric under swapping A and X.
-    """
-
-    recover_a: float
-    recover_x: float
-    hermitian_ax: float
-    hermitian_xa: float
-    passed: bool
-
-    def residuals(self) -> tuple[float, float, float, float]:
-        return (self.recover_a, self.recover_x, self.hermitian_ax, self.hermitian_xa)
-
-    def max_residual(self) -> float:
-        return max(self.residuals())
 
 
 def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -97,8 +69,17 @@ def pinv_factorization(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return ch @ np.linalg.solve(c @ ch, b.conj().T)
 
 
-def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> PenroseReport:
-    """Evaluate the four Penrose conditions for the pair (a, x)."""
+def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """Relative residuals of the four Penrose conditions for the pair (a, x).
+
+    recover_a     |AXA - A| / (1 + |A|)
+    recover_x     |XAX - X| / (1 + |X|)
+    hermitian_ax  |AX - (AX)*| / (1 + |AX|)
+    hermitian_xa  |XA - (XA)*| / (1 + |XA|)
+
+    Each residual is normalized by its own natural scale so that ``passed``
+    is symmetric under swapping A and X.
+    """
     a = as_matrix(a)
     x = as_matrix(x)
     if x.shape != (a.shape[1], a.shape[0]):
@@ -107,12 +88,15 @@ def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> PenroseReport:
         )
     ax = a @ x
     xa = x @ a
-    r1 = frob(ax @ a - a) / (1.0 + frob(a))
-    r2 = frob(xa @ x - x) / (1.0 + frob(x))
-    r3 = frob(ax - ax.conj().T) / (1.0 + frob(ax))
-    r4 = frob(xa - xa.conj().T) / (1.0 + frob(xa))
-    passed = max(r1, r2, r3, r4) <= tol.residual_tol
-    return PenroseReport(r1, r2, r3, r4, passed)
+    return Report.gated(
+        {
+            "recover_a": frob(ax @ a - a) / (1.0 + frob(a)),
+            "recover_x": frob(xa @ x - x) / (1.0 + frob(x)),
+            "hermitian_ax": frob(ax - ax.conj().T) / (1.0 + frob(ax)),
+            "hermitian_xa": frob(xa - xa.conj().T) / (1.0 + frob(xa)),
+        },
+        tol,
+    )
 
 
 def pinv_real(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import classical, complexes, forms, graded, homform, jordan
 from .errors import LiepinvError, NotMoorePenroseOrbit, ZeroElement
-from .numcore import QuaternionMatrix, Tolerance, frob
+from .numcore import QuaternionMatrix, Report, Tolerance, frob
 
 __all__ = ["JobSpec", "run_job", "main", "COMMANDS"]
 
@@ -254,122 +254,104 @@ def _tolerance_doc(tol: Tolerance) -> dict:
     return {"rank_rtol": tol.rank_rtol, "residual_tol": tol.residual_tol}
 
 
+def _integer(value, where: str, minimum: int | None = None) -> int:
+    """``value`` if it is an int (not a bool) of at least ``minimum``, else an InputError."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InputError(f"{where}: expected an integer{bound}, got {value!r}")
+    return value
+
+
+def _symmetry(doc: dict, job: JobSpec, where: str) -> str:
+    symmetry = _field(doc, "symmetry", str, default=job.form_symmetry)
+    if symmetry is None:
+        raise InputError(f"field {where!r} is required (or pass --form)")
+    if symmetry not in (forms.SYMMETRIC, forms.SKEW):
+        raise InputError(f"field {where!r} must be 'symmetric' or 'skew', got {symmetry!r}")
+    return symmetry
+
+
 def _algebra_from(doc: dict, job: JobSpec) -> graded.GradedAlgebra:
     kind = _field(doc, "algebra", str, default=job.algebra)
     blocks = _field(doc, "blocks", list, default=list(job.blocks) if job.blocks else None)
     if kind is None or blocks is None:
         raise InputError("fields 'algebra' and 'blocks' are required (or pass --algebra/--blocks)")
+    blocks = [_integer(d, f"blocks[{i}]", 1) for i, d in enumerate(blocks)]
     try:
         return graded.GradedAlgebra(kind, blocks, job.tol)
     except (ValueError, LiepinvError) as exc:
         raise InputError(f"invalid algebra: {exc}") from exc
 
 
-def _cmd_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
+def _graded_element(doc: dict, job: JobSpec) -> tuple[graded.GradedAlgebra, np.ndarray]:
+    alg = _algebra_from(doc, job)
+    return alg, decode_complex_matrix(_field(doc, "element", list, required=True), "element")
+
+
+def _field_matrix(doc: dict) -> tuple[str, np.ndarray | QuaternionMatrix]:
+    """The 'matrix' of a document, decoded as its 'field' kind says."""
     kind = _field(doc, "field", str, default="complex")
-    tol = job.tol
-    if kind == "quaternion":
-        q = decode_quaternion_matrix(_field(doc, "matrix", list, required=True), "matrix")
-        x = classical.pinv_quaternion(q, tol)
-        report = classical.verify_penrose(q.embed(), x.embed(), tol)
-        result = {"pinv": encode_quaternion_matrix(x)}
-    elif kind == "real":
-        a = decode_complex_matrix(_field(doc, "matrix", list, required=True), "matrix")
-        if frob(a.imag) > 0.0:
-            raise InputError("field 'real' requires a real matrix")
-        x = classical.pinv_real(a.real, tol)
-        report = classical.verify_penrose(a, x.astype(complex), tol)
-        result = {"pinv": encode_real_matrix(x)}
-    elif kind == "complex":
-        a = decode_complex_matrix(_field(doc, "matrix", list, required=True), "matrix")
-        x = classical.pinv(a, tol)
-        report = classical.verify_penrose(a, x, tol)
-        result = {"pinv": encode_complex_matrix(x)}
-    else:
+    if kind not in ("complex", "real", "quaternion"):
         raise InputError(f"unknown field kind {kind!r}")
-    verification = {
-        "recover_a": report.recover_a,
-        "recover_x": report.recover_x,
-        "hermitian_ax": report.hermitian_ax,
-        "hermitian_xa": report.hermitian_xa,
-    }
-    return {"result": result, "verification": verification}, report.passed
+    data = _field(doc, "matrix", list, required=True)
+    if kind == "quaternion":
+        return kind, decode_quaternion_matrix(data, "matrix")
+    a = decode_complex_matrix(data, "matrix")
+    if kind == "real" and frob(a.imag) > 0.0:
+        raise InputError("field 'real' requires a real matrix")
+    return kind, a
 
 
-def _cmd_form_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    symmetry = _field(doc, "symmetry", str, default=job.form_symmetry)
-    if symmetry is None:
-        raise InputError("field 'symmetry' is required (or pass --form)")
+def _encode_field_matrix(kind: str, x) -> np.ndarray:
+    if kind == "quaternion":
+        return encode_quaternion_matrix(x)
+    return encode_real_matrix(x.real) if kind == "real" else encode_complex_matrix(x)
+
+
+def _cmd_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    kind, a = _field_matrix(doc)
+    if kind == "quaternion":
+        x = classical.pinv_quaternion(a, job.tol)
+        report = classical.verify_penrose(a.embed(), x.embed(), job.tol)
+    else:
+        x = classical.pinv_real(a.real, job.tol) if kind == "real" else classical.pinv(a, job.tol)
+        report = classical.verify_penrose(a, x, job.tol)
+    return {"pinv": _encode_field_matrix(kind, x)}, report
+
+
+def _cmd_form_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    symmetry = _symmetry(doc, job, "symmetry")
     gram = decode_complex_matrix(_field(doc, "gram", list, required=True), "gram")
     form = forms.BilinearForm(symmetry, gram)
     out = forms.form_pinv(form, job.tol)
-    report = forms.verify_form_pinv(form, out, job.tol)
-    verification = {
-        "recover_w": report.recover_a,
-        "recover_w_plus": report.recover_x,
-        "hermitian_w_wplus": report.hermitian_ax,
-        "hermitian_wplus_w": report.hermitian_xa,
-    }
     result = {"symmetry": out.symmetry, "gram": encode_complex_matrix(out.gram)}
-    return {"result": result, "verification": verification}, report.passed
+    return result, forms.verify_form_pinv(form, out, job.tol)
 
 
-def _cmd_vector_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
+def _cmd_vector_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     v = decode_complex_vector(_field(doc, "vector", list, required=True), "vector")
     w = forms.vector_pinv(v, job.tol)
-    report = forms.verify_vector_pinv(v, w, job.tol)
-    verification = {
-        "triple_residual": report.triple_residual,
-        "characteristic_defect": report.characteristic_defect,
-    }
-    return (
-        {"result": {"pinv": encode_complex_vector(w)}, "verification": verification},
-        report.passed,
-    )
+    return {"pinv": encode_complex_vector(w)}, forms.verify_vector_pinv(v, w, job.tol)
 
 
-def _cmd_pseudo_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
+def _cmd_pseudo_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     signature = _field(doc, "signature", list, required=True)
-    if len(signature) != 2 or not all(isinstance(s, int) for s in signature):
+    if len(signature) != 2:
         raise InputError("field 'signature' must be [n, m]")
-    space = forms.PseudoEuclideanSpace(*signature)
+    space = forms.PseudoEuclideanSpace(
+        *(_integer(s, f"signature[{i}]", 0) for i, s in enumerate(signature))
+    )
     v = decode_real_vector(_field(doc, "vector", list, required=True), "vector")
     w = forms.pseudo_euclidean_pinv(space, v, job.tol)
     report = forms.verify_pseudo_euclidean_pinv(space, v, w, job.tol)
-    verification = {
-        "triple_residual": report.triple_residual,
-        "characteristic_defect": report.characteristic_defect,
-    }
-    return (
-        {"result": {"pinv": [float(x) for x in w]}, "verification": verification},
-        report.passed,
-    )
+    return {"pinv": [float(x) for x in w]}, report
 
 
-def _cmd_hermitian_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    kind = _field(doc, "field", str, default="complex")
-    if kind == "quaternion":
-        a = decode_quaternion_matrix(_field(doc, "matrix", list, required=True), "matrix")
-        x = forms.hermitian_pinv(a, job.tol)
-        report = forms.verify_hermitian_pinv(a, x, job.tol)
-        result = {"pinv": encode_quaternion_matrix(x)}
-    else:
-        a = decode_complex_matrix(_field(doc, "matrix", list, required=True), "matrix")
-        x = forms.hermitian_pinv(a, job.tol)
-        report = forms.verify_hermitian_pinv(a, x, job.tol)
-        if kind == "real":
-            if frob(a.imag) > 0.0:
-                raise InputError("field 'real' requires a real matrix")
-            result = {"pinv": encode_real_matrix(x.real)}
-        else:
-            result = {"pinv": encode_complex_matrix(x)}
-    verification = {
-        "recover_a": report.recover_a,
-        "recover_x": report.recover_x,
-        "commutator": report.commutator,
-        "class_defect": report.class_defect,
-    }
-    return {"result": result, "verification": verification}, report.passed
+def _cmd_hermitian_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    kind, a = _field_matrix(doc)
+    x = forms.hermitian_pinv(a, job.tol)
+    return {"pinv": _encode_field_matrix(kind, x)}, forms.verify_hermitian_pinv(a, x, job.tol)
 
 
 def _minimality_margin(
@@ -391,160 +373,105 @@ def _minimality_margin(
     return float(margin)
 
 
-def _sl2_payload(alg, res: graded.CharacteristicResult, degree, seed) -> dict:
-    margin = _minimality_margin(alg, res, degree, seed)
-    verification = {
+def _characteristic(doc: dict, job: JobSpec):
+    alg, e = _graded_element(doc, job)
+    degree = _field(doc, "degree")
+    if degree is not None:
+        _integer(degree, "degree")
+    return alg, graded.minimal_characteristic(alg, e, degree, job.tol), degree
+
+
+def _sl2_report(alg, res: graded.CharacteristicResult, degree, job: JobSpec, **verdicts) -> Report:
+    """Only the triple residuals gate; the Hermitian defect and the margin are findings."""
+    residuals = {
         "triple_residuals": list(res.triple.residuals),
         "hermitian_defect": res.hermitian_defect,
     }
+    margin = _minimality_margin(alg, res, degree, job.seed)
     if margin is not None:
-        verification["minimality_margin"] = margin
-    return verification
+        residuals["minimality_margin"] = margin
+    residuals.update(verdicts)
+    return Report(residuals, res.triple.passes(job.tol))
 
 
-def _cmd_sl2_complete(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    alg = _algebra_from(doc, job)
-    e = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
-    degree = _field(doc, "degree", int)
-    res = graded.minimal_characteristic(alg, e, degree, job.tol)
-    verification = _sl2_payload(alg, res, degree, job.seed)
+def _cmd_sl2_complete(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    alg, res, degree = _characteristic(doc, job)
     result = {
         "e": encode_complex_matrix(res.e),
         "h": encode_complex_matrix(res.h),
         "f": encode_complex_matrix(res.f),
         "is_hermitian": res.is_hermitian,
     }
-    passed = res.triple.max_residual() <= job.tol.residual_tol
-    return {"result": result, "verification": verification}, passed
+    return result, _sl2_report(alg, res, degree, job)
 
 
-def _cmd_mp_element(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    alg = _algebra_from(doc, job)
-    e = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
-    degree = _field(doc, "degree", int)
-    res = graded.minimal_characteristic(alg, e, degree, job.tol)
+def _cmd_mp_element(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    alg, res, degree = _characteristic(doc, job)
     criterion = (
-        graded.annihilates_positive_part(alg, e, res.h, job.tol)
+        graded.annihilates_positive_part(alg, res.e, res.h, job.tol)
         if frob(res.e) > 0.0
         else True
     )
-    verification = _sl2_payload(alg, res, degree, job.seed)
-    verification["orbit_criterion"] = criterion
-    result = {
-        "is_mp_element": res.is_hermitian,
-        "hermitian_defect": res.hermitian_defect,
-    }
-    passed = res.triple.max_residual() <= job.tol.residual_tol
-    return {"result": result, "verification": verification}, passed
+    result = {"is_mp_element": res.is_hermitian, "hermitian_defect": res.hermitian_defect}
+    return result, _sl2_report(alg, res, degree, job, orbit_criterion=criterion)
 
 
-def _cmd_orbit_height(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    alg = _algebra_from(doc, job)
-    e = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
-    height = graded.orbit_height(alg, e, job.tol)
-    return {"result": {"height": height}, "verification": {}}, True
+def _cmd_orbit_height(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    alg, e = _graded_element(doc, job)
+    return {"height": graded.orbit_height(alg, e, job.tol)}, Report({}, passed=True)
 
 
-def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    alg = _algebra_from(doc, job)
-    e = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
+def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    alg, e = _graded_element(doc, job)
     height = graded.orbit_height(alg, e, job.tol)
     if frob(e) == 0.0:
         raise ZeroElement("the zero element does not generate a nilpotent orbit")
-    result = {"is_mp_orbit": height == 2, "height": height}
-    return {"result": result, "verification": {}}, True
+    return {"is_mp_orbit": height == 2, "height": height}, Report({}, passed=True)
 
 
-def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, bool]:
+def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     form_doc = _field(doc, "form", dict, required=True)
-    symmetry = _field(form_doc, "symmetry", str, default=job.form_symmetry)
+    symmetry = _symmetry(form_doc, job, "form.symmetry")
     gram = decode_complex_matrix(_field(form_doc, "gram", list, required=True), "form.gram")
     form = forms.BilinearForm(symmetry, gram)
     f_mat = decode_complex_matrix(_field(doc, "map", list, required=True), "map")
-    label = homform.classify_orbit(form, f_mat, job.tol)
-    g_mat = homform.mp_inverse_homform(form, f_mat, job.tol)
-    report = homform.verify_homform(form, f_mat, g_mat, job.tol)
-    verification = {
-        "residual_gf_hermitian": report.residual_gf_hermitian,
-        "residual_fg_diff_hermitian": report.residual_fg_diff_hermitian,
-        "residual_star1": report.residual_star1,
-        "residual_star2": report.residual_star2,
-    }
+    g_mat, label, report = homform.mp_inverse_homform(form, f_mat, job.tol)
     result = {
         "orbit": {"a": label.a, "b": label.b},
         "inverse": encode_complex_matrix(g_mat),
     }
-    return {"result": result, "verification": verification}, report.passed
+    return result, report
 
 
-def _cmd_complex_pinv(doc: dict, job: JobSpec) -> tuple[dict, bool]:
+def _cmd_complex_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     sizes = _field(doc, "sizes", list, required=True)
-    for i, d in enumerate(sizes):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-            raise InputError(f"sizes[{i}]: expected a non-negative integer, got {d!r}")
+    sizes = [_integer(d, f"sizes[{i}]", 1) for i, d in enumerate(sizes)]
     maps_doc = _field(doc, "maps", list, required=True)
-    maps = [
-        decode_complex_matrix(m, f"maps[{i}]") for i, m in enumerate(maps_doc)
-    ]
-    try:
-        tup = complexes.ChainTuple(tuple(sizes), tuple(maps))
-    except (ValueError, LiepinvError) as exc:
-        raise InputError(str(exc)) from exc
-    out = complexes.complex_pinv(tup, job.tol)
-    cert_in = complexes.certify_complex(tup, job.tol)
-    cert_out = complexes.certify_complex(out, job.tol)
-    e = complexes.assemble_raising(tup)
-    f = complexes.assemble_lowering(tup, list(out.maps)[::-1])
-    h = graded.bracket(e, f)
-    triple = graded.Sl2Triple.from_elements(e, h, f)
-    defect = frob(h - h.conj().T) / (1.0 + frob(h))
-    verification = {
-        "composition_residuals": list(cert_in.composition_residuals),
-        "inverse_composition_residuals": list(cert_out.composition_residuals),
-        "triple_residuals": list(triple.residuals),
-        "characteristic_defect": defect,
-    }
+    maps = [decode_complex_matrix(m, f"maps[{i}]") for i, m in enumerate(maps_doc)]
+    tup = complexes.ChainTuple(tuple(sizes), tuple(maps))
+    out, cert = complexes.complex_pinv(tup, job.tol)
     result = {
         "sizes": [int(d) for d in out.sizes],
         "maps": [encode_complex_matrix(m) for m in out.maps],
-        "ranks": [int(r) for r in cert_in.ranks],
+        "ranks": [int(r) for r in cert.ranks],
     }
-    passed = (
-        cert_out.is_complex
-        and triple.max_residual() <= job.tol.residual_tol
-        and defect <= job.tol.residual_tol
-    )
-    return {"result": result, "verification": verification}, passed
+    return result, complexes.verify_complex_pinv(tup, cert, out, job.tol)
 
 
-def _cmd_jordan_mp(doc: dict, job: JobSpec) -> tuple[dict, bool]:
-    alg = _algebra_from(doc, job)
-    try:
-        pair = jordan.JordanPair(alg)
-    except LiepinvError as exc:
-        raise InputError(str(exc)) from exc
-    a = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
+def _cmd_jordan_mp(doc: dict, job: JobSpec) -> tuple[dict, Report]:
+    alg, a = _graded_element(doc, job)
+    pair = jordan.JordanPair(alg)
     inv = jordan.standard_cartan_involution(pair)
-    x = jordan.mp_inverse_jordan(pair, inv, a, job.tol)
-    report = jordan.verify_jordan_mp(pair, inv, a, x, job.tol)
-    verification = {
-        "recover_a": report.recover_a,
-        "recover_x": report.recover_x,
-        "hermitian_ax": report.hermitian_ax,
-        "hermitian_xa": report.hermitian_xa,
-    }
-    return (
-        {"result": {"inverse": encode_complex_matrix(x)}, "verification": verification},
-        report.passed,
-    )
+    x, report = jordan.mp_inverse_jordan(pair, inv, a, job.tol)
+    return {"inverse": encode_complex_matrix(x)}, report
 
 
-def _cmd_report_table(doc: dict, job: JobSpec) -> tuple[dict, bool]:
+def _cmd_report_table(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     rows = [dict(row) for row in homform.CLASSICAL_MAXIMAL_PARABOLIC_TABLE]
     for row in rows:
         row["moore_penrose_roots"] = list(row["moore_penrose_roots"])
         row["abelian_radical_roots"] = list(row["abelian_radical_roots"])
-    return {"result": {"maximal_parabolic_table": rows}, "verification": {}}, True
+    return {"maximal_parabolic_table": rows}, Report({}, passed=True)
 
 
 COMMANDS = {
@@ -573,25 +500,27 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
     }
     try:
         doc = _load_document(job)
-        payload, passed = COMMANDS[job.command](doc, job)
-    except InputError as exc:
-        envelope["error"] = str(exc)
-        return EXIT_INPUT, envelope
+        result, report = COMMANDS[job.command](doc, job)
     except NotMoorePenroseOrbit as exc:
         envelope["error"] = str(exc)
         envelope["orbit"] = {"a": exc.a, "b": exc.b}
         envelope["certificate"] = exc.certificate
         return EXIT_NO_INVERSE, envelope
-    except (LiepinvError, ValueError) as exc:
+    except np.linalg.LinAlgError as exc:
+        # a numerical breakdown, although numpy makes it a ValueError
+        envelope["error"] = str(exc)
+        return EXIT_VERIFY, envelope
+    except (LiepinvError, ValueError) as exc:  # InputError included
         envelope["error"] = str(exc)
         return EXIT_INPUT, envelope
     except ArithmeticError as exc:
         # internal verification failed even though the input was valid
         envelope["error"] = str(exc)
         return EXIT_VERIFY, envelope
-    envelope.update(payload)
-    envelope["passed"] = passed
-    return EXIT_OK if passed else EXIT_VERIFY, envelope
+    envelope["result"] = result
+    envelope["verification"] = report.residuals
+    envelope["passed"] = report.passed
+    return EXIT_OK if report.passed else EXIT_VERIFY, envelope
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:

@@ -8,7 +8,8 @@ and it is a complex when consecutive compositions vanish.  Componentwise
 pseudoinversion sends a complex to a complex, and the assembled block
 matrices (maps on the superdiagonal, pseudoinverses on the subdiagonal) form
 an sl2-triple with block-diagonal Hermitian characteristic: componentwise
-pseudoinversion is the graded Moore-Penrose inverse of the tuple.
+pseudoinversion is the graded Moore-Penrose inverse of the tuple, which
+:func:`verify_complex_pinv` checks on the assembled triple.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import numpy as np
 
 from . import classical
 from .errors import NotAComplex, ShapeMismatch
-from .numcore import DEFAULT_TOL, Tolerance, as_matrix, frob, rank_decomposition
+from .graded import Sl2Triple, bracket
+from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob, rank_decomposition
 
 __all__ = [
     "ChainTuple",
     "ComplexCertificate",
     "certify_complex",
     "complex_pinv",
+    "verify_complex_pinv",
     "assemble_raising",
     "assemble_lowering",
 ]
@@ -102,13 +105,16 @@ def assemble_lowering(t: ChainTuple, lowering_maps) -> np.ndarray:
     return out
 
 
-def complex_pinv(t: ChainTuple, tol: Tolerance = DEFAULT_TOL) -> ChainTuple:
+def complex_pinv(
+    t: ChainTuple, tol: Tolerance = DEFAULT_TOL
+) -> tuple[ChainTuple, ComplexCertificate]:
     """Componentwise Moore-Penrose inverse of a complex, as a reversed tuple.
 
     The result has sizes (d_k, ..., d_1) and maps (f_{k-1}+, ..., f_1+); it is
     itself a complex because the image of each pseudoinverse is the
     orthocomplement of the kernel of its map, which the next pseudoinverse
-    kills.  Applying the operation twice returns the original tuple.
+    kills.  Applying the operation twice returns the original tuple.  The
+    certificate of ``t`` comes back with the result.
     """
     cert = certify_complex(t, tol)
     if not cert.is_complex:
@@ -116,5 +122,33 @@ def complex_pinv(t: ChainTuple, tol: Tolerance = DEFAULT_TOL) -> ChainTuple:
             f"composition residuals {cert.composition_residuals} exceed tolerance"
         )
     inverted = [classical.pinv(m, tol) for m in t.maps]
-    return ChainTuple(t.sizes[::-1], tuple(inverted[::-1]))
+    return ChainTuple(t.sizes[::-1], tuple(inverted[::-1])), cert
+
+
+def verify_complex_pinv(
+    t: ChainTuple, cert: ComplexCertificate, out: ChainTuple, tol: Tolerance = DEFAULT_TOL
+) -> Report:
+    """Check that ``out`` is the graded Moore-Penrose inverse of the complex ``t``.
+
+    ``cert`` is the certificate of ``t`` (as :func:`complex_pinv` returns it);
+    its composition residuals are reported and do not gate ``passed``.  The
+    result passes when ``out`` is a complex and (e, [e, f], f), with e carrying
+    the maps of ``t`` and f those of ``out``, is an sl2-triple whose
+    characteristic is Hermitian.
+    """
+    cert_out = certify_complex(out, tol)
+    e = assemble_raising(t)
+    f = assemble_lowering(t, out.maps[::-1])
+    h = bracket(e, f)
+    triple = Sl2Triple.from_elements(e, h, f)
+    defect = frob(h - h.conj().T) / (1.0 + frob(h))
+    residuals = {
+        "composition_residuals": list(cert.composition_residuals),
+        "inverse_composition_residuals": list(cert_out.composition_residuals),
+        "triple_residuals": list(triple.residuals),
+        "characteristic_defect": defect,
+    }
+    passed = cert_out.is_complex and triple.passes(tol) and defect <= tol.residual_tol
+    return Report(residuals, passed)
+
 

@@ -17,7 +17,15 @@ import numpy as np
 from . import classical
 from .errors import ShapeMismatch, SymmetryViolation
 from .graded import Sl2Triple, bracket
-from .numcore import DEFAULT_TOL, QuaternionMatrix, Tolerance, as_matrix, frob, rank_decomposition
+from .numcore import (
+    DEFAULT_TOL,
+    QuaternionMatrix,
+    Report,
+    Tolerance,
+    as_matrix,
+    frob,
+    rank_decomposition,
+)
 
 __all__ = [
     "SYMMETRIC",
@@ -34,8 +42,6 @@ __all__ = [
     "verify_pseudo_euclidean_pinv",
     "hermitian_pinv",
     "verify_hermitian_pinv",
-    "TripleReport",
-    "HermitianPinvReport",
 ]
 
 SYMMETRIC = "symmetric"
@@ -102,11 +108,13 @@ def form_pinv(form: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
 
 def verify_form_pinv(
     form: BilinearForm, candidate: BilinearForm, tol: Tolerance = DEFAULT_TOL
-) -> classical.PenroseReport:
-    """Penrose residuals of the Gram matrices (symmetry classes must match)."""
+) -> Report:
+    """Penrose residuals of the Gram matrices W and W+ (symmetry classes must match)."""
     if candidate.symmetry != form.symmetry:
         raise SymmetryViolation("candidate inverse has the wrong symmetry class")
-    return classical.verify_penrose(form.gram, candidate.gram, tol)
+    report = classical.verify_penrose(form.gram, candidate.gram, tol)
+    names = ("recover_w", "recover_w_plus", "hermitian_w_wplus", "hermitian_wplus_w")
+    return Report(dict(zip(names, report.residuals.values())), report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +164,22 @@ def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e, bracket(e, f), f
 
 
-@dataclass(frozen=True)
-class TripleReport:
-    """sl2 residuals plus the compact-form defect of the characteristic."""
+def _triple_report(e, h, f, defect: float, tol: Tolerance) -> Report:
+    """Largest sl2 residual of (e, h, f) and the compact-form defect of h."""
+    triple = Sl2Triple.from_elements(e, h, f)
+    return Report.gated(
+        {"triple_residual": triple.max_residual(), "characteristic_defect": defect}, tol
+    )
 
-    triple_residual: float
-    characteristic_defect: float
-    passed: bool
 
-
-def verify_vector_pinv(v, w, tol: Tolerance = DEFAULT_TOL) -> TripleReport:
+def verify_vector_pinv(v, w, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Check that w inverts v: homogeneous sl2-triple with Hermitian h."""
     v = _as_vector(v)
     w = _as_vector(w)
     if frob(v) == 0.0 and frob(w) == 0.0:
-        return TripleReport(0.0, 0.0, True)
+        return Report.gated({"triple_residual": 0.0, "characteristic_defect": 0.0}, tol)
     e, h, f = vector_triple(v, w)
-    triple = Sl2Triple.from_elements(e, h, f)
-    defect = frob(h - h.conj().T) / (1.0 + frob(h))
-    passed = triple.max_residual() <= tol.residual_tol and defect <= tol.residual_tol
-    return TripleReport(triple.max_residual(), defect, passed)
+    return _triple_report(e, h, f, frob(h - h.conj().T) / (1.0 + frob(h)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,36 +264,19 @@ def pseudo_euclidean_triple(
 
 def verify_pseudo_euclidean_pinv(
     space: PseudoEuclideanSpace, v, w, tol: Tolerance = DEFAULT_TOL
-) -> TripleReport:
+) -> Report:
     """Check the defining conditions: sl2 relations with real symmetric h."""
     v = _as_real_vector(space, v)
     w = _as_real_vector(space, w)
     if frob(v) == 0.0 and frob(w) == 0.0:
-        return TripleReport(0.0, 0.0, True)
+        return Report.gated({"triple_residual": 0.0, "characteristic_defect": 0.0}, tol)
     e, h, f = pseudo_euclidean_triple(space, v, w)
-    triple = Sl2Triple.from_elements(e, h, f)
-    defect = (frob(h - h.T) + frob(h.imag)) / (1.0 + frob(h))
-    passed = triple.max_residual() <= tol.residual_tol and defect <= tol.residual_tol
-    return TripleReport(triple.max_residual(), defect, passed)
+    return _triple_report(e, h, f, (frob(h - h.T) + frob(h.imag)) / (1.0 + frob(h)), tol)
 
 
 # ---------------------------------------------------------------------------
 # Hermitian and skew-Hermitian matrices over R, C, H
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HermitianPinvReport:
-    """Residuals of A A+ A = A, A+ A A+ = A+, [A, A+] = 0 plus class defect."""
-
-    recover_a: float
-    recover_x: float
-    commutator: float
-    class_defect: float
-    passed: bool
-
-    def max_residual(self) -> float:
-        return max(self.recover_a, self.recover_x, self.commutator, self.class_defect)
 
 
 def _hermitian_class(a: np.ndarray, tol: Tolerance) -> str:
@@ -326,8 +313,8 @@ def hermitian_pinv(a, tol: Tolerance = DEFAULT_TOL):
     return x
 
 
-def verify_hermitian_pinv(a, x, tol: Tolerance = DEFAULT_TOL) -> HermitianPinvReport:
-    """Evaluate the three commuting-pseudoinverse conditions for (a, x)."""
+def verify_hermitian_pinv(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:
+    """Residuals of A A+ A = A, A+ A A+ = A+, [A, A+] = 0 plus the class defect of A+."""
     if isinstance(a, QuaternionMatrix):
         a = a.embed()
     if isinstance(x, QuaternionMatrix):
@@ -338,9 +325,12 @@ def verify_hermitian_pinv(a, x, tol: Tolerance = DEFAULT_TOL) -> HermitianPinvRe
         raise ShapeMismatch("candidate inverse has the wrong shape")
     kind = _hermitian_class(a, tol)
     sign = 1.0 if kind == "hermitian" else -1.0
-    r1 = frob(a @ x @ a - a) / (1.0 + frob(a))
-    r2 = frob(x @ a @ x - x) / (1.0 + frob(x))
-    comm = frob(a @ x - x @ a) / (1.0 + frob(a) * frob(x))
-    cls = frob(x - sign * x.conj().T) / (1.0 + frob(x))
-    passed = max(r1, r2, comm, cls) <= tol.residual_tol
-    return HermitianPinvReport(r1, r2, comm, cls, passed)
+    return Report.gated(
+        {
+            "recover_a": frob(a @ x @ a - a) / (1.0 + frob(a)),
+            "recover_x": frob(x @ a @ x - x) / (1.0 + frob(x)),
+            "commutator": frob(a @ x - x @ a) / (1.0 + frob(a) * frob(x)),
+            "class_defect": frob(x - sign * x.conj().T) / (1.0 + frob(x)),
+        },
+        tol,
+    )

@@ -403,7 +403,8 @@ class Sl2Triple:
         return cls(e, h, f, res)
 
     def max_residual(self) -> float:
-        return max(self.residuals)
+        """Largest residual; nan if any residual is nan, so that passes() fails."""
+        return float(np.max(self.residuals))
 
     def passes(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.max_residual() <= tol.residual_tol

@@ -23,11 +23,10 @@ import numpy as np
 from .errors import DegenerateForm, NotMoorePenroseOrbit, ShapeMismatch
 from .forms import SYMMETRIC, BilinearForm
 from .graded import GradedAlgebra, minimal_characteristic
-from .numcore import DEFAULT_TOL, Tolerance, as_matrix, frob, rank_decomposition
+from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob, rank_decomposition
 
 __all__ = [
     "OrbitLabel",
-    "FormAdjointReport",
     "sharp",
     "classify_orbit",
     "mp_inverse_homform",
@@ -53,28 +52,6 @@ class OrbitLabel:
     @property
     def has_inverse(self) -> bool:
         return self.b == 0 or self.b == self.a
-
-
-@dataclass(frozen=True)
-class FormAdjointReport:
-    """Relative residuals of conditions (*) and (**) for a pair (F, G)."""
-
-    residual_gf_hermitian: float
-    residual_fg_diff_hermitian: float
-    residual_star1: float
-    residual_star2: float
-    passed: bool
-
-    def residuals(self) -> tuple[float, float, float, float]:
-        return (
-            self.residual_gf_hermitian,
-            self.residual_fg_diff_hermitian,
-            self.residual_star1,
-            self.residual_star2,
-        )
-
-    def max_residual(self) -> float:
-        return max(self.residuals())
 
 
 def sharp(form: BilinearForm, a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -201,8 +178,12 @@ def hom_coelement(alg: GradedAlgebra, g_mat) -> np.ndarray:
 
 def mp_inverse_homform(
     form: BilinearForm, f_mat, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
+) -> tuple[np.ndarray, OrbitLabel, Report]:
     """Constructive inverse on the orbits that admit one (b = 0 or b = a).
+
+    Returns G together with the orbit label of F and the report of
+    :func:`verify_homform` on (F, G); a report that fails raises
+    ArithmeticError instead.
 
     b = 0: G inverts the restriction of F onto its image and vanishes on the
     omega-orthocomplement of the image.  b = a: the image is totally
@@ -227,9 +208,24 @@ def mp_inverse_homform(
         res = minimal_characteristic(alg, hom_element(alg, witness), 1, tol)
         raise NotMoorePenroseOrbit(a, b, res.hermitian_defect)
     if a == 0:
-        return np.zeros((k, n), dtype=complex)
+        g_mat = np.zeros((k, n), dtype=complex)
+    else:
+        g_mat = _inverse_on_orbit(form, f_mat, b, tol)
+    report = verify_homform(form, f_mat, g_mat, tol)
+    if not report.passed:
+        raise ArithmeticError(
+            f"constructed inverse failed verification: residuals {report.residuals}"
+        )
+    return g_mat, label, report
 
+
+def _inverse_on_orbit(
+    form: BilinearForm, f_mat: np.ndarray, b: int, tol: Tolerance
+) -> np.ndarray:
+    """G for a nonzero F whose label has b = 0 or b = rank F."""
+    n, k = f_mat.shape
     dec = rank_decomposition(f_mat, tol)
+    a = dec.rank
     image = dec.image                                             # (n, a)
     coimage = rank_decomposition(dec.kernel.conj().T, tol).kernel  # (k, a)
     restricted = image.conj().T @ f_mat @ coimage                  # (a, a)
@@ -246,19 +242,13 @@ def mp_inverse_homform(
     if rank_decomposition(basis, tol).rank < n:
         raise DegenerateForm("image decomposition of V failed to span")
     padded = np.hstack([lead, np.zeros((k, n - a), dtype=complex)])
-    g_mat = np.linalg.solve(basis.T, padded.T).T
-    report = verify_homform(form, f_mat, g_mat, tol)
-    if not report.passed:
-        raise ArithmeticError(
-            f"constructed inverse failed verification: residuals {report.residuals()}"
-        )
-    return g_mat
+    return np.linalg.solve(basis.T, padded.T).T
 
 
 def verify_homform(
     form: BilinearForm, f_mat, g_mat, tol: Tolerance = DEFAULT_TOL
-) -> FormAdjointReport:
-    """Residuals of (*) and (**) for a candidate pair (F, G)."""
+) -> Report:
+    """Relative residuals of conditions (*) and (**) for a candidate pair (F, G)."""
     f_mat = as_matrix(f_mat)
     g_mat = as_matrix(g_mat)
     if g_mat.shape != (f_mat.shape[1], f_mat.shape[0]):
@@ -269,12 +259,17 @@ def verify_homform(
     fg = f_mat @ g_mat
     fg_sharp = sharp(form, fg, tol)
     diff = fg - fg_sharp
-    r1 = frob(gf - gf.conj().T) / (1.0 + frob(gf))
-    r2 = frob(diff - diff.conj().T) / (1.0 + frob(diff))
-    r3 = frob(2.0 * fg @ f_mat - fg_sharp @ f_mat - f_mat) / (1.0 + frob(f_mat))
-    r4 = frob(2.0 * g_mat @ fg - g_mat @ fg_sharp - g_mat) / (1.0 + frob(g_mat))
-    passed = max(r1, r2, r3, r4) <= tol.residual_tol
-    return FormAdjointReport(r1, r2, r3, r4, passed)
+    star1 = 2.0 * fg @ f_mat - fg_sharp @ f_mat - f_mat
+    star2 = 2.0 * g_mat @ fg - g_mat @ fg_sharp - g_mat
+    return Report.gated(
+        {
+            "residual_gf_hermitian": frob(gf - gf.conj().T) / (1.0 + frob(gf)),
+            "residual_fg_diff_hermitian": frob(diff - diff.conj().T) / (1.0 + frob(diff)),
+            "residual_star1": frob(star1) / (1.0 + frob(f_mat)),
+            "residual_star2": frob(star2) / (1.0 + frob(g_mat)),
+        },
+        tol,
+    )
 
 
 # Which maximal parabolic subgroups of the orthogonal and symplectic groups

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
 from .graded import GradedAlgebra, _bracket_coords, bracket, mp_inverse_short
-from .numcore import Tolerance, as_matrix, frob
+from .numcore import Report, Tolerance, as_matrix, frob
 
 __all__ = [
     "JordanPair",
@@ -34,7 +34,6 @@ __all__ = [
     "cartan_involution_from_group",
     "mp_inverse_jordan",
     "verify_jordan_mp",
-    "JordanMpReport",
     "jordan_mp_fixed_point",
 ]
 
@@ -180,50 +179,35 @@ def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.nd
     return k @ inv.omega_plus if sign > 0 else k.T @ inv.omega_minus
 
 
-@dataclass(frozen=True)
-class JordanMpReport:
-    """Residuals of (*) and the Hermitian defects of the two operators in (**)."""
-
-    recover_a: float
-    recover_x: float
-    hermitian_ax: float
-    hermitian_xa: float
-    passed: bool
-
-    def residuals(self) -> tuple[float, float, float, float]:
-        return (self.recover_a, self.recover_x, self.hermitian_ax, self.hermitian_xa)
-
-    def max_residual(self) -> float:
-        return max(self.residuals())
-
-
 def mp_inverse_jordan(
     pair: JordanPair, inv: CartanInvolution, a, tol: Tolerance | None = None
-) -> np.ndarray:
+) -> tuple[np.ndarray, Report]:
     """The unique element satisfying (*) and (**), via the sl2 route.
 
     Existence and uniqueness come with the short grading; the result is
-    verified against the pair equations before being returned.
+    verified against the pair equations and returned with that report (a
+    failing report raises ArithmeticError instead).
     """
     tol = tol or pair.algebra.tol
     a = as_matrix(a)
     if frob(a) == 0.0:
-        return np.zeros_like(a)
-    sign = pair.component_of(a, tol)
-    a = pair.require_component(a, sign, tol)
-    x = mp_inverse_short(pair.algebra, a, tol)
+        x = np.zeros_like(a)
+    else:
+        sign = pair.component_of(a, tol)
+        a = pair.require_component(a, sign, tol)
+        x = mp_inverse_short(pair.algebra, a, tol)
     report = verify_jordan_mp(pair, inv, a, x, tol)
     if not report.passed:
         raise ArithmeticError(
-            f"sl2-route inverse failed the pair equations: {report.residuals()}"
+            f"sl2-route inverse failed the pair equations: {report.residuals}"
         )
-    return x
+    return x, report
 
 
 def verify_jordan_mp(
     pair: JordanPair, inv: CartanInvolution, a, x, tol: Tolerance | None = None
-) -> JordanMpReport:
-    """Evaluate (*) and (**) for a candidate pair (a, x)."""
+) -> Report:
+    """Residuals of (*) and the Hermitian defects of the two operators in (**)."""
     tol = tol or pair.algebra.tol
     a = as_matrix(a)
     x = as_matrix(x)
@@ -239,10 +223,15 @@ def verify_jordan_mp(
     gram_x = gram_matrix(pair, inv, -sign)
     d1 = op_ax.T @ gram_a - gram_a @ op_ax.conj()
     d2 = op_xa.T @ gram_x - gram_x @ op_xa.conj()
-    r3 = frob(d1) / (1.0 + frob(gram_a) * frob(op_ax))
-    r4 = frob(d2) / (1.0 + frob(gram_x) * frob(op_xa))
-    passed = max(r1, r2, r3, r4) <= tol.residual_tol
-    return JordanMpReport(r1, r2, r3, r4, passed)
+    return Report.gated(
+        {
+            "recover_a": r1,
+            "recover_x": r2,
+            "hermitian_ax": frob(d1) / (1.0 + frob(gram_a) * frob(op_ax)),
+            "hermitian_xa": frob(d2) / (1.0 + frob(gram_x) * frob(op_xa)),
+        },
+        tol,
+    )
 
 
 def jordan_mp_fixed_point(

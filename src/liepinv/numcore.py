@@ -22,6 +22,7 @@ from .errors import EmbeddingMismatch, InconsistentConstraints, ShapeMismatch
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "Report",
     "as_matrix",
     "adjoint",
     "frob",
@@ -53,6 +54,36 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+@dataclass(frozen=True)
+class Report:
+    """Named verification residuals and the verdict a verifier drew from them.
+
+    ``residuals`` maps each check, in output order, to a relative residual
+    (a float or a list of floats) or to a boolean verdict.  ``passed`` is
+    set by the verifier, because not every entry gates it: a Hermitian defect
+    or a margin can be reported as a finding only.
+    """
+
+    residuals: dict
+    passed: bool
+
+    @classmethod
+    def gated(cls, residuals: dict, tol: Tolerance) -> "Report":
+        """A report that passes when every residual is at most ``tol.residual_tol``."""
+        return cls(residuals, all(v <= tol.residual_tol for v in _numbers(residuals)))
+
+    def max_residual(self) -> float:
+        """Largest numeric entry, gating or not (0.0 when there is none, nan if any is)."""
+        return float(np.max([0.0, *_numbers(self.residuals)]))
+
+
+def _numbers(residuals: dict):
+    """The numeric entries of a residual dict, lists flattened, verdicts skipped."""
+    for value in residuals.values():
+        if not isinstance(value, bool):
+            yield from value if isinstance(value, list) else (value,)
 
 
 def as_matrix(a, dtype=complex) -> np.ndarray:

@@ -67,7 +67,7 @@ class TestVerifyPenrose:
         a = np.array([[2.0]])
         report = verify_penrose(a, adjoint(a))
         assert not report.passed
-        assert report.recover_a > 0.1  # 2*2*2 = 8 != 2
+        assert report.residuals["recover_a"] > 0.1  # 2*2*2 = 8 != 2
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

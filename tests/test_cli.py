@@ -1,6 +1,8 @@
+import importlib
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,14 @@ from liepinv.cli import (
     run_job,
     to_json,
 )
+from liepinv import classical
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import Tolerance, frob
 from helpers import reference_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema.json").read_text())
 
 
 def golden_job(command: str) -> JobSpec:
@@ -70,6 +74,65 @@ class TestGoldenFiles:
         assert to_json(first[1]) == to_json(second[1])
 
 
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_matches_schema(self, path):
+        command, kind = path.name.split(".")[:2]
+        definition = f"input.{command}" if kind == "in" else "output"
+        schema = {**SCHEMA, "$ref": f"#/$defs/{definition}"}
+        jsonschema.Draft202012Validator(schema).validate(json.loads(path.read_text()))
+
+
+# Verifier calls per job on the golden inputs.  Each check runs once; complex-pinv
+# certifies its input and its output.
+VERIFIERS = {
+    "classical": ("verify_penrose",),
+    "forms": ("verify_form_pinv", "verify_vector_pinv", "verify_pseudo_euclidean_pinv",
+              "verify_hermitian_pinv"),
+    "homform": ("classify_orbit", "verify_homform"),
+    "complexes": ("certify_complex", "verify_complex_pinv"),
+    "jordan": ("verify_jordan_mp",),
+}
+VERIFIER_CALLS = {
+    "pinv": {"verify_penrose": 1},
+    "form-pinv": {"verify_form_pinv": 1, "verify_penrose": 1},
+    "vector-pinv": {"verify_vector_pinv": 1},
+    "pseudo-pinv": {"verify_pseudo_euclidean_pinv": 1},
+    "hermitian-pinv": {"verify_hermitian_pinv": 1},
+    "homform": {"classify_orbit": 1, "verify_homform": 1},
+    "complex-pinv": {"certify_complex": 2, "verify_complex_pinv": 1},
+    "jordan-mp": {"verify_jordan_mp": 1},
+}
+
+
+class TestVerifyOnce:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Count verifier calls, wherever a module holds the function."""
+        counts = {}
+        modules = [importlib.import_module(f"liepinv.{m}")
+                   for m in ("cli", "classical", "forms", "graded", "homform", "complexes",
+                             "jordan")] + [importlib.import_module("liepinv")]
+        for layer, names in VERIFIERS.items():
+            for name in names:
+                original = getattr(importlib.import_module(f"liepinv.{layer}"), name)
+
+                def wrapper(*args, _name=name, _fn=original, **kwargs):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _fn(*args, **kwargs)
+
+                for mod in modules:
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, wrapper)
+        return counts
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_check_runs_once(self, counts, command):
+        code, _ = run_job(golden_job(command))
+        assert code == EXIT_OK
+        assert counts == VERIFIER_CALLS.get(command, {})
+
+
 class TestRoundTrip:
     def test_pinv_residuals_recompute_identically(self):
         code, document = run_job(golden_job("pinv"))
@@ -79,10 +142,10 @@ class TestRoundTrip:
         a = decode_complex_matrix(source["matrix"], "matrix")
         x = decode_complex_matrix(reparsed["result"]["pinv"], "pinv")
         report = verify_penrose(a, x)
-        assert report.recover_a == reparsed["verification"]["recover_a"]
-        assert report.recover_x == reparsed["verification"]["recover_x"]
-        assert report.hermitian_ax == reparsed["verification"]["hermitian_ax"]
-        assert report.hermitian_xa == reparsed["verification"]["hermitian_xa"]
+        assert report.residuals["recover_a"] == reparsed["verification"]["recover_a"]
+        assert report.residuals["recover_x"] == reparsed["verification"]["recover_x"]
+        assert report.residuals["hermitian_ax"] == reparsed["verification"]["hermitian_ax"]
+        assert report.residuals["hermitian_xa"] == reparsed["verification"]["hermitian_xa"]
 
     def test_seventeen_digit_floats_round_trip(self):
         values = [0.2, 1.0 / 3.0, 1e-300, 123456.789e12, 7.0]
@@ -166,6 +229,47 @@ class TestErrorPaths:
         assert code == EXIT_INPUT
         assert "matrix[1]" in document["error"]
 
+    @pytest.mark.parametrize("command, doc, where", [
+        ("pseudo-pinv", {"signature": [True, 1], "vector": [1.0, 2.0]}, "signature[0]"),
+        ("sl2-complete", {"algebra": "sl", "blocks": [2.9, 2],
+                          "element": [[[0, 0]] * 4] * 4}, "blocks[0]"),
+        ("mp-element", {"algebra": "sl", "blocks": [1, 1], "degree": True,
+                        "element": [[0, 1], [0, 0]]}, "degree"),
+    ], ids=["signature", "blocks", "degree"])
+    def test_integer_fields_reject_bools_and_fractions(self, tmp_path, command, doc, where):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_INPUT
+        assert document["error"].startswith(f"{where}: expected an integer")
+
+    @pytest.mark.parametrize("command, doc, where", [
+        ("homform", {"form": {"gram": [[1, 0], [0, 1]]}, "map": [[1], [0]]}, "form.symmetry"),
+        ("form-pinv", {"symmetry": "hermitian", "gram": [[1, 0], [0, 1]]}, "symmetry"),
+    ], ids=["homform-missing", "form-pinv-unknown"])
+    def test_symmetry_errors_name_the_field(self, tmp_path, command, doc, where):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_INPUT
+        assert f"field {where!r}" in document["error"]
+
+    def test_hermitian_real_checks_realness_before_solving(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"field": "real", "matrix": [[1, [0, 1]], [2, 3]]}))
+        code, document = run_job(JobSpec("hermitian-pinv", str(path)))
+        assert code == EXIT_INPUT
+        assert document["error"] == "field 'real' requires a real matrix"
+
+    def test_linalg_error_exits_two(self, monkeypatch):
+        def breakdown(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(classical, "pinv", breakdown)
+        code, document = run_job(golden_job("pinv"))
+        assert code == EXIT_VERIFY
+        assert document["error"] == "SVD did not converge"
+
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError):
             Tolerance(rank_rtol=0.5)
@@ -225,7 +329,9 @@ class TestMainEntry:
                   "ragged": {"field": "quaternion",
                              "matrix": [[[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]]]}}, EXIT_VERIFY),
         ("complex-pinv", {"sizes": {"sizes": [[1], 2], "maps": [[[1, 0]]]}}, EXIT_INPUT),
-    ], ids=["pinv", "complex-pinv"])
+        ("pseudo-pinv", {"signature": {"signature": [True, 1], "vector": [1.0, 2.0]}},
+         EXIT_INPUT),
+    ], ids=["pinv", "complex-pinv", "pseudo-pinv"])
     def test_batch_writes_every_output(self, tmp_path, command, bad, code):
         paths = [tmp_path / f"{stem}.json" for stem in bad]
         for path, content in zip(paths, bad.values()):

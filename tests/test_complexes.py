@@ -8,6 +8,7 @@ from liepinv.complexes import (
     assemble_raising,
     certify_complex,
     complex_pinv,
+    verify_complex_pinv,
 )
 from liepinv.errors import NotAComplex, ShapeMismatch
 from liepinv.graded import GradedAlgebra, Sl2Triple, bracket, minimal_characteristic
@@ -46,9 +47,18 @@ class TestCertify:
 
 
 class TestComplexPinv:
+    def test_overflowing_triple_fails(self):
+        # [h, e] overflows, so one triple residual is nan
+        t = chain((1, 1), [[[1e308]]])
+        out, cert = complex_pinv(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_complex_pinv(t, cert, out)
+        assert np.isnan(report.residuals["triple_residuals"][1])
+        assert not report.passed
+
     def test_simple_chain(self):
         t = chain((1, 1, 1), [[[1.0]], [[0.0]]])
-        out = complex_pinv(t)
+        out, _ = complex_pinv(t)
         assert out.sizes == (1, 1, 1)
         assert out.maps[0][0, 0] == 0.0 and out.maps[1][0, 0] == 1.0
         e = assemble_raising(t)
@@ -59,12 +69,12 @@ class TestComplexPinv:
 
     def test_zero_maps(self):
         t = chain((2, 3, 2), [np.zeros((2, 3)), np.zeros((3, 2))])
-        out = complex_pinv(t)
+        out, _ = complex_pinv(t)
         assert all(frob(m) == 0.0 for m in out.maps)
 
     def test_column_chain(self):
         t = chain((2, 1, 1), [np.array([[1.0], [0.0]]), np.zeros((1, 1))])
-        out = complex_pinv(t)
+        out, _ = complex_pinv(t)
         # reversed order: first the pinv of the zero map, then the row
         assert frob(out.maps[1] - np.array([[1.0, 0.0]])) < 1e-14
         e = assemble_raising(t)
@@ -84,7 +94,7 @@ class TestComplexPinv:
             maps = random_exact_complex(rng, sizes, ranks)
             t = chain(sizes, maps)
             assert certify_complex(t).is_complex
-            out = complex_pinv(t)
+            out, _ = complex_pinv(t)
             assert certify_complex(out).is_complex
             e = assemble_raising(t)
             f = assemble_lowering(t, list(out.maps)[::-1])
@@ -98,7 +108,7 @@ class TestComplexPinv:
         sizes = [3, 4, 2]
         maps = random_exact_complex(rng, sizes, [2, 1])
         t = chain(sizes, maps)
-        back = complex_pinv(complex_pinv(t))
+        back, _ = complex_pinv(complex_pinv(t)[0])
         assert back.sizes == t.sizes
         for got, want in zip(back.maps, t.maps):
             assert frob(got - want) <= 1e-8 * (1.0 + frob(want))
@@ -108,7 +118,7 @@ class TestComplexPinv:
         sizes = [2, 3, 2]
         maps = random_exact_complex(rng, sizes, [1, 1])
         t = chain(sizes, maps)
-        out = complex_pinv(t)
+        out, _ = complex_pinv(t)
         alg = GradedAlgebra("sl", t.sizes)
         e = assemble_raising(t)
         res = minimal_characteristic(alg, e, 1)

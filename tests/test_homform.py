@@ -90,7 +90,7 @@ class TestClassifyOrbit:
 class TestInverseConstruction:
     def test_symplectic_isotropic_line(self):
         f_mat = np.array([[1.0], [0.0]], dtype=complex)
-        g_mat = mp_inverse_homform(SKEW2, f_mat)
+        g_mat, _, _ = mp_inverse_homform(SKEW2, f_mat)
         assert frob(g_mat - np.array([[0.5, 0.0]])) < 1e-12
         report = verify_homform(SKEW2, f_mat, g_mat)
         assert report.passed
@@ -100,7 +100,7 @@ class TestInverseConstruction:
 
     def test_orthogonal_unit_vector(self):
         f_mat = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-        g_mat = mp_inverse_homform(SYM3, f_mat)
+        g_mat, _, _ = mp_inverse_homform(SYM3, f_mat)
         assert frob(g_mat - f_mat.T) < 1e-12
         assert verify_homform(SYM3, f_mat, g_mat).passed
 
@@ -144,18 +144,18 @@ class TestInverseConstruction:
                 assert res.hermitian_defect > 1e-3
 
     def test_zero_map(self):
-        g_mat = mp_inverse_homform(SYM3, np.zeros((3, 2)))
+        g_mat, _, _ = mp_inverse_homform(SYM3, np.zeros((3, 2)))
         assert g_mat.shape == (2, 3) and frob(g_mat) == 0.0
 
     def test_gf_projector_normalization(self):
         # b = 0: GF is a Hermitian projector; b = a: GF is half a projector
         f0 = generic_orbit_map(SYM3, 2, 0, 2)
-        g0 = mp_inverse_homform(SYM3, f0)
+        g0, _, _ = mp_inverse_homform(SYM3, f0)
         gf = g0 @ f0
         assert frob(gf @ gf - gf) < 1e-10
         form = standard_form(SKEW, 4)
         fa = generic_orbit_map(form, 2, 2, 2)
-        ga = mp_inverse_homform(form, fa)
+        ga, _, _ = mp_inverse_homform(form, fa)
         gfa = ga @ fa
         assert frob(gfa - gfa.conj().T) < 1e-10
         assert frob(2.0 * gfa @ (2.0 * gfa) - 2.0 * gfa) < 1e-10
@@ -193,7 +193,7 @@ class TestVerifyHomform:
                 ]
                 a, b = labels[int(rng.integers(0, len(labels)))]
                 f_mat = generic_orbit_map(form, a, b, dim_u)
-                g_mat = mp_inverse_homform(form, f_mat)
+                g_mat, _, _ = mp_inverse_homform(form, f_mat)
                 e = hom_element(alg, f_mat)
                 f = hom_coelement(alg, g_mat)
                 h = bracket(e, f)
@@ -212,13 +212,13 @@ class TestVerifyHomform:
         rng = np.random.default_rng(85)
         form = standard_form(SYMMETRIC, 4)
         f_mat = generic_orbit_map(form, 2, 0, 3).astype(complex)
-        g_mat = mp_inverse_homform(form, f_mat)
+        g_mat, _, _ = mp_inverse_homform(form, f_mat)
         for _ in range(5):
             u = random_unitary(rng, 3)
             w = rng.standard_normal((4, 4))
             g_v = scipy.linalg.expm((w - w.T) / 2.0)  # real orthogonal: unitary + form-preserving
             f_new = g_v @ f_mat @ u
-            g_new = mp_inverse_homform(form, f_new)
+            g_new, _, _ = mp_inverse_homform(form, f_new)
             expected = u.conj().T @ g_mat @ g_v.conj().T
             assert frob(g_new - expected) <= 1e-8 * (1.0 + frob(expected))
 
@@ -235,7 +235,7 @@ class TestExhaustiveClassification:
                 label = classify_orbit(form, f_mat)
                 assert (label.a, label.b) == (a, b)
                 if b == 0 or b == a:
-                    g_mat = mp_inverse_homform(form, f_mat)
+                    g_mat, _, _ = mp_inverse_homform(form, f_mat)
                     report = verify_homform(form, f_mat, g_mat)
                     assert report.max_residual() <= 1e-9
                 else:

@@ -206,7 +206,7 @@ class TestJordanInverse:
         inv = standard_cartan_involution(pair)
         for rank in (0, 1, 2):
             a = random_matrix_with_rank(rng, 3, 2, rank)
-            out = mp_inverse_jordan(pair, inv, alg.element_from_block(1, 2, a))
+            out, _ = mp_inverse_jordan(pair, inv, alg.element_from_block(1, 2, a))
             assert frob(alg.block_component(out, 2, 1) - classical.pinv(a)) < 1e-9
 
     def test_invertible_symmetric_element(self):
@@ -216,13 +216,13 @@ class TestJordanInverse:
         inv = standard_cartan_involution(pair)
         w = rng.standard_normal((2, 2))
         w = (w + w.T) / 2.0 + 3.0 * np.eye(2)
-        out = mp_inverse_jordan(pair, inv, alg.element_from_block(1, 2, w.astype(complex)))
+        out, _ = mp_inverse_jordan(pair, inv, alg.element_from_block(1, 2, w.astype(complex)))
         assert frob(alg.block_component(out, 2, 1) - np.linalg.inv(w)) < 1e-10
 
     def test_zero(self):
         pair = matrix_pair(2, 2)
         inv = standard_cartan_involution(pair)
-        out = mp_inverse_jordan(pair, inv, np.zeros((4, 4)))
+        out, _ = mp_inverse_jordan(pair, inv, np.zeros((4, 4)))
         assert frob(out) == 0.0
 
     def test_verify_passes_for_construction(self):
@@ -230,7 +230,7 @@ class TestJordanInverse:
         pair = matrix_pair(2, 3)
         inv = standard_cartan_involution(pair)
         a = pair.algebra.random_element(1, rng)
-        x = mp_inverse_jordan(pair, inv, a)
+        x, _ = mp_inverse_jordan(pair, inv, a)
         assert verify_jordan_mp(pair, inv, a, x).passed
         assert verify_jordan_mp(
             pair, inv, np.zeros_like(a), np.zeros_like(a)
@@ -242,7 +242,7 @@ class TestJordanInverse:
         a = 2.0 * E12
         report = verify_jordan_mp(pair, inv, a, inv.apply(pair, a))
         assert not report.passed
-        assert report.recover_a > 0.1  # {2,2,2} = 8 != 2 scaled into the blocks
+        assert report.residuals["recover_a"] > 0.1  # {2,2,2} = 8 != 2 scaled into the blocks
 
     def test_inner_inverse_hermitian_defects_move_together(self):
         # candidates satisfying (*) have both operators in (**) Hermitian or
@@ -259,8 +259,9 @@ class TestJordanInverse:
             x = g2 @ classical.pinv(g1 @ a @ g2) @ g1
             f = alg.element_from_block(2, 1, x)
             report = verify_jordan_mp(pair, inv, e, f)
-            assert report.recover_a < 1e-9 and report.recover_x < 1e-9
-            assert (report.hermitian_ax < 1e-9) == (report.hermitian_xa < 1e-9)
+            assert report.residuals["recover_a"] < 1e-9 and report.residuals["recover_x"] < 1e-9
+            assert ((report.residuals["hermitian_ax"] < 1e-9)
+                    == (report.residuals["hermitian_xa"] < 1e-9))
 
     @pytest.mark.parametrize("kind,blocks", [("sl", (2, 2)), ("sp", (2, 2)), ("so", (1, 3, 1))])
     def test_fixed_point_oracle_agrees(self, kind, blocks):
@@ -270,7 +271,7 @@ class TestJordanInverse:
         inv = standard_cartan_involution(pair)
         for _ in range(5):
             a = alg.random_element(1, rng)
-            x_sl2 = mp_inverse_jordan(pair, inv, a)
+            x_sl2, _ = mp_inverse_jordan(pair, inv, a)
             for scale in (1.0, 0.5, float(rng.uniform(0.2, 1.0))):
                 x_fp = jordan_mp_fixed_point(pair, inv, a, scale=scale)
                 assert frob(x_fp - x_sl2) <= 1e-8 * (1.0 + frob(x_sl2))

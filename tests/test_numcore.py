@@ -6,6 +6,7 @@ from liepinv.numcore import (
     DEFAULT_TOL,
     Quaternion,
     QuaternionMatrix,
+    Report,
     Tolerance,
     adjoint,
     as_matrix,
@@ -28,6 +29,24 @@ class TestTolerance:
             Tolerance(rank_rtol=bad)
         with pytest.raises(ValueError):
             Tolerance(residual_tol=bad)
+
+
+class TestReport:
+    def test_max_residual_flattens_lists_and_skips_verdicts(self):
+        report = Report({"a": 1e-12, "b": [3e-10, 2e-11], "ok": True}, passed=True)
+        assert report.max_residual() == 3e-10
+        assert Report({}, passed=True).max_residual() == 0.0
+
+    def test_gated_passes_only_when_every_residual_is_within_tolerance(self):
+        assert Report.gated({"a": 1e-12, "b": [1e-9, 0.0]}, DEFAULT_TOL).passed is True
+        assert Report.gated({"a": 1e-12, "b": [2e-9, 0.0]}, DEFAULT_TOL).passed is False
+
+    def test_nan_fails_wherever_it_sits(self):
+        for residuals in ({"a": np.nan, "b": 0.0}, {"a": 0.0, "b": np.nan},
+                          {"a": 0.0, "b": [0.0, np.nan]}):
+            report = Report.gated(residuals, DEFAULT_TOL)
+            assert report.passed is False
+            assert np.isnan(report.max_residual())
 
 
 class TestAdjoint:
