@@ -12,7 +12,6 @@ formulation.  A batch CLI exposes every operation on JSON documents.
 
 from .classical import (
     pinv,
-    pinv_factorization,
     pinv_quaternion,
     pinv_real,
     verify_penrose,
@@ -99,7 +98,7 @@ __all__ = [
     "Tolerance", "DEFAULT_TOL", "Report", "adjoint", "rank_decomposition",
     "solve_least_squares_constrained", "Quaternion", "QuaternionMatrix",
     # classical
-    "pinv", "pinv_factorization", "verify_penrose",
+    "pinv", "verify_penrose",
     "pinv_real", "pinv_quaternion",
     # graded
     "GradedAlgebra", "Sl2Triple", "CharacteristicResult", "bracket",

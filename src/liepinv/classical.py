@@ -1,21 +1,17 @@
 """Classical Moore-Penrose inverse over C, R and H, with a four-condition verifier.
 
-Two independent constructions are provided on purpose:
-
-* :func:`pinv` restricts the map to the Hermitian orthocomplement of its
-  kernel, inverts that bijection onto the image, and extends by zero on the
-  orthocomplement of the image (built from kernel/image bases only);
-* :func:`pinv_factorization` goes through a column-pivoted QR rank
-  factorization A = B C and the closed formula C*(CC*)^-1 (B*B)^-1 B*.
-
-Their agreement is what turns the uniqueness of the Moore-Penrose inverse
-into a test instead of an assumption.
+:func:`pinv` restricts the map to the Hermitian orthocomplement of its
+kernel, inverts that bijection onto the image, and extends by zero on the
+orthocomplement of the image (built from kernel/image bases only).  The
+quaternion and real variants go through the same construction.  An
+independent route through a QR rank factorization lives with the tests, where
+its agreement with :func:`pinv` turns the uniqueness of the Moore-Penrose
+inverse into a test instead of an assumption.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeMismatch
 from .numcore import (
@@ -30,7 +26,6 @@ from .numcore import (
 
 __all__ = [
     "pinv",
-    "pinv_factorization",
     "verify_penrose",
     "pinv_real",
     "pinv_quaternion",
@@ -48,25 +43,6 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     coimage = rank_decomposition(dec.kernel.conj().T, tol).kernel  # (n, r)
     restricted = dec.image.conj().T @ a @ coimage                  # (r, r), invertible
     return coimage @ np.linalg.solve(restricted, dec.image.conj().T)
-
-
-def pinv_factorization(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse via a rank factorization from column-pivoted QR."""
-    a = as_matrix(a)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return np.zeros((n, m), dtype=complex)
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    top = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > tol.rank_rtol * top))
-    if rank == 0:
-        return np.zeros((n, m), dtype=complex)
-    b = q[:, :rank]                      # orthonormal columns, so B*B = I
-    c = np.zeros((rank, n), dtype=complex)
-    c[:, piv] = r[:rank, :]
-    ch = c.conj().T
-    return ch @ np.linalg.solve(c @ ch, b.conj().T)
 
 
 def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical
 from .errors import ShapeMismatch, SymmetryViolation
-from .graded import Sl2Triple, bracket
+from .graded import Sl2Triple, _as_vector, bracket, vector_pinv
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
@@ -120,31 +120,6 @@ def verify_form_pinv(
 # ---------------------------------------------------------------------------
 # Vectors with a bilinear scalar product
 # ---------------------------------------------------------------------------
-
-
-def _as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size and not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    return v
-
-
-def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a vector for the standard bilinear product.
-
-    Three cases: 2v/(v,v) when (v,v) is nonzero; conj(v)/(conj(v),v) for a
-    nonzero isotropic v; zero at zero.  The isotropy decision is relative:
-    |(v,v)| <= residual_tol * (conj(v), v).  Near-isotropic vectors are
-    genuine discontinuity points of the formula.
-    """
-    v = _as_vector(v)
-    herm = float(np.vdot(v, v).real)
-    if herm == 0.0:
-        return np.zeros_like(v)
-    bil = complex(v @ v)
-    if abs(bil) > tol.residual_tol * herm:
-        return 2.0 * v / bil
-    return v.conj() / herm
 
 
 def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,6 +255,9 @@ def verify_pseudo_euclidean_pinv(
 
 
 def _hermitian_class(a: np.ndarray, tol: Tolerance) -> str:
+    if a.shape[0] != a.shape[1]:
+        # a quaternion matrix arrives embedded, so its size would read doubled
+        raise ShapeMismatch("matrix must be square")
     scale = 1.0 + frob(a)
     herm = frob(a - a.conj().T)
     skew = frob(a + a.conj().T)
@@ -302,9 +280,7 @@ def hermitian_pinv(a, tol: Tolerance = DEFAULT_TOL):
     normal matrix.
     """
     if isinstance(a, QuaternionMatrix):
-        emb = a.embed()
-        _hermitian_class(emb, tol)
-        return QuaternionMatrix.from_embedding(hermitian_pinv(emb, tol), tol)
+        return QuaternionMatrix.from_embedding(hermitian_pinv(a.embed(), tol), tol)
     a = as_matrix(a)
     kind = _hermitian_class(a, tol)
     x = classical.pinv(a, tol)

@@ -10,10 +10,13 @@ theta(X) = -X* preserves the algebra, swaps degrees m and -m, and fixes the
 compact form of the degree-0 part.
 
 On top of the algebra the module provides: brackets, Killing forms,
-completion of a homogeneous nilpotent to the norm-minimal sl2-triple,
-Moore-Penrose inverses in short gradings, the raising-space criterion for
-Moore-Penrose orbits, nilpotent orbit heights, and the per-block multidegree
-check for parabolic subalgebras of sl_n.
+completion of a homogeneous nilpotent to the norm-minimal sl2-triple (the
+minimal-characteristic engine), Moore-Penrose inverses in short gradings in
+closed form (the classical pseudoinverse of the degree +-1 block, or the
+vector formula of so(1, d, 1); the engine is their certificate in the
+tests), the raising-space criterion for Moore-Penrose orbits, nilpotent
+orbit heights, and the per-block multidegree check for parabolic
+subalgebras of sl_n.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classical import pinv
 from .errors import (
     NoTriple,
     NotInAlgebra,
@@ -50,6 +54,7 @@ __all__ = [
     "compact_conjugation",
     "minimal_characteristic",
     "mp_inverse_short",
+    "vector_pinv",
     "annihilates_positive_part",
     "is_mp_element",
     "orbit_height",
@@ -87,12 +92,16 @@ def _unit_scale(x: np.ndarray) -> float:
     return 2.0 ** np.round(np.log2(norm)) if norm > 0.0 else 1.0
 
 
-def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as matrices) of the span of a stack of matrices."""
+def _orthonormal_rows(stack: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal basis (as matrices) of the span of a stack of matrices.
+
+    Singular values at or below the absolute ``cutoff`` are dropped, so the
+    stack must come at a known scale.
+    """
     count, n, _ = stack.shape
     flat = stack.reshape(count, n * n)
     u, s, vh = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(s > _BASIS_CUTOFF * s[0])) if s.size else 0
+    rank = int(np.sum(s > cutoff))
     return vh[:rank].reshape(rank, n, n).copy()
 
 
@@ -200,7 +209,7 @@ class GradedAlgebra:
         for m in sorted(per_degree):
             cands = per_degree[m]
             if cands:
-                part = _orthonormal_rows(np.array(cands))
+                part = _orthonormal_rows(np.array(cands), _BASIS_CUTOFF)
             else:
                 part = np.zeros((0, n, n))
             basis_parts.append(part.astype(complex))
@@ -284,7 +293,16 @@ class GradedAlgebra:
         return np.einsum("k,kab->ab", v, self._basis)
 
     def project(self, x) -> np.ndarray:
-        return self.from_coordinates(self.coordinates(x))
+        """Orthogonal projection onto the algebra, from its defining equation.
+
+        sl: remove the trace part.  so/sp: average with tau, an involution
+        that is unitary for the Frobenius product, so (x + tau(x)) / 2 is the
+        orthogonal projection onto its fixed space.
+        """
+        x = self._check_ambient(x)
+        if self.kind == "sl":
+            return x - np.trace(x) / self.ambient_dim * np.eye(self.ambient_dim)
+        return (x + self._tau(x)) / 2.0
 
     def membership_residual(self, x) -> float:
         return frob(self._check_ambient(x) - self.project(x))
@@ -555,31 +573,77 @@ def characteristic_direction_space(
     if null.shape[1] == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
     deltas = np.einsum("kj,kab->jab", null, br_e)
-    return _orthonormal_rows(deltas)
+    # e is at unit scale and the kernel columns are orthonormal, so a
+    # direction of norm below rank_rtol is roundoff, not a direction
+    return _orthonormal_rows(deltas, tol.rank_rtol)
+
+
+def _as_vector(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size and not np.all(np.isfinite(v)):
+        raise ValueError("vector contains non-finite entries")
+    return v
+
+
+def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose inverse of a vector for the standard bilinear product.
+
+    Three cases: 2v/(v,v) when (v,v) is nonzero; conj(v)/(conj(v),v) for a
+    nonzero isotropic v; zero at zero.  The isotropy decision is relative:
+    |(v,v)| <= residual_tol * (conj(v), v).  Near-isotropic vectors are
+    genuine discontinuity points of the formula.  This is the closed form of
+    the short grading so(1, d, 1), whose degree +-1 blocks are vectors.
+    """
+    v = _as_vector(v)
+    herm = float(np.vdot(v, v).real)
+    if herm == 0.0:
+        return np.zeros_like(v)
+    bil = complex(v @ v)
+    if abs(bil) > tol.residual_tol * herm:
+        return 2.0 * v / bil
+    return v.conj() / herm
 
 
 def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.ndarray:
     """Moore-Penrose inverse of a homogeneous element of a short grading.
 
-    The minimal characteristic of any e in g_{+1} or g_{-1} of a short grading
-    is Hermitian, so the returned f of its triple is the unique MP-inverse.
+    The inverse f is the third leg of the sl2-triple of e with Hermitian
+    characteristic, and in a short grading it has a closed form.  In the
+    two-block gradings of sl, so and sp, the opposite block of f is the
+    classical pseudoinverse of the block of e; in so(1, d, 1), the only
+    other short grading, it is :func:`vector_pinv` of the row or column of e.
+    Both are evaluated on e / s, s a power of two near |e|.  The triple
+    (e, [e, f], f) is checked, and its characteristic must be Hermitian.
     """
     tol = tol or alg.tol
     if not alg.is_short:
         raise NotShortGrading(f"grading of {alg!r} has degrees {alg.degrees}")
-    e = alg.require_member(e)
-    degree = alg.homogeneous_degree(e, tol)
+    e = alg._check_ambient(e)
+    degree = alg.homogeneous_degree(e, tol)  # checks membership
     if degree is None:
         return np.zeros_like(e)
     if degree == 0:
         raise ValueError("element must lie in g_{+1} or g_{-1}")
-    result = minimal_characteristic(alg, e, degree, tol)
-    if not result.is_hermitian:
+    i, j = (1, 2) if degree == 1 else (2, 1)
+    scale = _unit_scale(e)
+    block = alg.block_component(e, i, j) / scale
+    if len(alg.blocks) == 2:
+        inverse = pinv(block, tol)
+    else:
+        inverse = vector_pinv(block, tol).reshape(block.shape[::-1])
+    f = alg.element_from_block(j, i, inverse / scale)
+    triple = Sl2Triple.from_elements(e, bracket(e, f), f)
+    if not triple.passes(tol):
         raise ArithmeticError(
-            f"minimal characteristic unexpectedly non-Hermitian "
-            f"(defect {result.hermitian_defect:.3e}) in a short grading"
+            f"closed-form triple residuals {list(triple.residuals)} above tolerance"
         )
-    return result.f
+    defect = frob(triple.h - triple.h.conj().T)
+    if defect > tol.residual_tol * (1.0 + frob(triple.h)):
+        raise ArithmeticError(
+            f"closed-form characteristic unexpectedly non-Hermitian "
+            f"(defect {defect:.3e}) in a short grading"
+        )
+    return f
 
 
 def annihilates_positive_part(

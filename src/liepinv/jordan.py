@@ -9,9 +9,10 @@ Moore-Penrose inverse characterized by
     (*)   {A A+ A} = A,  {A+ A A+} = A+,
     (**)  {A A+ .} and {A+ A .} are Hermitian for H.
 
-The primary construction route is the sl2 one (norm-minimal characteristic);
-a damped Newton-Schulz iteration on the pair equations is provided as an
-independent refinement oracle.
+The inverse is the third leg of an sl2-triple with Hermitian characteristic,
+taken in closed form from :func:`graded.mp_inverse_short` and then verified
+against the pair equations.  An independent solver of the pair equations (a
+guarded Newton-Schulz iteration) lives with the tests as a uniqueness oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "cartan_involution_from_group",
     "mp_inverse_jordan",
     "verify_jordan_mp",
-    "jordan_mp_fixed_point",
 ]
 
 
@@ -182,24 +182,19 @@ def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.nd
 def mp_inverse_jordan(
     pair: JordanPair, inv: CartanInvolution, a, tol: Tolerance | None = None
 ) -> tuple[np.ndarray, Report]:
-    """The unique element satisfying (*) and (**), via the sl2 route.
+    """The unique element satisfying (*) and (**), via the short-grading closed form.
 
     Existence and uniqueness come with the short grading; the result is
     verified against the pair equations and returned with that report (a
     failing report raises ArithmeticError instead).
     """
     tol = tol or pair.algebra.tol
-    a = as_matrix(a)
-    if frob(a) == 0.0:
-        x = np.zeros_like(a)
-    else:
-        sign = pair.component_of(a, tol)
-        a = pair.require_component(a, sign, tol)
-        x = mp_inverse_short(pair.algebra, a, tol)
+    pair.component_of(a, tol)  # WrongComponent unless a lies in V+ or V-
+    x = mp_inverse_short(pair.algebra, a, tol)
     report = verify_jordan_mp(pair, inv, a, x, tol)
     if not report.passed:
         raise ArithmeticError(
-            f"sl2-route inverse failed the pair equations: {report.residuals}"
+            f"closed-form inverse failed the pair equations: {report.residuals}"
         )
     return x, report
 
@@ -232,50 +227,3 @@ def verify_jordan_mp(
         },
         tol,
     )
-
-
-def jordan_mp_fixed_point(
-    pair: JordanPair,
-    inv: CartanInvolution,
-    a,
-    scale: float = 1.0,
-    max_iter: int = 150,
-    tol: Tolerance | None = None,
-) -> np.ndarray:
-    """Solve the pair equations by a guarded Newton-Schulz refinement.
-
-    Iterates X <- 2X - {X, A, X} from X0 = scale * omega(A) / nu, where nu is
-    the operator norm of z -> {A, omega(A), z}; any scale in (0, 1] converges
-    to the Moore-Penrose inverse.  The raw iteration eventually amplifies
-    roundoff along directions annihilated by A (components there double each
-    step), so the refinement tracks the best iterate by recovery residual and
-    stops as soon as the residual turns upward after convergence.  This route
-    is independent of the sl2 construction and is used to test uniqueness.
-    """
-    tol = tol or pair.algebra.tol
-    a = as_matrix(a)
-    if frob(a) == 0.0:
-        return np.zeros_like(a)
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must lie in (0, 1]")
-    sign = pair.component_of(a, tol)
-    a = pair.require_component(a, sign, tol)
-    omega_a = inv.apply(pair, a, tol)
-    nu = np.linalg.norm(pair.operator_matrix(a, omega_a, sign), 2)
-    x = (scale / nu) * omega_a
-
-    best = x
-    best_res = np.inf
-    for _ in range(max_iter):
-        cubic = 0.5 * bracket(bracket(x, a), x)
-        res = frob(cubic - x) / (1.0 + frob(x))
-        if res < best_res:
-            best, best_res = x, res
-        if best_res <= 1e-15:
-            break
-        if res > 10.0 * best_res and best_res <= 1e-8:
-            break  # roundoff takeover after convergence
-        # project back into the opposite component: ambient matmul roundoff
-        # outside it would otherwise be doubled every step
-        x = pair.from_coords(pair.coords(2.0 * x - cubic, -sign), -sign)
-    return best

@@ -1,7 +1,7 @@
 """Deterministic dense linear algebra over complex scalars.
 
 Everything here is a thin, tolerance-aware layer over LAPACK (through
-numpy/scipy): numerical ranks, orthonormal kernel/image bases, adjoints,
+numpy): numerical ranks, orthonormal kernel/image bases, adjoints,
 and equality-constrained least squares.  Quaternion matrices are supported
 through their standard complex embedding; there is deliberately no native
 quaternion factorization.
@@ -186,11 +186,18 @@ def solve_least_squares_constrained(
             )
         null = rank_decomposition(c_mat, tol).kernel
 
+    x = x_part
     if null.shape[1]:
-        z = np.linalg.lstsq(m_mat @ null, t - m_mat @ x_part, rcond=tol.rank_rtol)[0]
-        x = x_part + null @ z
-    else:
-        x = x_part
+        # The reduced rank is decided against |M|_F, not against |M N|: where M
+        # vanishes on ker C, M N holds only roundoff, and a cutoff relative to
+        # it would invert the noise.  The branch is explicit because lstsq
+        # keeps the one singular value of a single column whatever rcond is.
+        mn = m_mat @ null
+        top = np.linalg.norm(mn, 2)
+        cutoff = tol.rank_rtol * frob(m_mat)
+        if top > cutoff:
+            z = np.linalg.lstsq(mn, t - m_mat @ x_part, rcond=cutoff / top)[0]
+            x = x_part + null @ z
 
     # First-order optimality: the gradient of the objective must be
     # orthogonal to the feasible directions.

@@ -12,8 +12,8 @@ import json
 import numpy as np
 import scipy.linalg
 
-from liepinv.graded import GradedAlgebra
-from liepinv.numcore import QuaternionMatrix
+from liepinv.graded import GradedAlgebra, bracket
+from liepinv.numcore import DEFAULT_TOL, QuaternionMatrix, as_matrix, frob
 
 
 def random_complex(rng, *shape) -> np.ndarray:
@@ -47,6 +47,80 @@ def compact_group_element(alg: GradedAlgebra, rng, scale: float = 0.5) -> np.nda
 def levi_group_element(alg: GradedAlgebra, rng, scale: float = 0.4) -> np.ndarray:
     """exp of a random degree-0 element: grading-preserving, generically non-unitary."""
     return scipy.linalg.expm(alg.project(alg.random_element(0, rng) * scale))
+
+
+# The short gradings that carry a Jordan pair, small enough to sweep.
+ALL_PAIRS = (
+    [("sl", (n, m)) for n in (1, 2, 3) for m in (1, 2, 3)]
+    + [("sp", (n, n)) for n in (1, 2, 3)]
+    + [("so", (n, n)) for n in (2, 3)]
+    + [("so", (1, d, 1)) for d in (1, 2, 3, 4)]
+)
+
+
+def pinv_factorization(a, tol=DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose inverse via a rank factorization from column-pivoted QR.
+
+    An independent route to ``classical.pinv``: A = B C with B = Q[:, :r]
+    (so B*B = I) and the closed formula C*(CC*)^-1 B*.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return np.zeros((n, m), dtype=complex)
+    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    top = diag[0] if diag.size else 0.0
+    rank = int(np.sum(diag > tol.rank_rtol * top))
+    if rank == 0:
+        return np.zeros((n, m), dtype=complex)
+    b = q[:, :rank]
+    c = np.zeros((rank, n), dtype=complex)
+    c[:, piv] = r[:rank, :]
+    ch = c.conj().T
+    return ch @ np.linalg.solve(c @ ch, b.conj().T)
+
+
+def jordan_mp_fixed_point(pair, inv, a, scale: float = 1.0, max_iter: int = 150,
+                          tol=None) -> np.ndarray:
+    """Solve the Jordan-pair equations by a guarded Newton-Schulz refinement.
+
+    Iterates X <- 2X - {X, A, X} from X0 = scale * omega(A) / nu, where nu is
+    the operator norm of z -> {A, omega(A), z}; any scale in (0, 1] converges
+    to the Moore-Penrose inverse.  The raw iteration eventually amplifies
+    roundoff along directions annihilated by A (components there double each
+    step), so the refinement tracks the best iterate by recovery residual and
+    stops as soon as the residual turns upward after convergence.  This route
+    is independent of the closed form and of the sl2 engine, and tests
+    uniqueness.
+    """
+    tol = tol or pair.algebra.tol
+    a = as_matrix(a)
+    if frob(a) == 0.0:
+        return np.zeros_like(a)
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must lie in (0, 1]")
+    sign = pair.component_of(a, tol)
+    a = pair.require_component(a, sign, tol)
+    omega_a = inv.apply(pair, a, tol)
+    nu = np.linalg.norm(pair.operator_matrix(a, omega_a, sign), 2)
+    x = (scale / nu) * omega_a
+
+    best = x
+    best_res = np.inf
+    for _ in range(max_iter):
+        cubic = 0.5 * bracket(bracket(x, a), x)
+        res = frob(cubic - x) / (1.0 + frob(x))
+        if res < best_res:
+            best, best_res = x, res
+        if best_res <= 1e-15:
+            break
+        if res > 10.0 * best_res and best_res <= 1e-8:
+            break  # roundoff takeover after convergence
+        # project back into the opposite component: ambient matmul roundoff
+        # outside it would otherwise be doubled every step
+        x = pair.from_coords(pair.coords(2.0 * x - cubic, -sign), -sign)
+    return best
 
 
 def partitions(n: int):

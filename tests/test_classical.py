@@ -3,7 +3,6 @@ import pytest
 
 from liepinv.classical import (
     pinv,
-    pinv_factorization,
     pinv_quaternion,
     pinv_real,
     verify_penrose,
@@ -12,6 +11,7 @@ from liepinv.errors import ShapeMismatch
 from liepinv.numcore import Quaternion, QuaternionMatrix, adjoint, frob, rank_decomposition
 
 from helpers import (
+    pinv_factorization,
     random_complex,
     random_matrix_with_rank,
     random_quaternion_matrix,

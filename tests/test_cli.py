@@ -104,33 +104,89 @@ VERIFIER_CALLS = {
 }
 
 
+def count_calls(monkeypatch, functions: dict) -> dict:
+    """Count calls of each named function, wherever a module holds it."""
+    counts = {}
+    modules = [importlib.import_module(f"liepinv.{m}")
+               for m in ("cli", "classical", "forms", "graded", "homform", "complexes",
+                         "jordan", "numcore")] + [importlib.import_module("liepinv")]
+    for layer, names in functions.items():
+        for name in names:
+            original = getattr(importlib.import_module(f"liepinv.{layer}"), name)
+
+            def wrapper(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+    return counts
+
+
 class TestVerifyOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Count verifier calls, wherever a module holds the function."""
-        counts = {}
-        modules = [importlib.import_module(f"liepinv.{m}")
-                   for m in ("cli", "classical", "forms", "graded", "homform", "complexes",
-                             "jordan")] + [importlib.import_module("liepinv")]
-        for layer, names in VERIFIERS.items():
-            for name in names:
-                original = getattr(importlib.import_module(f"liepinv.{layer}"), name)
-
-                def wrapper(*args, _name=name, _fn=original, **kwargs):
-                    counts[_name] = counts.get(_name, 0) + 1
-                    return _fn(*args, **kwargs)
-
-                for mod in modules:
-                    for key, value in list(vars(mod).items()):
-                        if value is original:
-                            monkeypatch.setattr(mod, key, wrapper)
-        return counts
+        return count_calls(monkeypatch, VERIFIERS)
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_each_check_runs_once(self, counts, command):
         code, _ = run_job(golden_job(command))
         assert code == EXIT_OK
         assert counts == VERIFIER_CALLS.get(command, {})
+
+
+class TestJordanMpIsClosedForm:
+    """A jordan-mp job takes the closed form; the sl2 engine is not entered."""
+
+    ENGINE = {"graded": ("minimal_characteristic",),
+              "numcore": ("solve_least_squares_constrained",)}
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        return count_calls(monkeypatch, self.ENGINE)
+
+    def test_golden_input(self, counts):
+        assert run_job(golden_job("jordan-mp"))[0] == EXIT_OK
+        assert counts == {}
+
+    def test_sl44_element(self, counts, tmp_path):
+        alg = GradedAlgebra("sl", (4, 4))
+        e = alg.random_element(1, np.random.default_rng(40))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"algebra": "sl", "blocks": [4, 4],
+                                    "element": encode_complex_matrix(e).tolist()}))
+        assert run_job(JobSpec("jordan-mp", str(path)))[0] == EXIT_OK
+        assert counts == {}
+
+    def test_sl2_complete_enters_the_engine(self, counts):
+        assert run_job(golden_job("sl2-complete"))[0] == EXIT_OK
+        assert counts == {"minimal_characteristic": 1, "solve_least_squares_constrained": 1}
+
+
+class TestIsotropicVector:
+    """so(1,2,1) at an isotropic vector: M vanishes on ker C in the sl2 engine."""
+
+    DOC = {"algebra": "so", "blocks": [1, 2, 1],
+           "element": [[0, 1, [0, 1], 0], [0, 0, 0, -1], [0, 0, 0, [0, -1]], [0, 0, 0, 0]]}
+
+    @pytest.mark.parametrize("command", ["jordan-mp", "sl2-complete", "mp-element"])
+    def test_exits_zero(self, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(self.DOC))
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_OK, document.get("error")
+        assert document["passed"]
+        verification = document["verification"]
+        assert max(verification.get("triple_residuals", [0.0])) <= 1e-9
+        assert verification.get("minimality_margin", 0.0) >= 0.0
+        if command == "jordan-mp":
+            inverse = np.array(document["result"]["inverse"])
+            expected = np.zeros((4, 4, 2))
+            expected[1, 0, 0], expected[2, 0, 1] = 0.5, -0.5
+            expected[3, 1, 0], expected[3, 2, 1] = -0.5, 0.5
+            assert np.abs(inverse - expected).max() <= 1e-12
 
 
 class TestRoundTrip:
@@ -260,6 +316,18 @@ class TestErrorPaths:
         code, document = run_job(JobSpec("hermitian-pinv", str(path)))
         assert code == EXIT_INPUT
         assert document["error"] == "field 'real' requires a real matrix"
+
+    @pytest.mark.parametrize("doc", [
+        {"matrix": [[1, 2, 3], [4, 5, 6]]},
+        {"matrix": [[]]},
+        {"field": "quaternion", "matrix": [[[1, 0, 0, 0], [0, 1, 0, 0]]]},
+    ], ids=["complex-2x3", "complex-1x0", "quaternion-1x2"])
+    def test_hermitian_needs_a_square_matrix(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run_job(JobSpec("hermitian-pinv", str(path)))
+        assert code == EXIT_INPUT
+        assert document["error"] == "matrix must be square"
 
     def test_linalg_error_exits_two(self, monkeypatch):
         def breakdown(*args, **kwargs):

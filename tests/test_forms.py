@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liepinv import classical
-from liepinv.errors import SymmetryViolation
+from liepinv.errors import ShapeMismatch, SymmetryViolation
 from liepinv.forms import (
     SKEW,
     SYMMETRIC,
@@ -20,7 +20,7 @@ from liepinv.forms import (
     verify_vector_pinv,
 )
 from liepinv.graded import GradedAlgebra, Sl2Triple
-from liepinv.numcore import frob
+from liepinv.numcore import QuaternionMatrix, frob
 
 from helpers import random_complex, random_matrix_with_rank, random_quaternion_matrix
 
@@ -190,6 +190,15 @@ class TestHermitianPinv:
     def test_rejects_unstructured(self):
         with pytest.raises(SymmetryViolation):
             hermitian_pinv(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        rng = np.random.default_rng(76)
+        for a in (np.ones((2, 3)), np.zeros((1, 0)), random_quaternion_matrix(rng, 1, 2)):
+            with pytest.raises(ShapeMismatch, match="square"):
+                hermitian_pinv(a)
+            with pytest.raises(ShapeMismatch, match="square"):
+                x = a.conjugate_transpose() if isinstance(a, QuaternionMatrix) else a.T
+                verify_hermitian_pinv(a, x)
 
     def test_commutator_property(self):
         rng = np.random.default_rng(77)

@@ -30,11 +30,13 @@ from liepinv.graded import (
 from liepinv.numcore import frob, rank_decomposition
 
 from helpers import (
+    ALL_PAIRS,
     centralizer_positive_directions,
     compact_group_element,
     jordan_nilpotent,
     partitions,
     random_complex,
+    random_matrix_with_rank,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -126,6 +128,18 @@ class TestGradedAlgebraStructure:
                 tx = compact_conjugation(x)
                 assert alg.membership_residual(tx) < 1e-12 * (1.0 + frob(tx))
                 assert frob(tx - alg.degree_component(tx, -m)) < 1e-12 * (1.0 + frob(tx))
+
+    @pytest.mark.parametrize("kind,blocks", [
+        ("sl", (2, 3)), ("sp", (2, 2)), ("so", (3, 3)), ("so", (1, 3, 1)),
+        ("sl", (2, 1, 2)), ("so", (2, 3, 2)), ("sp", (2, 2, 2)),
+    ])
+    def test_project_is_the_coordinate_projection(self, kind, blocks):
+        rng = np.random.default_rng(6)
+        alg = GradedAlgebra(kind, blocks)
+        for _ in range(5):
+            x = random_complex(rng, alg.ambient_dim, alg.ambient_dim)
+            via_basis = alg.from_coordinates(alg.coordinates(x))
+            assert frob(alg.project(x) - via_basis) <= 1e-12
 
     def test_membership_rejects_outsiders(self):
         alg = GradedAlgebra("so", (2, 2))
@@ -266,8 +280,48 @@ class TestShortGradingInverse:
         rng = np.random.default_rng(30)
         alg = GradedAlgebra("sl", (3, 2))
         block = random_complex(rng, 3, 2)
-        f = mp_inverse_short(alg, alg.element_from_block(1, 2, block))
+        f = minimal_characteristic(alg, alg.element_from_block(1, 2, block), 1).f
         assert frob(alg.block_component(f, 2, 1) - classical.pinv(block)) < 1e-9
+
+    @staticmethod
+    def degree_one_elements(alg, rng):
+        """Generic, rank-deficient and (in so(1, d, 1)) isotropic elements of g_1."""
+        yield "generic", alg.random_element(1, rng)
+        p, q = alg.blocks[:2]
+        if len(alg.blocks) == 3:
+            if q >= 2:
+                # v = x + iy with x, y real, orthogonal and of equal length
+                x, y = rng.standard_normal((2, q))
+                y -= (x @ y) / (x @ x) * x
+                y *= np.linalg.norm(x) / np.linalg.norm(y)
+                yield "isotropic", alg.element_from_block(1, 2, (x + 1j * y).reshape(1, q))
+            return
+        if alg.kind == "sl":
+            block = random_matrix_with_rank(rng, p, q, min(p, q) - 1)
+        else:
+            low = random_matrix_with_rank(rng, p, p, p - 1)
+            block = low @ alg.block_component(alg.random_element(1, rng), 1, 2) @ low.T
+        yield "deficient", alg.element_from_block(1, 2, block)
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_engine_certifies_the_closed_form(self, kind, blocks):
+        rng = np.random.default_rng(32)
+        alg = GradedAlgebra(kind, blocks)
+        for label, plus in self.degree_one_elements(alg, rng):
+            for degree, e in ((1, plus), (-1, plus.conj().T)):
+                res = minimal_characteristic(alg, e, degree)
+                assert res.triple.passes() and res.is_hermitian, (label, degree)
+                f = mp_inverse_short(alg, e)
+                assert frob(f - res.f) <= 1e-9 * (1.0 + frob(res.f)), (label, degree)
+
+    def test_isotropic_vector(self):
+        alg = GradedAlgebra("so", (1, 2, 1))
+        e = alg.element_from_block(1, 2, np.array([[1.0, 1j]]))
+        res = minimal_characteristic(alg, e, 1)
+        assert res.triple.max_residual() <= 1e-12 and res.is_hermitian
+        assert characteristic_direction_space(alg, e, 1).shape[0] == 0
+        expected = alg.element_from_block(2, 1, np.array([[0.5], [-0.5j]]))
+        assert frob(res.f - expected) <= 1e-12
 
     def test_sp_symmetric_block(self):
         alg = GradedAlgebra("sp", (2, 2))

@@ -3,12 +3,11 @@ import pytest
 
 from liepinv import classical
 from liepinv.errors import NotShortGrading, WrongComponent
-from liepinv.graded import GradedAlgebra, bracket, compact_conjugation
+from liepinv.graded import GradedAlgebra, bracket, compact_conjugation, minimal_characteristic
 from liepinv.jordan import (
     JordanPair,
     cartan_involution_from_group,
     gram_matrix,
-    jordan_mp_fixed_point,
     killing_pairing,
     mp_inverse_jordan,
     pairing_matrix,
@@ -18,7 +17,13 @@ from liepinv.jordan import (
 )
 from liepinv.numcore import frob
 
-from helpers import levi_group_element, random_complex, random_matrix_with_rank
+from helpers import (
+    ALL_PAIRS,
+    jordan_mp_fixed_point,
+    levi_group_element,
+    random_complex,
+    random_matrix_with_rank,
+)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E21 = E12.T.copy()
@@ -26,14 +31,6 @@ E21 = E12.T.copy()
 
 def matrix_pair(n, m):
     return JordanPair(GradedAlgebra("sl", (n, m)))
-
-
-ALL_PAIRS = (
-    [("sl", (n, m)) for n in (1, 2, 3) for m in (1, 2, 3)]
-    + [("sp", (n, n)) for n in (1, 2, 3)]
-    + [("so", (n, n)) for n in (2, 3)]
-    + [("so", (1, d, 1)) for d in (1, 2, 3, 4)]
-)
 
 
 class TestStructure:
@@ -206,8 +203,11 @@ class TestJordanInverse:
         inv = standard_cartan_involution(pair)
         for rank in (0, 1, 2):
             a = random_matrix_with_rank(rng, 3, 2, rank)
-            out, _ = mp_inverse_jordan(pair, inv, alg.element_from_block(1, 2, a))
-            assert frob(alg.block_component(out, 2, 1) - classical.pinv(a)) < 1e-9
+            e = alg.element_from_block(1, 2, a)
+            f = minimal_characteristic(alg, e, 1).f
+            assert frob(alg.block_component(f, 2, 1) - classical.pinv(a)) < 1e-9
+            out, _ = mp_inverse_jordan(pair, inv, e)
+            assert frob(out - f) < 1e-9
 
     def test_invertible_symmetric_element(self):
         rng = np.random.default_rng(111)
