@@ -7,7 +7,11 @@ carries degree j - i.  For so/sp the defining bilinear form is the split
 every graded component nonzero and turns the compact-form condition
 "h in i*k0" into a plain Hermitian-defect test: the conjugation
 theta(X) = -X* preserves the algebra, swaps degrees m and -m, and fixes the
-compact form of the degree-0 part.
+compact form of the degree-0 part.  The split form is a signed permutation,
+so the orthonormal homogeneous basis comes from index arithmetic: unit
+matrices, unit pairs tied by the form, and for sl the Helmert rows of the
+traceless diagonal.  Coordinates are gathers, and a bracket with a basis
+element touches one row and one column.
 
 On top of the algebra the module provides: brackets, Killing forms,
 completion of a homogeneous nilpotent to the norm-minimal sl2-triple (the
@@ -22,7 +26,6 @@ subalgebras of sl_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,8 +66,6 @@ __all__ = [
     "mp_check_multidegree",
 ]
 
-_BASIS_CUTOFF = 1e-12
-
 
 def bracket(x, y) -> np.ndarray:
     """Matrix commutator [x, y] = xy - yx."""
@@ -80,29 +81,72 @@ def compact_conjugation(x) -> np.ndarray:
     return -as_matrix(x).conj().T
 
 
-def _bracket_coords(x: np.ndarray, stack: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coordinates of [x, stack_k] in an orthonormal basis; column k for stack_k."""
-    br = x @ stack - stack @ x
-    return basis.reshape(basis.shape[0], -1).conj() @ br.reshape(stack.shape[0], -1).T
+class _IndexBasis:
+    """An orthonormal basis of real n x n matrices stored as index arrays.
+
+    Element k < units is weight_k E[pos_k] + pweight_k E[partner_k], positions
+    flat and row-major: a unit matrix (pweight 0, partner = pos) or a unit
+    paired with its signed form partner (weights +-1/sqrt(2)).  The elements
+    after them are the rows of the dense block ``cartan`` put on the diagonal
+    (for sl, the Helmert rows of the traceless diagonal).  Coordinates are
+    gathers, combinations scatters, and the bracket with a matrix touches one
+    row and one column per unit.
+    """
+
+    def __init__(self, n: int, pos, partner, weight, pweight, cartan=None):
+        self.pos, self.partner, self.weight, self.pweight = pos, partner, weight, pweight
+        self.cartan = np.zeros((0, n)) if cartan is None else cartan
+        self.n, self.units, self.count = n, pos.size, pos.size + self.cartan.shape[0]
+        self.paired = bool(np.any(pweight))
+
+    def coords(self, stack: np.ndarray) -> np.ndarray:
+        """Coordinates of each matrix of a (..., n, n) stack, shape (..., count)."""
+        flat = stack.reshape(*stack.shape[:-2], self.n * self.n)
+        units = np.take(flat, self.pos, axis=-1)
+        units *= self.weight
+        if self.paired:
+            units += np.take(flat, self.partner, axis=-1) * self.pweight
+        if not self.cartan.size:
+            return units
+        return np.concatenate([units, flat[..., :: self.n + 1] @ self.cartan.T], axis=-1)
+
+    def combine(self, v) -> np.ndarray:
+        """The matrix sum_k v_k b_k."""
+        flat = np.zeros(self.n * self.n, dtype=complex)
+        flat[self.pos] = self.weight * v[: self.units]
+        flat[self.partner] += self.pweight * v[: self.units]
+        flat[:: self.n + 1] += self.cartan.T @ v[self.units:]
+        return flat.reshape(self.n, self.n)
+
+    def brackets(self, x: np.ndarray) -> np.ndarray:
+        """The stack of [x, b_k]: x E_ab is column a of x put in column b, E_ab x row b in row a."""
+        out = np.zeros((self.count, self.n, self.n), dtype=complex)
+        k = np.arange(self.units)
+        for pos, w in ((self.pos, self.weight), (self.partner, self.pweight))[: 1 + self.paired]:
+            a, b = np.divmod(pos, self.n)
+            out[k, :, b] += w[:, None] * x[:, a].T
+            out[k, a, :] -= w[:, None] * x[b, :]
+        d = self.cartan  # [x, diag(d)] = x_ij (d_j - d_i)
+        out[self.units:] = x * (d[:, None, :] - d[:, :, None])
+        return out
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.count, self.n * self.n), dtype=complex)
+        out[np.arange(self.units), self.pos] = self.weight
+        out[np.arange(self.units), self.partner] += self.pweight
+        out[self.units:, :: self.n + 1] = self.cartan
+        return out.reshape(self.count, self.n, self.n)
+
+
+def _bracket_coords(x: np.ndarray, source: _IndexBasis, target: _IndexBasis) -> np.ndarray:
+    """Coordinates of [x, b_k] in ``target`` for each element b_k of ``source``; column k."""
+    return target.coords(source.brackets(x)).T
 
 
 def _unit_scale(x: np.ndarray) -> float:
     """The power of two nearest |x|_F (1 for zero); dividing by it is exact."""
     norm = frob(x)
     return 2.0 ** np.round(np.log2(norm)) if norm > 0.0 else 1.0
-
-
-def _orthonormal_rows(stack: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis (as matrices) of the span of a stack of matrices.
-
-    Singular values at or below the absolute ``cutoff`` are dropped, so the
-    stack must come at a known scale.
-    """
-    count, n, _ = stack.shape
-    flat = stack.reshape(count, n * n)
-    u, s, vh = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(s > cutoff))
-    return vh[:rank].reshape(rank, n, n).copy()
 
 
 class GradedAlgebra:
@@ -115,6 +159,11 @@ class GradedAlgebra:
         the API).  For so/sp the sizes must be palindromic, and for sp an odd
         middle block must have even size; the defining form pairs block i
         with block k+1-i.
+
+    The basis of g_m: for so/sp each unit E_ab of degree m that the signed
+    unit map tau(E_ab) = -J^-1 E_ba J fixes, and (E_ab + tau(E_ab)) / sqrt(2)
+    for each other tau-pair; for sl the off-diagonal units of degree m and, at
+    m = 0, the n - 1 Helmert rows of the traceless diagonal.
     """
 
     def __init__(self, kind: str, blocks, tol: Tolerance = DEFAULT_TOL):
@@ -139,123 +188,98 @@ class GradedAlgebra:
         starts = np.concatenate([[0], np.cumsum(blocks)])
         self._starts = starts
         self._block_of = np.repeat(np.arange(k), blocks)
-
-        self.form = self._build_form()
-        self._form_inv = None
-        if self.form is not None:
-            # split forms square to +I (so) or -I (sp)
-            self._form_inv = self.form if kind == "so" else -self.form
-
         self._build_basis()
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_form(self):
-        if self.kind == "sl":
-            return None
-        n = self.ambient_dim
+    def _split_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The split form J as a signed permutation, J[a, perm[a]] = sign[a].
+
+        a pairs with the same offset in the mirror block (offset t + h mod 2h
+        in an sp middle block of size 2h); for sp, sign is - below the anti-diagonal.
+        """
         k = len(self.blocks)
-        form = np.zeros((n, n))
-        for i in range(k):
-            j = k - 1 - i
-            ri = slice(self._starts[i], self._starts[i + 1])
-            cj = slice(self._starts[j], self._starts[j + 1])
-            d = self.blocks[i]
-            if i == j:
-                if self.kind == "so":
-                    form[ri, cj] = np.eye(d)
-                else:
-                    half = d // 2
-                    mid = np.zeros((d, d))
-                    mid[:half, half:] = np.eye(half)
-                    mid[half:, :half] = -np.eye(half)
-                    form[ri, cj] = mid
-            elif self.kind == "so":
-                form[ri, cj] = np.eye(d)
-            else:
-                form[ri, cj] = np.eye(d) if i < j else -np.eye(d)
-        return form
+        block = self._block_of
+        mirror = k - 1 - block
+        offset = np.arange(self.ambient_dim) - self._starts[block]
+        perm = self._starts[mirror] + offset
+        sign = np.where((self.kind == "so") | (block < mirror), 1.0, -1.0)
+        if self.kind == "sp" and k % 2:
+            mid = block == mirror
+            half = self.blocks[k // 2] // 2
+            perm[mid] = self._starts[k // 2] + (offset[mid] + half) % (2 * half)
+            sign[mid] = np.where(offset[mid] < half, 1.0, -1.0)
+        return perm, sign
 
     def _tau(self, x: np.ndarray) -> np.ndarray:
-        """Involution of gl_n whose fixed space is the algebra (so/sp only)."""
-        return -self._form_inv @ x.T @ self.form
+        """Involution -J^-1 x^T J of gl_n whose fixed space is the algebra (so/sp only).
+
+        J is a signed permutation, so each entry of the image is a signed entry
+        of x: the one at the form partner of its position.
+        """
+        return (self._tau_sign * x.reshape(-1)[self._partner]).reshape(x.shape)
 
     def _build_basis(self):
-        n = self.ambient_dim
-        k = len(self.blocks)
-        per_degree: dict[int, list[np.ndarray]] = {m: [] for m in range(-(k - 1), k)}
-        for bi in range(k):
-            for bj in range(k):
-                m = bj - bi
-                rows = range(self._starts[bi], self._starts[bi + 1])
-                cols = range(self._starts[bj], self._starts[bj + 1])
-                for a in rows:
-                    for b in cols:
-                        unit = np.zeros((n, n))
-                        unit[a, b] = 1.0
-                        if self.kind == "sl":
-                            if a == b:
-                                unit -= np.eye(n) / n
-                            cand = unit
-                        else:
-                            cand = (unit + self._tau(unit)) / 2.0
-                        if frob(cand) > _BASIS_CUTOFF:
-                            per_degree[m].append(cand)
-
-        basis_parts = []
-        degrees = []
-        self._deg_slice: dict[int, slice] = {}
-        pos = 0
-        for m in sorted(per_degree):
-            cands = per_degree[m]
-            if cands:
-                part = _orthonormal_rows(np.array(cands), _BASIS_CUTOFF)
-            else:
-                part = np.zeros((0, n, n))
-            basis_parts.append(part.astype(complex))
-            degrees.extend([m] * part.shape[0])
-            self._deg_slice[m] = slice(pos, pos + part.shape[0])
-            pos += part.shape[0]
-        self._basis = np.concatenate(basis_parts, axis=0)
-        self._degrees = np.array(degrees, dtype=int)
-
-        expected = {
-            "sl": n * n - 1,
-            "so": n * (n - 1) // 2,
-            "sp": n * (n + 1) // 2,
-        }[self.kind]
+        n, k = self.ambient_dim, len(self.blocks)
+        unit = np.arange(n * n)
+        a, b = np.divmod(unit, n)
+        degree = self._block_of[b] - self._block_of[a]
+        self._degree_mask = degree.reshape(n, n)  # block degree of entry (a, b)
+        if self.kind == "sl":
+            self._partner, sign, keep = unit, np.zeros(n * n), a != b
+            i, j = np.arange(1, n)[:, None], np.arange(n)
+            helmert = ((j < i) - i * (j == i)) / np.sqrt(i * (i + 1.0))
+        else:
+            perm, form_sign = self._split_form()
+            # tau(E_ab) = -sign_a sign_b E_{perm b, perm a}
+            self._partner = perm[b] * n + perm[a]
+            self._tau_sign = -form_sign[a] * form_sign[b]
+            keep = (unit < self._partner) | ((unit == self._partner) & (self._tau_sign > 0))
+            sign = np.where(unit == self._partner, 0.0, self._tau_sign)
+            helmert = None
+        self._weight = np.where(sign != 0.0, np.sqrt(0.5), 1.0)
+        self._pweight = sign * self._weight
+        units = np.flatnonzero(keep)
+        units = units[np.argsort(degree[units], kind="stable")]
+        self._bases = {
+            m: self._unit_basis(units[degree[units] == m], helmert if m == 0 else None)
+            for m in range(-(k - 1), k)
+        }
+        self._bases[None] = self._unit_basis(units, helmert)
+        expected = {"sl": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[self.kind]
         if self.dim != expected:
-            raise AssertionError(
-                f"basis construction produced dim {self.dim}, expected {expected}"
-            )
+            raise AssertionError(f"basis construction produced dim {self.dim}, expected {expected}")
+
+    def _unit_basis(self, units: np.ndarray, cartan=None) -> _IndexBasis:
+        """The basis elements that start at the given unit positions, then ``cartan``."""
+        return _IndexBasis(self.ambient_dim, units, self._partner[units], self._weight[units],
+                           self._pweight[units], cartan)
+
+    def _index_basis(self, m: int | None = None) -> _IndexBasis:
+        """The index-array basis of g_m, or of the whole algebra for m=None."""
+        return self._bases.get(m) or self._unit_basis(np.zeros(0, dtype=np.intp))
 
     # -- structure -----------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self._basis.shape[0]
+        return self._index_basis().count
 
     @property
     def degrees(self) -> list[int]:
         """Degrees m with nonzero component g_m, ascending."""
-        return [m for m, s in sorted(self._deg_slice.items()) if s.stop > s.start]
+        return [m for m, basis in self._bases.items() if m is not None and basis.count]
 
     @property
     def is_short(self) -> bool:
         return all(abs(m) <= 1 for m in self.degrees)
 
     def degree_dimension(self, m: int) -> int:
-        s = self._deg_slice.get(m)
-        return 0 if s is None else s.stop - s.start
+        return self._index_basis(m).count
 
     def basis(self, m: int | None = None) -> np.ndarray:
         """Orthonormal homogeneous basis matrices, all or of a single degree."""
-        if m is None:
-            return self._basis
-        s = self._deg_slice.get(m)
-        if s is None:
-            return np.zeros((0, self.ambient_dim, self.ambient_dim), dtype=complex)
-        return self._basis[s]
+        return self._index_basis(m).dense()
 
     def block_slice(self, i: int) -> slice:
         """Index range of 1-based block i."""
@@ -266,11 +290,6 @@ class GradedAlgebra:
     def block_component(self, x, i: int, j: int) -> np.ndarray:
         x = self._check_ambient(x)
         return x[self.block_slice(i), self.block_slice(j)].copy()
-
-    @cached_property
-    def _degree_mask(self) -> np.ndarray:
-        """mask[a, b] = block degree of entry (a, b)."""
-        return self._block_of[None, :] - self._block_of[:, None]
 
     def _check_ambient(self, x) -> np.ndarray:
         x = as_matrix(x)
@@ -283,14 +302,13 @@ class GradedAlgebra:
 
     def coordinates(self, x) -> np.ndarray:
         """Coordinates in the orthonormal basis (a projection for x outside)."""
-        x = self._check_ambient(x)
-        return np.einsum("kab,ab->k", self._basis.conj(), x)
+        return self._index_basis().coords(self._check_ambient(x))
 
     def from_coordinates(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=complex).reshape(-1)
         if v.shape[0] != self.dim:
             raise ShapeMismatch(f"expected {self.dim} coordinates, got {v.shape[0]}")
-        return np.einsum("k,kab->ab", v, self._basis)
+        return self._index_basis().combine(v)
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection onto the algebra, from its defining equation.
@@ -339,7 +357,8 @@ class GradedAlgebra:
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) on the orthonormal basis of the algebra."""
-        return _bracket_coords(self._check_ambient(x), self._basis, self._basis)
+        whole = self._index_basis()
+        return _bracket_coords(self._check_ambient(x), whole, whole)
 
     def killing(self, x, y) -> complex:
         """Killing form B(x, y) = Tr(ad x . ad y) on the algebra."""
@@ -381,11 +400,9 @@ class GradedAlgebra:
 
     def random_element(self, m: int | None, rng: np.random.Generator) -> np.ndarray:
         """Random element of g_m (or of the whole algebra for m=None)."""
-        b = self.basis(m)
-        coef = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
-        if b.shape[0] == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        return np.einsum("k,kab->ab", coef, b)
+        basis = self._index_basis(m)
+        coef = rng.standard_normal(basis.count) + 1j * rng.standard_normal(basis.count)
+        return basis.combine(coef)
 
     def __repr__(self):
         return f"GradedAlgebra({self.kind!r}, {self.blocks})"
@@ -449,23 +466,14 @@ class CharacteristicResult:
         return self.triple.f
 
 
-def _coords_in(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("kab,ab->k", basis.conj(), x)
-
-
-def _completion_system(e, neg, res) -> tuple[np.ndarray, np.ndarray]:
+def _completion_system(e, neg: _IndexBasis, res: _IndexBasis) -> tuple[np.ndarray, np.ndarray]:
     """The brackets [e, y_k] and the matrix of y -> [[e, y], e] in res coordinates."""
-    br_e = e @ neg - neg @ e
-    return br_e, -_bracket_coords(e, br_e, res)
+    br_e = neg.brackets(e)
+    return br_e, -res.coords(e @ br_e - br_e @ e).T
 
 
 def _minimal_triple(
-    alg: GradedAlgebra,
-    e: np.ndarray,
-    neg_basis: np.ndarray,
-    res_basis: np.ndarray,
-    h_basis: np.ndarray,
-    tol: Tolerance,
+    alg: GradedAlgebra, e, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis, tol: Tolerance
 ) -> CharacteristicResult:
     """Shared engine: minimize |h|_F over {h = [e, y] : [[e, y], e] = 2e}.
 
@@ -481,14 +489,14 @@ def _minimal_triple(
     zero = np.zeros((n, n), dtype=complex)
     if frob(e) == 0.0:
         return CharacteristicResult(Sl2Triple.from_elements(zero, zero, zero), 0.0, True)
-    if neg_basis.shape[0] == 0:
+    if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
     scale = _unit_scale(e)
     unit = e / scale
-    br_e, c_mat = _completion_system(unit, neg_basis, res_basis)
-    m_obj = _bracket_coords(unit, neg_basis, h_basis)
-    d = 2.0 * _coords_in(res_basis, unit)
+    br_e, c_mat = _completion_system(unit, neg, res)
+    m_obj = h_basis.coords(br_e).T
+    d = 2.0 * res.coords(unit)
     try:
         y = solve_least_squares_constrained(
             m_obj, np.zeros(m_obj.shape[0]), c_mat, d, tol
@@ -496,17 +504,17 @@ def _minimal_triple(
     except Exception as exc:  # noqa: BLE001 - re-raise with domain meaning
         raise NoTriple(f"sl2 completion system is inconsistent: {exc}") from exc
 
-    h = np.einsum("k,kab->ab", y, br_e)
+    h = np.tensordot(y, br_e, 1)
 
     # recover f: [e, f] = h  and  [h, f] = -2 f, both inside the neg span
-    a_bot = _bracket_coords(h, neg_basis, neg_basis) + 2.0 * np.eye(neg_basis.shape[0])
+    a_bot = _bracket_coords(h, neg, neg) + 2.0 * np.eye(neg.count)
     a_full = np.vstack([m_obj, a_bot])
-    b_full = np.concatenate([_coords_in(h_basis, h), np.zeros(neg_basis.shape[0])])
+    b_full = np.concatenate([h_basis.coords(h), np.zeros(neg.count)])
     fc = np.linalg.lstsq(a_full, b_full, rcond=tol.rank_rtol)[0]
     gap = frob(a_full @ fc - b_full)
     if gap > tol.residual_tol * (1.0 + frob(h) + frob(unit)):
         raise NoTriple(f"f-recovery residual {gap:.3e} above tolerance")
-    f = np.einsum("k,kab->ab", fc, neg_basis) / scale
+    f = neg.combine(fc) / scale
 
     triple = Sl2Triple.from_elements(e, h, f)
     defect = frob(h - h.conj().T)
@@ -532,22 +540,17 @@ def minimal_characteristic(
     tol = tol or alg.tol
     e = alg.require_member(e)
     if degree is None:
-        degree = alg.homogeneous_degree(e, tol)
-        if degree is None:
-            degree = 0
+        degree = alg.homogeneous_degree(e, tol) or 0
     if degree == 0:
         orbit_height(alg, e, tol)  # raises NotNilpotent
-        neg = alg.basis()
-        res = alg.basis()
-        h_basis = alg.basis()
-    else:
-        inferred = alg.homogeneous_degree(e, tol)
-        if inferred is not None and inferred != degree:
-            raise ValueError(f"element has degree {inferred}, expected {degree}")
-        neg = alg.basis(-degree)
-        res = alg.basis(degree)
-        h_basis = alg.basis(0)
-    return _minimal_triple(alg, e, neg, res, h_basis, tol)
+        whole = alg._index_basis()
+        return _minimal_triple(alg, e, whole, whole, whole, tol)
+    inferred = alg.homogeneous_degree(e, tol)
+    if inferred is not None and inferred != degree:
+        raise ValueError(f"element has degree {inferred}, expected {degree}")
+    return _minimal_triple(
+        alg, e, alg._index_basis(-degree), alg._index_basis(degree), alg._index_basis(0), tol
+    )
 
 
 def characteristic_direction_space(
@@ -564,18 +567,19 @@ def characteristic_direction_space(
     e = alg.require_member(e)
     if degree is None:
         degree = alg.homogeneous_degree(e, tol) or 0
-    neg = alg.basis(-degree) if degree != 0 else alg.basis()
-    res = alg.basis(degree) if degree != 0 else alg.basis()
-    if frob(e) == 0.0 or neg.shape[0] == 0:
+    neg = alg._index_basis(-degree if degree != 0 else None)
+    res = alg._index_basis(degree if degree != 0 else None)
+    if frob(e) == 0.0 or neg.count == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
     br_e, c_mat = _completion_system(e / _unit_scale(e), neg, res)
     null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
     if null.shape[1] == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    deltas = np.einsum("kj,kab->jab", null, br_e)
+    deltas = np.einsum("kj,kab->jab", null, br_e).reshape(null.shape[1], -1)
     # e is at unit scale and the kernel columns are orthonormal, so a
     # direction of norm below rank_rtol is roundoff, not a direction
-    return _orthonormal_rows(deltas, tol.rank_rtol)
+    _, sv, vh = np.linalg.svd(deltas, full_matrices=False)
+    return vh[sv > tol.rank_rtol].reshape(-1, alg.ambient_dim, alg.ambient_dim)
 
 
 def _as_vector(v) -> np.ndarray:
@@ -628,10 +632,14 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.
     scale = _unit_scale(e)
     block = alg.block_component(e, i, j) / scale
     if len(alg.blocks) == 2:
-        inverse = pinv(block, tol)
+        # pinv keeps the (skew-)symmetry of a self-paired so/sp block only to roundoff
+        # times its condition number: project, and let the triple check judge
+        f = np.zeros_like(e)
+        f[alg.block_slice(j), alg.block_slice(i)] = pinv(block, tol) / scale
+        f = alg.project(f)
     else:
         inverse = vector_pinv(block, tol).reshape(block.shape[::-1])
-    f = alg.element_from_block(j, i, inverse / scale)
+        f = alg.element_from_block(j, i, inverse / scale)
     triple = Sl2Triple.from_elements(e, bracket(e, f), f)
     if not triple.passes(tol):
         raise ArithmeticError(
@@ -646,9 +654,7 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.
     return f
 
 
-def annihilates_positive_part(
-    alg: GradedAlgebra, e, h, tol: Tolerance | None = None
-) -> bool:
+def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance | None = None) -> bool:
     """Raising-space criterion: does ad(e) kill the positive ad(h)-part of g_0?
 
     h must be a characteristic of e (any homogeneous triple works; the answer
@@ -661,18 +667,13 @@ def annihilates_positive_part(
     e = alg.require_member(e)
     e = e / _unit_scale(e)
     h = alg.require_member(h)
-    zero_basis = alg.basis(0)
-    if zero_basis.shape[0] == 0:
-        return True
-    ad_h = _bracket_coords(h, zero_basis, zero_basis)
-    eigvals, eigvecs = np.linalg.eig(ad_h)
-    e_norm = frob(e)
-    for idx in np.nonzero(eigvals.real > 0.5)[0]:
-        vec = eigvecs[:, idx]
-        x = np.einsum("k,kab->ab", vec, zero_basis)
-        if frob(bracket(e, x)) > tol.residual_tol * (1.0 + e_norm) * (1.0 + frob(x)):
-            return False
-    return True
+    zero = alg._index_basis(0)
+    eigvals, eigvecs = np.linalg.eig(_bracket_coords(h, zero, zero))
+    positive = eigvecs[:, eigvals.real > 0.5]
+    # [e, x_j] for each eigenvector x_j; the basis is orthonormal, so |x_j|_F = |positive_j|
+    moved = np.linalg.norm(np.tensordot(positive.T, zero.brackets(e), 1), axis=(1, 2))
+    bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(positive, axis=0))
+    return bool(np.all(moved <= bound))
 
 
 def is_mp_element(
@@ -761,16 +762,10 @@ def multidegree_characteristic(
         raise UnsupportedBlock(
             f"element has mass {outside:.3e} outside block ({i},{j})"
         )
-    n = alg.ambient_dim
-    neg = []
-    for a in range(alg._starts[j - 1], alg._starts[j]):
-        for b in range(alg._starts[i - 1], alg._starts[i]):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[a, b] = 1.0
-            neg.append(unit)
-    neg_basis = np.array(neg)
-    res_basis = alg.basis(j - i)
-    return _minimal_triple(alg, e, neg_basis, res_basis, alg.basis(0), tol)
+    # the units of block (j, i), one entry each, in row-major order
+    block = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
+    return _minimal_triple(alg, e, alg._unit_basis(np.flatnonzero(block)),
+                           alg._index_basis(j - i), alg._index_basis(0), tol)
 
 
 def mp_check_multidegree(

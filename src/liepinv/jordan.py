@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
-from .graded import GradedAlgebra, _bracket_coords, bracket, mp_inverse_short
+from .graded import GradedAlgebra, _bracket_coords, _IndexBasis, bracket, mp_inverse_short
 from .numcore import Report, Tolerance, as_matrix, frob
 
 __all__ = [
@@ -47,13 +47,13 @@ class JordanPair:
         if algebra.degree_dimension(1) == 0:
             raise NotShortGrading(f"{algebra!r} has trivial degree +1 part")
         self.algebra = algebra
-        self.basis_plus = algebra.basis(1)
-        self.basis_minus = algebra.basis(-1)
+        self.index_plus, self.index_minus = algebra._index_basis(1), algebra._index_basis(-1)
+        self.basis_plus, self.basis_minus = self.index_plus.dense(), self.index_minus.dense()
         self.pairing = pairing_matrix(self)
 
     @property
     def dim(self) -> int:
-        return self.basis_plus.shape[0]
+        return self.index_plus.count
 
     def component_of(self, x, tol: Tolerance | None = None) -> int:
         """+1 or -1 depending on which component x lies in (0 for zero)."""
@@ -71,18 +71,18 @@ class JordanPair:
             raise WrongComponent(f"element lies in V_{got:+d}, expected V_{sign:+d}")
         return x
 
-    def _basis(self, sign: int) -> np.ndarray:
-        return self.basis_plus if sign > 0 else self.basis_minus
+    def _index(self, sign: int) -> _IndexBasis:
+        return self.index_plus if sign > 0 else self.index_minus
 
     def coords(self, x, sign: int) -> np.ndarray:
-        return np.einsum("kab,ab->k", self._basis(sign).conj(), as_matrix(x))
+        return self._index(sign).coords(as_matrix(x))
 
     def from_coords(self, v, sign: int) -> np.ndarray:
-        return np.einsum("k,kab->ab", np.asarray(v, dtype=complex), self._basis(sign))
+        return self._index(sign).combine(np.asarray(v, dtype=complex))
 
     def operator_matrix(self, x, y, sign: int) -> np.ndarray:
         """Coordinate matrix of z -> {x, y, z} on V_sign (x in V_sign, y opposite)."""
-        basis = self._basis(sign)
+        basis = self._index(sign)
         xy = bracket(as_matrix(x), as_matrix(y))
         # column k holds the coordinates of the image of the k-th basis element
         return 0.5 * _bracket_coords(xy, basis, basis)
@@ -123,8 +123,8 @@ def pairing_matrix(pair: JordanPair) -> np.ndarray:
     plus = pair.basis_plus
     plus_h = plus.conj().transpose(0, 2, 1)
     p = (plus @ plus_h - plus_h @ plus).sum(axis=0)
-    # rows of conj(b-_j)^T pick out Tr(b-_j M) in _bracket_coords
-    return 0.5 * _bracket_coords(p, plus, pair.basis_minus.conj().transpose(0, 2, 1)).T
+    # the basis is real, so Tr(b M) is the coordinate along b of M^T
+    return 0.5 * pair.index_minus.coords(pair.index_plus.brackets(p).transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -147,30 +147,24 @@ class CartanInvolution:
         return pair.from_coords(mat @ pair.coords(x, sign).conj(), -sign)
 
 
-def _involution_from_map(pair: JordanPair, apply_plus, apply_minus) -> CartanInvolution:
-    dim_p = pair.dim
-    dim_m = pair.basis_minus.shape[0]
-    omega_plus = np.empty((dim_m, dim_p), dtype=complex)
-    for i in range(dim_p):
-        omega_plus[:, i] = pair.coords(apply_plus(pair.basis_plus[i]), -1)
-    omega_minus = np.empty((dim_p, dim_m), dtype=complex)
-    for i in range(dim_m):
-        omega_minus[:, i] = pair.coords(apply_minus(pair.basis_minus[i]), 1)
-    return CartanInvolution(omega_plus, omega_minus)
+def _involution_from_map(pair: JordanPair, apply) -> CartanInvolution:
+    """Coordinate matrices of a map that takes a stack of V+ or V- basis matrices across."""
+    return CartanInvolution(
+        pair.index_minus.coords(apply(pair.basis_plus)).T,
+        pair.index_plus.coords(apply(pair.basis_minus)).T,
+    )
 
 
 def standard_cartan_involution(pair: JordanPair) -> CartanInvolution:
     """The involution induced by the compact conjugation: omega(x) = adjoint(x)."""
-    conj_t = lambda x: x.conj().T  # noqa: E731
-    return _involution_from_map(pair, conj_t, conj_t)
+    return _involution_from_map(pair, lambda x: x.conj().swapaxes(-1, -2))
 
 
 def cartan_involution_from_group(pair: JordanPair, g) -> CartanInvolution:
     """Involution induced by the compact form conjugated with a Levi group element g."""
     g = as_matrix(g)
     g_inv = np.linalg.inv(g)
-    move = lambda x: g @ (g_inv @ x @ g).conj().T @ g_inv  # noqa: E731
-    return _involution_from_map(pair, move, move)
+    return _involution_from_map(pair, lambda x: g @ (g_inv @ x @ g).conj().swapaxes(-1, -2) @ g_inv)
 
 
 def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.ndarray:

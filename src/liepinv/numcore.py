@@ -104,9 +104,20 @@ def adjoint(a) -> np.ndarray:
 
 
 def frob(a) -> float:
-    """Frobenius norm, 0.0 for empty arrays."""
+    """Frobenius norm, 0.0 for empty arrays, at any finite scale.
+
+    Squares under- or overflow outside about (1e-160, 1e154), so a norm
+    outside (1e-150, 1e150) is recomputed on |a| / max|a|; abs comes first,
+    as a complex entry over a subnormal maximum gives nan.  vdot raises no
+    floating-point warning when the squares overflow.
+    """
     a = np.asarray(a)
-    return float(np.linalg.norm(a)) if a.size else 0.0
+    norm = float(np.sqrt(np.vdot(a, a).real))
+    if 1e-150 < norm < 1e150 or not a.size:
+        return norm
+    mag = np.abs(a)
+    top = float(np.max(mag))  # nan or inf when an entry is: the norm then is too
+    return top * float(np.sqrt(np.vdot(mag / top, mag / top))) if 0.0 < top < np.inf else top
 
 
 class RankDecomposition(NamedTuple):

@@ -123,6 +123,63 @@ def jordan_mp_fixed_point(pair, inv, a, scale: float = 1.0, max_iter: int = 150,
     return best
 
 
+def split_form(kind: str, blocks) -> np.ndarray:
+    """The split (anti-block-diagonal) form of an so/sp grading, block by block."""
+    starts = np.concatenate([[0], np.cumsum(blocks)])
+    k = len(blocks)
+    form = np.zeros((starts[-1], starts[-1]))
+    for i in range(k):
+        j = k - 1 - i
+        d = blocks[i]
+        if i == j and kind == "sp":
+            half = d // 2
+            core = np.zeros((d, d))
+            core[:half, half:] = np.eye(half)
+            core[half:, :half] = -np.eye(half)
+        else:
+            core = np.eye(d) if kind == "so" or i <= j else -np.eye(d)
+        form[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = core
+    return form
+
+
+def svd_graded_basis(alg: GradedAlgebra, cutoff: float = 1e-12) -> dict[int, np.ndarray]:
+    """The homogeneous basis of each degree found numerically, as liepinv once built it.
+
+    Every unit matrix E_ab is mapped into the algebra (the traceless part for
+    sl; for so/sp (E_ab + tau(E_ab)) / 2 with tau(x) = -J^-1 x^T J, the form
+    J built block by block) and the images of each degree are orthonormalized
+    by an SVD.  An independent oracle for the index-arithmetic basis of
+    ``GradedAlgebra``.
+    """
+    n = alg.ambient_dim
+    k = len(alg.blocks)
+    block_of = np.repeat(np.arange(k), alg.blocks)
+    if alg.kind != "sl":
+        form = split_form(alg.kind, alg.blocks)
+        form_inv = np.linalg.inv(form)
+    per_degree = {m: [] for m in range(-(k - 1), k)}
+    for a in range(n):
+        for b in range(n):
+            unit = np.zeros((n, n))
+            unit[a, b] = 1.0
+            if alg.kind == "sl":
+                cand = unit - (np.eye(n) / n if a == b else 0.0)
+            else:
+                cand = (unit - form_inv @ unit.T @ form) / 2.0
+            if frob(cand) > cutoff:
+                per_degree[block_of[b] - block_of[a]].append(cand)
+    bases = {}
+    for m, cands in per_degree.items():
+        if not cands:
+            bases[m] = np.zeros((0, n, n), dtype=complex)
+            continue
+        flat = np.array(cands).reshape(len(cands), n * n)
+        _, s, vh = np.linalg.svd(flat, full_matrices=False)
+        rank = int(np.sum(s > cutoff))
+        bases[m] = vh[:rank].reshape(rank, n, n).astype(complex)
+    return bases
+
+
 def partitions(n: int):
     """All partitions of n as weakly decreasing tuples."""
     if n == 0:
@@ -250,6 +307,12 @@ def compositions(n: int, min_parts: int = 1):
         if len(parts) >= min_parts:
             out.append(tuple(parts))
     return out
+
+
+def is_number(x) -> bool:
+    """An int or float read from JSON: %.17g writes 0.0 as 0, so the golden
+    drift gates compare both kinds by value.  Booleans stay exact."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def reference_format_float(x) -> str:

@@ -38,6 +38,7 @@ from helpers import (
     compact_group_element,
     complex_rank_profiles,
     compositions,
+    is_number,
     jordan_mp_fixed_point,
     jordan_nilpotent,
     partitions,
@@ -401,7 +402,7 @@ def test_criterion_13_cli_golden_files():
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     drift(a, b)
-            elif isinstance(got, float):
+            elif is_number(got) and is_number(want):
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
             else:
                 assert got == want

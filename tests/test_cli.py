@@ -26,7 +26,7 @@ from liepinv import classical
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import Tolerance, frob
-from helpers import reference_to_json
+from helpers import is_number, reference_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema.json").read_text())
@@ -38,7 +38,10 @@ def golden_job(command: str) -> JobSpec:
 
 
 def compare_documents(got, want, path="$"):
-    """Structural equality with <= 1e-12 drift on floats."""
+    """Structural equality with <= 1e-12 drift on numbers (ints and floats alike)."""
+    if is_number(got) and is_number(want):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), f"{path}: {got} vs {want}"
+        return
     assert type(got) is type(want), f"{path}: {type(got)} vs {type(want)}"
     if isinstance(got, dict):
         assert got.keys() == want.keys(), f"{path}: key mismatch"
@@ -48,8 +51,6 @@ def compare_documents(got, want, path="$"):
         assert len(got) == len(want), f"{path}: length mismatch"
         for i, (a, b) in enumerate(zip(got, want)):
             compare_documents(a, b, f"{path}[{i}]")
-    elif isinstance(got, float):
-        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), f"{path}: {got} vs {want}"
     else:
         assert got == want, f"{path}: {got} vs {want}"
 
@@ -465,6 +466,45 @@ class TestScaleFree:
         code, document = self.run_scaled(tmp_path, "orbit-height", "sl", (3, 3, 3), x, t)
         assert code == EXIT_OK
         assert document["result"]["height"] == ref["result"]["height"] == 4
+
+
+class TestExtremeScale:
+    """Inputs whose squared entries under- or overflow: t * f(t x) must equal f(x)."""
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (4, 4)), ("sp", (3, 3)), ("so", (1, 6, 1))])
+    @pytest.mark.parametrize("command,key", [("jordan-mp", "inverse"), ("sl2-complete", "f")])
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e300])
+    def test_inverse_scales(self, tmp_path, kind, blocks, command, key, t):
+        alg = GradedAlgebra(kind, blocks)
+        x = alg.random_element(1, np.random.default_rng(63))
+        x /= frob(x)
+        _, ref = TestScaleFree.run_scaled(tmp_path, command, kind, blocks, x, 1.0)
+        code, document = TestScaleFree.run_scaled(tmp_path, command, kind, blocks, x, t)
+        assert code == EXIT_OK and document["passed"]
+        document, ref = json.loads(to_json(document)), json.loads(to_json(ref))
+        f = decode_complex_matrix(document["result"][key], key)
+        ref_f = decode_complex_matrix(ref["result"][key], key)
+        assert frob(t * f - ref_f) <= 1e-12 * frob(ref_f)
+
+
+class TestIllConditionedBlock:
+    """A valid element is never an input error, however ill-conditioned its block."""
+
+    @pytest.mark.parametrize("kind", ["so", "sp"])
+    @pytest.mark.parametrize("cond", [1e8, 1e10])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jordan_mp_is_not_an_input_error(self, tmp_path, kind, cond, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        if kind == "so":  # skew block with singular values 1, 1, 1/cond, 1/cond
+            core = np.zeros((4, 4))
+            core[0, 1], core[2, 3] = 1.0, 1.0 / cond
+            block = q @ (core - core.T) @ q.T
+        else:  # symmetric block with singular values from 1 down to 1/cond
+            block = q @ np.diag(np.logspace(0, -np.log10(cond), 4)) @ q.T
+        element = GradedAlgebra(kind, (4, 4)).element_from_block(1, 2, block)
+        code, document = TestScaleFree.run_scaled(tmp_path, "jordan-mp", kind, (4, 4), element, 1.0)
+        assert code in (EXIT_OK, EXIT_VERIFY), document
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,

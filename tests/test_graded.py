@@ -37,6 +37,8 @@ from helpers import (
     partitions,
     random_complex,
     random_matrix_with_rank,
+    split_form,
+    svd_graded_basis,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -68,6 +70,62 @@ class TestBracket:
             + bracket(z, bracket(x, y))
         )
         assert frob(total) < 1e-12
+
+
+# sl with 1-4 blocks; so/sp with odd and even middle blocks, or none.  The
+# first seven keep the parameter ids the round-trip test had before.
+BASIS_GRADINGS = [
+    ("sl", (2, 3)), ("sp", (2, 2)), ("so", (3, 3)), ("so", (1, 3, 1)),
+    ("sl", (2, 1, 2)), ("so", (2, 3, 2)), ("sp", (2, 2, 2)),
+    ("sl", (3,)), ("sl", (1, 2, 1)), ("sl", (1, 1, 1, 1)),
+    ("so", (4,)), ("so", (5,)), ("so", (2, 2)), ("so", (1, 1, 1)), ("so", (1, 2, 1)),
+    ("so", (1, 4, 1)), ("so", (2, 2, 2)), ("so", (1, 1, 1, 1)),
+    ("sp", (4,)), ("sp", (1, 1)), ("sp", (3, 3)), ("sp", (1, 2, 1)), ("sp", (2, 4, 2)),
+    ("sp", (1, 2, 2, 1)),
+]
+
+
+class TestIndexBasis:
+    """The index-arithmetic basis against the SVD construction it replaced."""
+
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
+    def test_matches_svd_construction(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        n = alg.ambient_dim
+        expected = {"sl": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[kind]
+        assert alg.dim == expected == alg.basis().shape[0]
+        oracle = svd_graded_basis(alg)
+        assert alg.degrees == [m for m, b in sorted(oracle.items()) if b.shape[0]]
+        for m, want in oracle.items():
+            got = alg.basis(m)
+            assert got.shape == want.shape
+            flat = got.reshape(got.shape[0], n * n)
+            flat_want = want.reshape(want.shape[0], n * n)
+            # same span: equal orthogonal projectors
+            assert frob(flat.T @ flat.conj() - flat_want.T @ flat_want.conj()) < 1e-12
+            assert frob(flat.conj() @ flat.T - np.eye(got.shape[0])) < 1e-14
+            for b in got:
+                assert alg.membership_residual(b) < 1e-14
+                assert frob(b - alg.degree_component(b, m)) == 0.0
+
+    @pytest.mark.parametrize("kind,blocks", [g for g in BASIS_GRADINGS if g[0] != "sl"])
+    def test_tau_is_the_split_form_involution(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        form = split_form(kind, blocks)
+        x = random_complex(np.random.default_rng(8), alg.ambient_dim, alg.ambient_dim)
+        assert frob(alg._tau(x) + np.linalg.inv(form) @ x.T @ form) < 1e-13 * frob(x)
+
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
+    def test_gathers_match_dense_contractions(self, kind, blocks):
+        rng = np.random.default_rng(7)
+        alg = GradedAlgebra(kind, blocks)
+        basis = alg.basis()
+        x = random_complex(rng, alg.ambient_dim, alg.ambient_dim)
+        v = random_complex(rng, alg.dim)
+        dense_ad = np.einsum("jab,kab->jk", basis.conj(), x @ basis - basis @ x)
+        assert frob(alg.ad(x) - dense_ad) < 1e-12 * frob(dense_ad)
+        assert frob(alg.coordinates(x) - np.einsum("kab,ab->k", basis.conj(), x)) < 1e-12
+        assert frob(alg.from_coordinates(v) - np.einsum("k,kab->ab", v, basis)) < 1e-12
 
 
 class TestGradedAlgebraStructure:
@@ -129,10 +187,7 @@ class TestGradedAlgebraStructure:
                 assert alg.membership_residual(tx) < 1e-12 * (1.0 + frob(tx))
                 assert frob(tx - alg.degree_component(tx, -m)) < 1e-12 * (1.0 + frob(tx))
 
-    @pytest.mark.parametrize("kind,blocks", [
-        ("sl", (2, 3)), ("sp", (2, 2)), ("so", (3, 3)), ("so", (1, 3, 1)),
-        ("sl", (2, 1, 2)), ("so", (2, 3, 2)), ("sp", (2, 2, 2)),
-    ])
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
     def test_project_is_the_coordinate_projection(self, kind, blocks):
         rng = np.random.default_rng(6)
         alg = GradedAlgebra(kind, blocks)

@@ -31,6 +31,20 @@ class TestTolerance:
             Tolerance(residual_tol=bad)
 
 
+class TestFrob:
+    @pytest.mark.parametrize("t", [1e-320, 1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300])
+    def test_any_finite_scale(self, t):
+        # complex entries, one of them subnormal at t = 1e-320
+        a = np.array([[3.0, 4.0j], [0.0, 0.0]]) * t
+        assert abs(frob(a) - 5.0 * t) <= 1e-15 * 5.0 * t
+
+    def test_zero_and_non_finite(self):
+        assert frob(np.zeros((2, 2))) == 0.0
+        assert frob(np.zeros((0, 3))) == 0.0
+        assert frob(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(frob(np.array([1e-200, np.nan])))
+
+
 class TestReport:
     def test_max_residual_flattens_lists_and_skips_verdicts(self):
         report = Report({"a": 1e-12, "b": [3e-10, 2e-11], "ok": True}, passed=True)
