@@ -33,16 +33,30 @@ __all__ = [
 
 
 def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse built intrinsically from kernel and image bases."""
+    """Moore-Penrose inverse built intrinsically from kernel and image bases.
+
+    It is pinv(a / s) / s with s the power of two that puts the largest real
+    or imaginary part of a / s in [1, 2), so entries near 1e308, whose
+    modulus or Frobenius norm may overflow, are answered; OverflowError when
+    pinv(a) itself leaves the float range.
+    """
     a = as_matrix(a)
     m, n = a.shape
+    # ldexp scales the real and imaginary parts exactly; complex division by a
+    # subnormal s would form 1 / s, which overflows
+    parts = a.view(float)
+    exp = int(np.frexp(np.max(np.abs(parts)))[1]) - 1 if a.size else 0
+    a = np.ldexp(parts, -exp).view(complex)
     dec = rank_decomposition(a, tol)
     if dec.rank == 0:
         return np.zeros((n, m), dtype=complex)
     # Orthocomplement of the kernel = kernel of the adjoint of the kernel basis.
     coimage = rank_decomposition(dec.kernel.conj().T, tol).kernel  # (n, r)
     restricted = dec.image.conj().T @ a @ coimage                  # (r, r), invertible
-    return coimage @ np.linalg.solve(restricted, dec.image.conj().T)
+    x = (coimage @ np.linalg.solve(restricted, dec.image.conj().T)).view(float)
+    if np.frexp(np.max(np.abs(x)))[1] - exp > 1024:
+        raise OverflowError("pseudoinverse is non-finite: its entries exceed the float range")
+    return np.ldexp(x, -exp).view(complex)
 
 
 def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:

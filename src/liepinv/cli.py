@@ -557,6 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # once per process: its setup is a measurable share of a small job
+
+
 def _job_from_args(args, input_path: str | None) -> JobSpec:
     try:
         tol = Tolerance(args.tol_rank, args.tol_residual)
@@ -584,7 +587,7 @@ def _render(code: int, document: dict) -> tuple[int, dict, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     inputs: list[str | None] = list(args.inputs) or [None]
     if inputs == [None] and args.command != "report-table":
         print(f"{args.command}: an input document is required", file=sys.stderr)

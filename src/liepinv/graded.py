@@ -71,9 +71,17 @@ def bracket(x, y) -> np.ndarray:
     """Matrix commutator [x, y] = xy - yx."""
     x = as_matrix(x)
     y = as_matrix(y)
+    _square_pair(x, y)
+    return _bracket(x, y)
+
+
+def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x @ y - y @ x
+
+
+def _square_pair(x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ShapeMismatch(f"bracket needs equal square shapes, got {x.shape}, {y.shape}")
-    return x @ y - y @ x
 
 
 def compact_conjugation(x) -> np.ndarray:
@@ -317,17 +325,21 @@ class GradedAlgebra:
         that is unitary for the Frobenius product, so (x + tau(x)) / 2 is the
         orthogonal projection onto its fixed space.
         """
-        x = self._check_ambient(x)
+        return self._project(self._check_ambient(x))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "sl":
             return x - np.trace(x) / self.ambient_dim * np.eye(self.ambient_dim)
         return (x + self._tau(x)) / 2.0
 
     def membership_residual(self, x) -> float:
-        return frob(self._check_ambient(x) - self.project(x))
+        x = self._check_ambient(x)
+        return frob(x - self._project(x))
 
     def require_member(self, x) -> np.ndarray:
+        """x as a checked ambient ndarray; NotInAlgebra unless x lies in the algebra."""
         x = self._check_ambient(x)
-        res = self.membership_residual(x)
+        res = frob(x - self._project(x))
         if res > self.tol.residual_tol * (1.0 + frob(x)):
             raise NotInAlgebra(
                 f"membership residual {res:.3e} exceeds tolerance for {self.kind}{self.blocks}"
@@ -340,15 +352,14 @@ class GradedAlgebra:
 
     def homogeneous_degree(self, x, tol: Tolerance | None = None) -> int | None:
         """Degree of a homogeneous element, None for zero; errors if mixed."""
-        tol = tol or self.tol
-        x = self.require_member(x)
+        return self._degree(self.require_member(x), tol)
+
+    def _degree(self, x: np.ndarray, tol: Tolerance | None = None) -> int | None:
         scale = frob(x)
         if scale == 0.0:
             return None
-        present = [
-            m for m in self.degrees
-            if frob(self.degree_component(x, m)) > tol.residual_tol * scale
-        ]
+        cut = (tol or self.tol).residual_tol * scale
+        present = [m for m in self.degrees if frob(x[self._degree_mask == m]) > cut]
         if len(present) != 1:
             raise ValueError(f"element is not homogeneous; degrees with mass: {present}")
         return present[0]
@@ -429,13 +440,9 @@ class Sl2Triple:
     @classmethod
     def from_elements(cls, e, h, f) -> "Sl2Triple":
         e, h, f = (as_matrix(m) for m in (e, h, f))
-        scale = 1.0 + frob(e) + frob(h) + frob(f)
-        res = (
-            frob(bracket(e, f) - h) / scale,
-            frob(bracket(h, e) - 2.0 * e) / scale,
-            frob(bracket(h, f) + 2.0 * f) / scale,
-        )
-        return cls(e, h, f, res)
+        _square_pair(e, f)
+        _square_pair(h, e)
+        return _triple(e, h, f)
 
     def max_residual(self) -> float:
         """Largest residual; nan if any residual is nan, so that passes() fails."""
@@ -466,6 +473,17 @@ class CharacteristicResult:
         return self.triple.f
 
 
+def _triple(e: np.ndarray, h: np.ndarray, f: np.ndarray) -> Sl2Triple:
+    """Sl2Triple.from_elements of checked ndarrays of one square shape."""
+    scale = 1.0 + frob(e) + frob(h) + frob(f)
+    res = (
+        frob(_bracket(e, f) - h) / scale,
+        frob(_bracket(h, e) - 2.0 * e) / scale,
+        frob(_bracket(h, f) + 2.0 * f) / scale,
+    )
+    return Sl2Triple(e, h, f, res)
+
+
 def _completion_system(e, neg: _IndexBasis, res: _IndexBasis) -> tuple[np.ndarray, np.ndarray]:
     """The brackets [e, y_k] and the matrix of y -> [[e, y], e] in res coordinates."""
     br_e = neg.brackets(e)
@@ -473,7 +491,7 @@ def _completion_system(e, neg: _IndexBasis, res: _IndexBasis) -> tuple[np.ndarra
 
 
 def _minimal_triple(
-    alg: GradedAlgebra, e, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis, tol: Tolerance
+    e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis, tol: Tolerance
 ) -> CharacteristicResult:
     """Shared engine: minimize |h|_F over {h = [e, y] : [[e, y], e] = 2e}.
 
@@ -485,10 +503,9 @@ def _minimal_triple(
     solved for e / s with s a power of two near |e|: h does not depend on the
     scale of e, and f scales by 1 / s.
     """
-    n = alg.ambient_dim
-    zero = np.zeros((n, n), dtype=complex)
     if frob(e) == 0.0:
-        return CharacteristicResult(Sl2Triple.from_elements(zero, zero, zero), 0.0, True)
+        zero = np.zeros_like(e)
+        return CharacteristicResult(_triple(zero, zero, zero), 0.0, True)
     if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
@@ -516,7 +533,7 @@ def _minimal_triple(
         raise NoTriple(f"f-recovery residual {gap:.3e} above tolerance")
     f = neg.combine(fc) / scale
 
-    triple = Sl2Triple.from_elements(e, h, f)
+    triple = _triple(e, h, f)
     defect = frob(h - h.conj().T)
     hermitian = defect <= tol.residual_tol * (1.0 + frob(h))
     return CharacteristicResult(triple, defect, hermitian)
@@ -539,18 +556,16 @@ def minimal_characteristic(
     """
     tol = tol or alg.tol
     e = alg.require_member(e)
-    if degree is None:
-        degree = alg.homogeneous_degree(e, tol) or 0
+    if degree != 0:
+        inferred = alg._degree(e, tol)
+        if degree is None:
+            degree = inferred or 0
+        elif inferred is not None and inferred != degree:
+            raise ValueError(f"element has degree {inferred}, expected {degree}")
     if degree == 0:
-        orbit_height(alg, e, tol)  # raises NotNilpotent
-        whole = alg._index_basis()
-        return _minimal_triple(alg, e, whole, whole, whole, tol)
-    inferred = alg.homogeneous_degree(e, tol)
-    if inferred is not None and inferred != degree:
-        raise ValueError(f"element has degree {inferred}, expected {degree}")
-    return _minimal_triple(
-        alg, e, alg._index_basis(-degree), alg._index_basis(degree), alg._index_basis(0), tol
-    )
+        _orbit_height(alg, e, tol)  # raises NotNilpotent
+    bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
+    return _minimal_triple(e, *map(alg._index_basis, bases), tol)
 
 
 def characteristic_direction_space(
@@ -566,7 +581,7 @@ def characteristic_direction_space(
     tol = tol or alg.tol
     e = alg.require_member(e)
     if degree is None:
-        degree = alg.homogeneous_degree(e, tol) or 0
+        degree = alg._degree(e, tol) or 0
     neg = alg._index_basis(-degree if degree != 0 else None)
     res = alg._index_basis(degree if degree != 0 else None)
     if frob(e) == 0.0 or neg.count == 0:
@@ -622,25 +637,29 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.
     tol = tol or alg.tol
     if not alg.is_short:
         raise NotShortGrading(f"grading of {alg!r} has degrees {alg.degrees}")
-    e = alg._check_ambient(e)
-    degree = alg.homogeneous_degree(e, tol)  # checks membership
+    e = alg.require_member(e)
+    return _mp_inverse_short(alg, e, alg._degree(e, tol), tol)
+
+
+def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol: Tolerance):
+    """mp_inverse_short of a checked member e of a short grading, of the given degree."""
     if degree is None:
         return np.zeros_like(e)
     if degree == 0:
         raise ValueError("element must lie in g_{+1} or g_{-1}")
     i, j = (1, 2) if degree == 1 else (2, 1)
     scale = _unit_scale(e)
-    block = alg.block_component(e, i, j) / scale
+    block = e[alg.block_slice(i), alg.block_slice(j)] / scale
     if len(alg.blocks) == 2:
         # pinv keeps the (skew-)symmetry of a self-paired so/sp block only to roundoff
         # times its condition number: project, and let the triple check judge
         f = np.zeros_like(e)
         f[alg.block_slice(j), alg.block_slice(i)] = pinv(block, tol) / scale
-        f = alg.project(f)
+        f = alg._project(f)
     else:
         inverse = vector_pinv(block, tol).reshape(block.shape[::-1])
         f = alg.element_from_block(j, i, inverse / scale)
-    triple = Sl2Triple.from_elements(e, bracket(e, f), f)
+    triple = _triple(e, _bracket(e, f), f)
     if not triple.passes(tol):
         raise ArithmeticError(
             f"closed-form triple residuals {list(triple.residuals)} above tolerance"
@@ -663,10 +682,15 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance | None = 
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
     The test runs on e / s, s a power of two near |e|, so it is scale-free.
     """
+    return _annihilates_positive_part(alg, alg.require_member(e), alg.require_member(h), tol)
+
+
+def _annihilates_positive_part(
+    alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance | None
+) -> bool:
+    """annihilates_positive_part of checked members e and h."""
     tol = tol or alg.tol
-    e = alg.require_member(e)
     e = e / _unit_scale(e)
-    h = alg.require_member(h)
     zero = alg._index_basis(0)
     eigvals, eigvecs = np.linalg.eig(_bracket_coords(h, zero, zero))
     positive = eigvecs[:, eigvals.real > 0.5]
@@ -697,7 +721,7 @@ def is_mp_element(
     tol = tol or alg.tol
     result = minimal_characteristic(alg, e, degree, tol)
     if cross_check and frob(result.e) > 0.0:
-        crit = annihilates_positive_part(alg, e, result.h, tol)
+        crit = _annihilates_positive_part(alg, result.e, result.h, tol)
         if crit and not result.is_hermitian:
             raise ArithmeticError(
                 f"raising-space criterion holds but the minimal characteristic "
@@ -714,8 +738,11 @@ def orbit_height(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> int:
     powers stay in range; the zero element has height 0.  NotNilpotent is
     raised when ad(e)^dim does not vanish.
     """
+    return _orbit_height(alg, alg.require_member(e), tol)
+
+
+def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance | None) -> int:
     tol = tol or alg.tol
-    e = alg.require_member(e)
     ad_e = alg.ad(e / _unit_scale(e))
     top = np.linalg.norm(ad_e, 2) if ad_e.size else 0.0
     power = np.eye(ad_e.shape[0], dtype=complex)
@@ -737,7 +764,7 @@ def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> bool:
     e = alg.require_member(e)
     if frob(e) == 0.0:
         raise ZeroElement("the zero element does not generate a nilpotent orbit")
-    return orbit_height(alg, e, tol) == 2
+    return _orbit_height(alg, e, tol) == 2
 
 
 def multidegree_characteristic(
@@ -764,7 +791,7 @@ def multidegree_characteristic(
         )
     # the units of block (j, i), one entry each, in row-major order
     block = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
-    return _minimal_triple(alg, e, alg._unit_basis(np.flatnonzero(block)),
+    return _minimal_triple(e, alg._unit_basis(np.flatnonzero(block)),
                            alg._index_basis(j - i), alg._index_basis(0), tol)
 
 

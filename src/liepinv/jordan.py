@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
-from .graded import GradedAlgebra, _bracket_coords, _IndexBasis, bracket, mp_inverse_short
+from .graded import GradedAlgebra, _bracket, _bracket_coords, _mp_inverse_short, bracket
 from .numcore import Report, Tolerance, as_matrix, frob
 
 __all__ = [
@@ -57,21 +57,25 @@ class JordanPair:
 
     def component_of(self, x, tol: Tolerance | None = None) -> int:
         """+1 or -1 depending on which component x lies in (0 for zero)."""
-        degree = self.algebra.homogeneous_degree(x, tol)
+        return self._component(self.algebra.require_member(x), tol)
+
+    def require_component(self, x, sign: int, tol: Tolerance | None = None) -> np.ndarray:
+        x = self.algebra.require_member(x)
+        self._component(x, tol, sign)
+        return x
+
+    def _component(self, x: np.ndarray, tol: Tolerance | None = None, expect: int = 0) -> int:
+        """component_of a checked member; WrongComponent if it is nonzero outside V_expect."""
+        degree = self.algebra._degree(x, tol)
         if degree is None:
             return 0
         if degree not in (-1, 1):
             raise WrongComponent(f"element has degree {degree}, not +-1")
+        if expect and degree != expect:
+            raise WrongComponent(f"element lies in V_{degree:+d}, expected V_{expect:+d}")
         return degree
 
-    def require_component(self, x, sign: int, tol: Tolerance | None = None) -> np.ndarray:
-        x = as_matrix(x)
-        got = self.component_of(x, tol)
-        if got not in (0, sign):
-            raise WrongComponent(f"element lies in V_{got:+d}, expected V_{sign:+d}")
-        return x
-
-    def _index(self, sign: int) -> _IndexBasis:
+    def _index(self, sign: int):
         return self.index_plus if sign > 0 else self.index_minus
 
     def coords(self, x, sign: int) -> np.ndarray:
@@ -82,36 +86,30 @@ class JordanPair:
 
     def operator_matrix(self, x, y, sign: int) -> np.ndarray:
         """Coordinate matrix of z -> {x, y, z} on V_sign (x in V_sign, y opposite)."""
-        basis = self._index(sign)
-        xy = bracket(as_matrix(x), as_matrix(y))
-        # column k holds the coordinates of the image of the k-th basis element
-        return 0.5 * _bracket_coords(xy, basis, basis)
+        return self._operator(bracket(x, y), sign)
+
+    def _operator(self, xy: np.ndarray, sign: int) -> np.ndarray:
+        """operator_matrix from [x, y]: column k holds the coordinates of [[x, y], b_k] / 2."""
+        return 0.5 * _bracket_coords(xy, self._index(sign), self._index(sign))
 
 
 def triple_product(pair: JordanPair, x, y, z, tol: Tolerance | None = None) -> np.ndarray:
     """{x, y, z} = [[x, y], z] / 2 with x, z in one component and y in the other."""
-    zero = np.zeros((pair.algebra.ambient_dim,) * 2, dtype=complex)
-    sign = pair.component_of(x, tol) or pair.component_of(z, tol)
-    if sign == 0:
-        sign = 1
-    x = pair.require_component(x, sign, tol)
-    z = pair.require_component(z, sign, tol)
-    y = pair.require_component(y, -sign, tol)
-    if frob(x) == 0.0 or frob(y) == 0.0:
-        # [[x,y],z] already vanishes; avoid needless work
-        if frob(z) == 0.0:
-            return zero
-    return 0.5 * bracket(bracket(x, y), z)
+    x, y, z = (pair.algebra.require_member(m) for m in (x, y, z))
+    sign = pair._component(x, tol)
+    sign = pair._component(z, tol, sign) or sign or 1  # x = 0 takes the side of z
+    pair._component(y, tol, -sign)
+    return 0.5 * _bracket(_bracket(x, y), z)
 
 
 def killing_pairing(pair: JordanPair, x, y, tol: Tolerance | None = None) -> complex:
     """B(x, y) = Tr of z -> {x, y, z} on the component of x."""
-    sign = pair.component_of(x, tol)
+    x, y = pair.algebra.require_member(x), pair.algebra.require_member(y)
+    sign = pair._component(x, tol)
     if sign == 0:
         return 0.0 + 0.0j
-    x = pair.require_component(x, sign, tol)
-    y = pair.require_component(y, -sign, tol)
-    return complex(np.trace(pair.operator_matrix(x, y, sign)))
+    pair._component(y, tol, -sign)
+    return complex(np.trace(pair._operator(_bracket(x, y), sign)))
 
 
 def pairing_matrix(pair: JordanPair) -> np.ndarray:
@@ -140,11 +138,12 @@ class CartanInvolution:
     omega_minus: np.ndarray
 
     def apply(self, pair: JordanPair, x, tol: Tolerance | None = None) -> np.ndarray:
-        sign = pair.component_of(x, tol)
+        x = pair.algebra.require_member(x)
+        sign = pair._component(x, tol)
         if sign == 0:
-            return np.zeros_like(as_matrix(x))
+            return np.zeros_like(x)
         mat = self.omega_plus if sign > 0 else self.omega_minus
-        return pair.from_coords(mat @ pair.coords(x, sign).conj(), -sign)
+        return pair.from_coords(mat @ pair._index(sign).coords(x).conj(), -sign)
 
 
 def _involution_from_map(pair: JordanPair, apply) -> CartanInvolution:
@@ -183,8 +182,9 @@ def mp_inverse_jordan(
     failing report raises ArithmeticError instead).
     """
     tol = tol or pair.algebra.tol
-    pair.component_of(a, tol)  # WrongComponent unless a lies in V+ or V-
-    x = mp_inverse_short(pair.algebra, a, tol)
+    a = pair.algebra.require_member(a)
+    sign = pair._component(a, tol)  # WrongComponent unless a lies in V+ or V-
+    x = _mp_inverse_short(pair.algebra, a, sign or None, tol)
     report = verify_jordan_mp(pair, inv, a, x, tol)
     if not report.passed:
         raise ArithmeticError(
@@ -196,28 +196,21 @@ def mp_inverse_jordan(
 def verify_jordan_mp(
     pair: JordanPair, inv: CartanInvolution, a, x, tol: Tolerance | None = None
 ) -> Report:
-    """Residuals of (*) and the Hermitian defects of the two operators in (**)."""
-    tol = tol or pair.algebra.tol
-    a = as_matrix(a)
-    x = as_matrix(x)
-    sign = pair.component_of(a, tol)
-    if sign == 0:
-        sign = -pair.component_of(x, tol) or 1
-    r1 = frob(triple_product(pair, a, x, a, tol) - a) / (1.0 + frob(a))
-    r2 = frob(triple_product(pair, x, a, x, tol) - x) / (1.0 + frob(x))
+    """Residuals of (*) and the Hermitian defects of the two operators in (**).
 
-    op_ax = pair.operator_matrix(a, x, sign)
-    op_xa = pair.operator_matrix(x, a, -sign)
-    gram_a = gram_matrix(pair, inv, sign)
-    gram_x = gram_matrix(pair, inv, -sign)
-    d1 = op_ax.T @ gram_a - gram_a @ op_ax.conj()
-    d2 = op_xa.T @ gram_x - gram_x @ op_xa.conj()
-    return Report.gated(
-        {
-            "recover_a": r1,
-            "recover_x": r2,
-            "hermitian_ax": frob(d1) / (1.0 + frob(gram_a) * frob(op_ax)),
-            "hermitian_xa": frob(d2) / (1.0 + frob(gram_x) * frob(op_xa)),
-        },
-        tol,
-    )
+    The component of a is decided once and that of x is required once; then
+    {a x a} and {x a x} come from the one commutator [a, x].
+    """
+    tol = tol or pair.algebra.tol
+    a, x = pair.algebra.require_member(a), pair.algebra.require_member(x)
+    sign = pair._component(a, tol)
+    sign = -pair._component(x, tol, -sign) or sign or 1  # a = 0 takes the side opposite x
+    ax = _bracket(a, x)
+    residuals = {
+        "recover_a": frob(0.5 * _bracket(ax, a) - a) / (1.0 + frob(a)),
+        "recover_x": frob(0.5 * _bracket(-ax, x) - x) / (1.0 + frob(x)),  # -ax is x a - a x
+    }
+    for name, y, z, side in (("hermitian_ax", a, x, sign), ("hermitian_xa", x, a, -sign)):
+        op, gram = pair.operator_matrix(y, z, side), gram_matrix(pair, inv, side)
+        residuals[name] = frob(op.T @ gram - gram @ op.conj()) / (1.0 + frob(gram) * frob(op))
+    return Report.gated(residuals, tol)

@@ -8,6 +8,15 @@ quaternion factorization.
 
 All inputs must be finite; all outputs are fresh arrays.  Every function is
 pure, so concurrent use is safe.
+
+In ``graded`` and ``jordan`` each public function checks its arguments once,
+where they enter (finite entries, shapes, membership, degree or component);
+``_``-prefixed helpers take checked ndarrays and check nothing again.  Two
+public calls stay inside those chains so that their call counts keep their
+meaning: ``GradedAlgebra.ad`` (in ``orbit_height`` and ``killing``) and
+``JordanPair.operator_matrix`` (in ``verify_jordan_mp``).  ``forms``,
+``homform`` and ``complexes`` do not follow the rule yet: they still re-check
+between their public functions.
 """
 
 from __future__ import annotations

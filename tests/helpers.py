@@ -315,6 +315,28 @@ def is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def compare_documents(got, want, path="$"):
+    """The golden drift gate: structural equality, numbers within 1e-12 relative drift.
+
+    Ints and floats compare by value (see :func:`is_number`); every other leaf,
+    and the type of every container, must match exactly.
+    """
+    if is_number(got) and is_number(want):
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), f"{path}: {got} vs {want}"
+        return
+    assert type(got) is type(want), f"{path}: {type(got)} vs {type(want)}"
+    if isinstance(got, dict):
+        assert got.keys() == want.keys(), f"{path}: key mismatch"
+        for key in got:
+            compare_documents(got[key], want[key], f"{path}.{key}")
+    elif isinstance(got, list):
+        assert len(got) == len(want), f"{path}: length mismatch"
+        for i, (a, b) in enumerate(zip(got, want)):
+            compare_documents(a, b, f"{path}[{i}]")
+    else:
+        assert got == want, f"{path}: {got} vs {want}"
+
+
 def reference_format_float(x) -> str:
     """One float as the CLI writes it: 17 significant digits, -0.0 written as 0."""
     x = float(x)

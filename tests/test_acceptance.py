@@ -36,9 +36,9 @@ from liepinv.numcore import QuaternionMatrix, adjoint, frob
 
 from helpers import (
     compact_group_element,
+    compare_documents,
     complex_rank_profiles,
     compositions,
-    is_number,
     jordan_mp_fixed_point,
     jordan_nilpotent,
     partitions,
@@ -391,23 +391,7 @@ def test_criterion_13_cli_golden_files():
         code, document = run_job(job)
         assert code == 0
         golden = json.loads((GOLDEN / f"{command}.out.json").read_text())
-        fresh = json.loads(to_json(document))
-
-        def drift(got, want):
-            if isinstance(got, dict):
-                assert got.keys() == want.keys()
-                for key in got:
-                    drift(got[key], want[key])
-            elif isinstance(got, list):
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    drift(a, b)
-            elif is_number(got) and is_number(want):
-                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
-            else:
-                assert got == want
-
-        drift(fresh, golden)
+        compare_documents(json.loads(to_json(document)), golden)
         again = run_job(job)[1]
         assert to_json(again) == to_json(document)
     announce(13, "one golden file per CLI command: outputs round-trip stable "

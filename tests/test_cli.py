@@ -1,5 +1,6 @@
 import importlib
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -26,7 +27,8 @@ from liepinv import classical
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import Tolerance, frob
-from helpers import is_number, reference_to_json
+import regen_goldens
+from helpers import compare_documents, reference_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema.json").read_text())
@@ -35,24 +37,6 @@ SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema.json").read_te
 def golden_job(command: str) -> JobSpec:
     path = GOLDEN / f"{command}.in.json"
     return JobSpec(command=command, input_path=str(path) if path.exists() else None)
-
-
-def compare_documents(got, want, path="$"):
-    """Structural equality with <= 1e-12 drift on numbers (ints and floats alike)."""
-    if is_number(got) and is_number(want):
-        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), f"{path}: {got} vs {want}"
-        return
-    assert type(got) is type(want), f"{path}: {type(got)} vs {type(want)}"
-    if isinstance(got, dict):
-        assert got.keys() == want.keys(), f"{path}: key mismatch"
-        for key in got:
-            compare_documents(got[key], want[key], f"{path}.{key}")
-    elif isinstance(got, list):
-        assert len(got) == len(want), f"{path}: length mismatch"
-        for i, (a, b) in enumerate(zip(got, want)):
-            compare_documents(a, b, f"{path}[{i}]")
-    else:
-        assert got == want, f"{path}: {got} vs {want}"
 
 
 class TestGoldenFiles:
@@ -106,19 +90,25 @@ VERIFIER_CALLS = {
 
 
 def count_calls(monkeypatch, functions: dict) -> dict:
-    """Count calls of each named function, wherever a module holds it."""
+    """Count calls of each named function, wherever a module holds it, or of a Class.method."""
     counts = {}
     modules = [importlib.import_module(f"liepinv.{m}")
                for m in ("cli", "classical", "forms", "graded", "homform", "complexes",
                          "jordan", "numcore")] + [importlib.import_module("liepinv")]
     for layer, names in functions.items():
+        module = importlib.import_module(f"liepinv.{layer}")
         for name in names:
-            original = getattr(importlib.import_module(f"liepinv.{layer}"), name)
+            cls_name, _, attr = name.rpartition(".")
+            owner = getattr(module, cls_name) if cls_name else module
+            original = getattr(owner, attr)
 
             def wrapper(*args, _name=name, _fn=original, **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
 
+            if cls_name:
+                monkeypatch.setattr(owner, attr, wrapper)
+                continue
             for mod in modules:
                 for key, value in list(vars(mod).items()):
                     if value is original:
@@ -164,6 +154,52 @@ class TestJordanMpIsClosedForm:
     def test_sl2_complete_enters_the_engine(self, counts):
         assert run_job(golden_job("sl2-complete"))[0] == EXIT_OK
         assert counts == {"minimal_characteristic": 1, "solve_least_squares_constrained": 1}
+
+
+class TestRegenGoldens:
+    """tests/regen_goldens.py rewrites only moved files, and nothing past the drift gate."""
+
+    @pytest.fixture
+    def golden(self, tmp_path):
+        shutil.copytree(GOLDEN, tmp_path / "golden")
+        return tmp_path / "golden"
+
+    @staticmethod
+    def nudge(path, delta):
+        document = json.loads(path.read_text())
+        document["verification"]["recover_a"] += delta
+        path.write_text(to_json(document) + "\n")
+
+    def test_unchanged_goldens_are_not_rewritten(self, golden):
+        assert regen_goldens.regenerate(golden) == []
+
+    def test_rewrites_a_file_within_the_drift_bound(self, golden):
+        self.nudge(golden / "jordan-mp.out.json", 1e-14)
+        assert regen_goldens.regenerate(golden) == ["jordan-mp.out.json"]
+        assert (golden / "jordan-mp.out.json").read_text() == (GOLDEN / "jordan-mp.out.json").read_text()
+
+    def test_refuses_to_write_past_the_drift_bound(self, golden):
+        self.nudge(golden / "pinv.out.json", 1e-14)
+        self.nudge(golden / "jordan-mp.out.json", 1e-9)
+        before = {p.name: p.read_text() for p in golden.iterdir()}
+        with pytest.raises(regen_goldens.DriftError, match="jordan-mp.out.json"):
+            regen_goldens.regenerate(golden)
+        assert {p.name: p.read_text() for p in golden.iterdir()} == before
+
+
+class TestCheckOnce:
+    """A jordan-mp job checks each argument where it enters, and decides each degree once."""
+
+    COUNTED = {"numcore": ("as_matrix",),
+               "graded": ("GradedAlgebra.homogeneous_degree", "GradedAlgebra._degree")}
+
+    def test_golden_input(self, monkeypatch):
+        counts = count_calls(monkeypatch, self.COUNTED)
+        assert run_job(golden_job("jordan-mp"))[0] == EXIT_OK
+        # before checks moved to the entry points: 11 degree decisions, 107 as_matrix calls
+        assert counts.get("GradedAlgebra.homogeneous_degree", 0) <= 4
+        assert counts["GradedAlgebra._degree"] <= 4  # every decision, public or internal
+        assert counts["as_matrix"] <= 25
 
 
 class TestIsotropicVector:
@@ -384,16 +420,32 @@ class TestMainEntry:
         assert got_a == got_b
 
     def test_non_finite_result_exits_two(self, tmp_path):
+        # the inverse of the least subnormal, 2**1074, is beyond the float range
         doc = tmp_path / "huge.json"
-        doc.write_text(json.dumps({"field": "complex", "matrix": [[1e308, 1e308]] * 2}))
+        doc.write_text(json.dumps({"field": "complex", "matrix": [[5e-324]]}))
         out = tmp_path / "huge.out.json"
         assert main(["pinv", str(doc), "--output", str(out)]) == EXIT_VERIFY
         payload = json.loads(out.read_text())
         assert "non-finite" in payload["error"]
         assert "result" not in payload
 
+    @pytest.mark.parametrize("matrix, want", [
+        # pinv([[c, c], [c, c]]) = [[1, 1], [1, 1]] / (4c); 2.5e-309 is subnormal
+        ([[1e308, 1e308]] * 2, [[[2.5e-309, 0.0]] * 2] * 2),
+        # both parts are finite, but the modulus of c (1 + i) is not; 1 / (c (1 + i)) = (1 - i) / 2c
+        ([[[1.5e308, 1.5e308]]], [[[1e-308 / 3, -1e-308 / 3]]]),
+    ], ids=["real", "complex"])
+    def test_entries_near_the_float_maximum_are_answered(self, tmp_path, matrix, want):
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"field": "complex", "matrix": matrix}))
+        out = tmp_path / "big.out.json"
+        assert main(["pinv", str(doc), "--output", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is True
+        assert np.allclose(payload["result"]["pinv"], want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("command, bad, code", [
-        ("pinv", {"huge": {"field": "complex", "matrix": [[1e308, 1e308]] * 2},
+        ("pinv", {"huge": {"field": "complex", "matrix": [[5e-324]]},
                   "strings": {"field": "quaternion", "matrix": [[["1", "0", "0", "0"]]]},
                   "ragged": {"field": "quaternion",
                              "matrix": [[[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]]]}}, EXIT_VERIFY),
@@ -413,6 +465,11 @@ class TestMainEntry:
             assert "error" in json.loads((out_dir / f"{stem}.out.json").read_text())
         want = (GOLDEN / f"{command}.out.json").read_text()
         assert (out_dir / "good.out.json").read_text() == want
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        counts = count_calls(monkeypatch, {"cli": ("build_parser",)})
+        assert main(["report-table"]) == main(["report-table"]) == EXIT_OK
+        assert counts == {}
 
     def test_requires_input_except_report_table(self, capsys):
         assert main(["pinv"]) == EXIT_INPUT

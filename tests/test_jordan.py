@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from liepinv import classical
-from liepinv.errors import NotShortGrading, WrongComponent
-from liepinv.graded import GradedAlgebra, bracket, compact_conjugation, minimal_characteristic
+from liepinv.errors import NotShortGrading, ShapeMismatch, WrongComponent
+from liepinv.graded import (
+    GradedAlgebra,
+    bracket,
+    compact_conjugation,
+    minimal_characteristic,
+    mp_inverse_short,
+    orbit_height,
+)
 from liepinv.jordan import (
     JordanPair,
     cartan_involution_from_group,
@@ -275,3 +282,66 @@ class TestJordanInverse:
             for scale in (1.0, 0.5, float(rng.uniform(0.2, 1.0))):
                 x_fp = jordan_mp_fixed_point(pair, inv, a, scale=scale)
                 assert frob(x_fp - x_sl2) <= 1e-8 * (1.0 + frob(x_sl2))
+
+
+def _entry_points():
+    """Each matrix-taking entry point with one argument slot open, and a valid value for it."""
+    alg = GradedAlgebra("sl", (2, 3))
+    pair = JordanPair(alg)
+    inv = standard_cartan_involution(pair)
+    rng = np.random.default_rng(8)
+    a, x = alg.random_element(1, rng), alg.random_element(-1, rng)
+    return {
+        "mp_inverse_short": (lambda m: mp_inverse_short(alg, m), a),
+        "minimal_characteristic": (lambda m: minimal_characteristic(alg, m), a),
+        "orbit_height": (lambda m: orbit_height(alg, m), a),
+        "mp_inverse_jordan": (lambda m: mp_inverse_jordan(pair, inv, m), a),
+        "verify_jordan_mp[a]": (lambda m: verify_jordan_mp(pair, inv, m, x), a),
+        "verify_jordan_mp[x]": (lambda m: verify_jordan_mp(pair, inv, a, m), x),
+        "triple_product[x]": (lambda m: triple_product(pair, m, x, a), a),
+        "triple_product[y]": (lambda m: triple_product(pair, a, m, a), x),
+        "triple_product[z]": (lambda m: triple_product(pair, a, x, m), a),
+        "GradedAlgebra.project": (alg.project, a),
+    }
+
+
+ENTRY_POINTS = _entry_points()
+
+
+class TestBoundaryChecks:
+    """Every matrix argument is checked where it enters, in every position."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_valid_argument_passes(self, entry):
+        call, valid = ENTRY_POINTS[entry]
+        call(valid)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_nan_entry_raises_value_error(self, entry):
+        call, valid = ENTRY_POINTS[entry]
+        bad = valid.copy()
+        bad[bad != 0] = np.nan  # the nonzero pattern of a component, so only the entries are bad
+        with pytest.raises(ValueError, match="non-finite"):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_wrong_size_raises_shape_mismatch(self, entry):
+        call, _ = ENTRY_POINTS[entry]
+        with pytest.raises(ShapeMismatch):
+            call(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("degree", [1, 0], ids=["plus", "degree0"])
+    def test_verify_needs_x_in_the_opposite_component(self, degree):
+        alg = GradedAlgebra("sl", (2, 3))
+        pair = JordanPair(alg)
+        rng = np.random.default_rng(9)
+        a, x = alg.random_element(1, rng), alg.random_element(degree, rng)
+        with pytest.raises(WrongComponent):
+            verify_jordan_mp(pair, standard_cartan_involution(pair), a, x)
+
+    def test_verify_with_zero_a_takes_the_component_of_x(self):
+        alg = GradedAlgebra("sl", (2, 3))
+        pair = JordanPair(alg)
+        x = alg.random_element(1, np.random.default_rng(10))
+        report = verify_jordan_mp(pair, standard_cartan_involution(pair), np.zeros_like(x), x)
+        assert report.residuals["recover_a"] == 0.0 and not report.passed
