@@ -1,12 +1,14 @@
 """Classical Moore-Penrose inverse over C, R and H, with a four-condition verifier.
 
-:func:`pinv` restricts the map to the Hermitian orthocomplement of its
-kernel, inverts that bijection onto the image, and extends by zero on the
-orthocomplement of the image (built from kernel/image bases only).  The
-quaternion and real variants go through the same construction.  An
-independent route through a QR rank factorization lives with the tests, where
-its agreement with :func:`pinv` turns the uniqueness of the Moore-Penrose
-inverse into a test instead of an assumption.
+:func:`pinv` restricts the map to its coimage (the Hermitian orthocomplement
+of its kernel), inverts that bijection onto the image, and extends by zero on
+the orthocomplement of the image; one SVD gives the rank and all three bases.
+It is the package's only Moore-Penrose construction: the real and quaternion
+variants, the inverse form of ``forms.form_pinv`` and the Hom(U, V) inverse of
+``homform`` are built on it.  Independent routes (a QR rank factorization, the
+kernel/annihilator construction of the inverse form, and the basis solve of
+the Hom(U, V) inverse) live with the tests, where their agreement turns the
+uniqueness of each inverse into a test instead of an assumption.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .numcore import (
     QuaternionMatrix,
     Report,
     Tolerance,
+    _ldexp,
+    _unit_exponent,
     as_matrix,
     frob,
     rank_decomposition,
@@ -33,7 +37,7 @@ __all__ = [
 
 
 def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse built intrinsically from kernel and image bases.
+    """Moore-Penrose inverse built intrinsically from the coimage and image bases.
 
     It is pinv(a / s) / s with s the power of two that puts the largest real
     or imaginary part of a / s in [1, 2), so entries near 1e308, whose
@@ -42,21 +46,13 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_matrix(a)
     m, n = a.shape
-    # ldexp scales the real and imaginary parts exactly; complex division by a
-    # subnormal s would form 1 / s, which overflows
-    parts = a.view(float)
-    exp = int(np.frexp(np.max(np.abs(parts)))[1]) - 1 if a.size else 0
-    a = np.ldexp(parts, -exp).view(complex)
+    exp = _unit_exponent(a)
+    a = _ldexp(a, -exp)
     dec = rank_decomposition(a, tol)
     if dec.rank == 0:
         return np.zeros((n, m), dtype=complex)
-    # Orthocomplement of the kernel = kernel of the adjoint of the kernel basis.
-    coimage = rank_decomposition(dec.kernel.conj().T, tol).kernel  # (n, r)
-    restricted = dec.image.conj().T @ a @ coimage                  # (r, r), invertible
-    x = (coimage @ np.linalg.solve(restricted, dec.image.conj().T)).view(float)
-    if np.frexp(np.max(np.abs(x)))[1] - exp > 1024:
-        raise OverflowError("pseudoinverse is non-finite: its entries exceed the float range")
-    return np.ldexp(x, -exp).view(complex)
+    restricted = dec.image.conj().T @ a @ dec.coimage  # (r, r), invertible
+    return _ldexp(dec.coimage @ np.linalg.solve(restricted, dec.image.conj().T), -exp)
 
 
 def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:

@@ -15,8 +15,8 @@ trailing axis of 4.  ``to_json`` writes each such array in one pass, so
 ``json.loads(to_json(document))`` gives plain JSON lists.
 
 Exit codes: 0 success, 1 input error, 2 verification failure (also when a
-result is not finite and cannot be written), 3 orbit without a Moore-Penrose
-inverse.
+result is not finite and cannot be written, and on any other exception, named
+by its type), 3 orbit without a Moore-Penrose inverse.
 """
 
 from __future__ import annotations
@@ -516,6 +516,9 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
     except ArithmeticError as exc:
         # internal verification failed even though the input was valid
         envelope["error"] = str(exc)
+        return EXIT_VERIFY, envelope
+    except Exception as exc:  # noqa: BLE001 - one job's failure must not end a batch
+        envelope["error"] = f"{type(exc).__name__}: {exc}"
         return EXIT_VERIFY, envelope
     envelope["result"] = result
     envelope["verification"] = report.residuals

@@ -22,6 +22,8 @@ from .numcore import (
     QuaternionMatrix,
     Report,
     Tolerance,
+    _ldexp,
+    _unit_exponent,
     as_matrix,
     frob,
     rank_decomposition,
@@ -73,29 +75,23 @@ class BilinearForm:
     def dim(self) -> int:
         return self.gram.shape[0]
 
+    def is_nondegenerate(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Full numerical rank of the Gram matrix, decided once per tolerance."""
+        ranks = self.__dict__.setdefault("_ranks", {})
+        if tol not in ranks:
+            ranks[tol] = rank_decomposition(self.gram, tol).rank
+        return ranks[tol] == self.dim
+
 
 def form_pinv(form: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
-    """Moore-Penrose inverse form, built from the kernel/annihilator geometry.
+    """Moore-Penrose inverse form: ``classical.pinv`` of the Gram matrix W.
 
-    With K an orthonormal kernel basis of the Gram matrix W, the annihilator
-    of the kernel is spanned by an orthonormal A with ker(K^T) = span(A); the
-    inverse of the induced nondegenerate form lives there and is extended by
-    zero on the Hermitian orthocomplement:
-
-        W+ = conj(A) (A* W conj(A))^{-1} A*.
-
-    The result has the same symmetry and satisfies the Penrose conditions
-    with W, hence coincides with the matrix pseudoinverse of W.
+    The inverse of the form W induces on the annihilator of its kernel,
+    extended by zero, satisfies the Penrose conditions with W, so by
+    uniqueness it is pinv(W); its symmetry class, kept up to roundoff, is
+    checked and then imposed.
     """
-    w = form.gram
-    n = form.dim
-    kernel = rank_decomposition(w, tol).kernel
-    if kernel.shape[1] == n:
-        return BilinearForm(form.symmetry, np.zeros((n, n), dtype=complex))
-    ann = rank_decomposition(kernel.T, tol).kernel  # basis of Ann(Ker w)
-    ann_c = ann.conj()
-    core = ann.conj().T @ w @ ann_c
-    w_plus = ann_c @ np.linalg.solve(core, ann.conj().T)
+    w_plus = classical.pinv(form.gram, tol)
     sign = 1.0 if form.symmetry == SYMMETRIC else -1.0
     sym_defect = frob(w_plus.T - sign * w_plus)
     if sym_defect > tol.residual_tol * (1.0 + frob(w_plus)):
@@ -197,19 +193,20 @@ def pseudo_euclidean_pinv(
     """Three-case inverse for pseudo-Euclidean vectors.
 
     -v/{v,v} off the null cone; -Iv/(2(v,v)) for nonzero null vectors; zero
-    at zero.  Signs follow the source convention for this grading; see
-    :func:`pseudo_euclidean_triple` for the normalization that realizes them
-    as an sl2-triple.
+    at zero, evaluated at a power-of-two unit scale.  Signs follow the source
+    convention for this grading; see :func:`pseudo_euclidean_triple` for the
+    normalization that realizes them as an sl2-triple.
     """
     v = _as_real_vector(space, v)
+    exp = _unit_exponent(v)
+    v = _ldexp(v, -exp)
     euclid = float(v @ v)
     if euclid == 0.0:
         return np.zeros_like(v)
     ivector = space.signature_matrix @ v
     pseudo = float(v @ ivector)
-    if abs(pseudo) > tol.residual_tol * euclid:
-        return -v / pseudo
-    return -ivector / (2.0 * euclid)
+    w = -v / pseudo if abs(pseudo) > tol.residual_tol * euclid else -ivector / (2.0 * euclid)
+    return _ldexp(w, -exp)
 
 
 def pseudo_euclidean_triple(

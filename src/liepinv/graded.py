@@ -43,6 +43,8 @@ from .errors import (
 from .numcore import (
     DEFAULT_TOL,
     Tolerance,
+    _ldexp,
+    _unit_exponent,
     as_matrix,
     frob,
     rank_decomposition,
@@ -610,17 +612,19 @@ def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Three cases: 2v/(v,v) when (v,v) is nonzero; conj(v)/(conj(v),v) for a
     nonzero isotropic v; zero at zero.  The isotropy decision is relative:
     |(v,v)| <= residual_tol * (conj(v), v).  Near-isotropic vectors are
-    genuine discontinuity points of the formula.  This is the closed form of
-    the short grading so(1, d, 1), whose degree +-1 blocks are vectors.
+    genuine discontinuity points of the formula, evaluated at a power-of-two
+    unit scale.  This is the closed form of the short grading so(1, d, 1),
+    whose degree +-1 blocks are vectors.
     """
     v = _as_vector(v)
+    exp = _unit_exponent(v)
+    v = _ldexp(v, -exp)
     herm = float(np.vdot(v, v).real)
     if herm == 0.0:
         return np.zeros_like(v)
     bil = complex(v @ v)
-    if abs(bil) > tol.residual_tol * herm:
-        return 2.0 * v / bil
-    return v.conj() / herm
+    w = 2.0 * v / bil if abs(bil) > tol.residual_tol * herm else v.conj() / herm
+    return _ldexp(w, -exp)
 
 
 def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.ndarray:
@@ -630,9 +634,9 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.
     characteristic, and in a short grading it has a closed form.  In the
     two-block gradings of sl, so and sp, the opposite block of f is the
     classical pseudoinverse of the block of e; in so(1, d, 1), the only
-    other short grading, it is :func:`vector_pinv` of the row or column of e.
-    Both are evaluated on e / s, s a power of two near |e|.  The triple
-    (e, [e, f], f) is checked, and its characteristic must be Hermitian.
+    other short grading, it is :func:`vector_pinv` of the row or column of e;
+    both are scale-free.  The triple (e, [e, f], f) is checked, and its
+    characteristic must be Hermitian.
     """
     tol = tol or alg.tol
     if not alg.is_short:
@@ -648,17 +652,15 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
     if degree == 0:
         raise ValueError("element must lie in g_{+1} or g_{-1}")
     i, j = (1, 2) if degree == 1 else (2, 1)
-    scale = _unit_scale(e)
-    block = e[alg.block_slice(i), alg.block_slice(j)] / scale
+    block = e[alg.block_slice(i), alg.block_slice(j)]
     if len(alg.blocks) == 2:
         # pinv keeps the (skew-)symmetry of a self-paired so/sp block only to roundoff
         # times its condition number: project, and let the triple check judge
         f = np.zeros_like(e)
-        f[alg.block_slice(j), alg.block_slice(i)] = pinv(block, tol) / scale
+        f[alg.block_slice(j), alg.block_slice(i)] = pinv(block, tol)
         f = alg._project(f)
     else:
-        inverse = vector_pinv(block, tol).reshape(block.shape[::-1])
-        f = alg.element_from_block(j, i, inverse / scale)
+        f = alg.element_from_block(j, i, vector_pinv(block, tol).reshape(block.shape[::-1]))
     triple = _triple(e, _bracket(e, f), f)
     if not triple.passes(tol):
         raise ArithmeticError(

@@ -8,10 +8,11 @@ inverse G satisfying
     (*)   GF and FG - (FG)#  are Hermitian,
     (**)  F = 2 FGF - (FG)# F   and   G = 2 GFG - G (FG)#,
 
-exists exactly when b = 0 or b = a; both constructive branches are
-implemented, and the excluded middle is certified numerically through the
-graded embedding on U* + V + U (the minimal characteristic of the embedded
-element has a strictly positive Hermitian defect).
+exists exactly when b = 0 or b = a; both constructive branches are built
+on the classical pseudoinverse F+, and the excluded middle is certified
+numerically through the graded embedding on U* + V + U (the minimal
+characteristic of the embedded element has a strictly positive Hermitian
+defect).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import classical
 from .errors import DegenerateForm, NotMoorePenroseOrbit, ShapeMismatch
 from .forms import SYMMETRIC, BilinearForm
 from .graded import GradedAlgebra, minimal_characteristic
@@ -63,7 +65,7 @@ def sharp(form: BilinearForm, a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     w = form.gram
     if a.shape != w.shape:
         raise ShapeMismatch(f"operator must be {w.shape}, got {a.shape}")
-    if rank_decomposition(w, tol).rank < form.dim:
+    if not form.is_nondegenerate(tol):
         raise DegenerateForm("sharp adjoint requires a nondegenerate form")
     return np.linalg.solve(w, a.T @ w)
 
@@ -73,7 +75,7 @@ def classify_orbit(form: BilinearForm, f_mat, tol: Tolerance = DEFAULT_TOL) -> O
     f_mat = as_matrix(f_mat)
     if f_mat.shape[0] != form.dim:
         raise ShapeMismatch(f"map must have {form.dim} rows, got {f_mat.shape[0]}")
-    if rank_decomposition(form.gram, tol).rank < form.dim:
+    if not form.is_nondegenerate(tol):
         raise DegenerateForm("orbit classification requires a nondegenerate form")
     dec = rank_decomposition(f_mat, tol)
     if dec.rank == 0:
@@ -125,17 +127,17 @@ def generic_orbit_map(
     """
     _standard_symmetry(form, DEFAULT_TOL)
     n = form.dim
+    unit = np.eye(n, dtype=complex)
     if not (0 <= b <= a <= min(n, dim_u)):
         raise ValueError(f"unreachable label (a={a}, b={b}) for dim V={n}, dim U={dim_u}")
-    cols = []
     if form.symmetry == SYMMETRIC:
         if a + b > n:
             raise ValueError(f"label (a={a}, b={b}) needs a + b <= dim V = {n}")
         r = a - b
         radical = [
-            _unit(n, r + 2 * j) + 1j * _unit(n, r + 2 * j + 1) for j in range(b)
+            unit[r + 2 * j] + 1j * unit[r + 2 * j + 1] for j in range(b)
         ]
-        nondeg = [_unit(n, i) for i in range(r)]
+        nondeg = [unit[i] for i in range(r)]
     else:
         if (a - b) % 2:
             raise ValueError("skew forms force a - b to be even")
@@ -143,23 +145,16 @@ def generic_orbit_map(
         r = (a - b) // 2
         if r + b > half or a > n:
             raise ValueError(f"label (a={a}, b={b}) does not fit in dim V = {n}")
-        radical = [_unit(n, r + j) for j in range(b)]
+        radical = [unit[r + j] for j in range(b)]
         nondeg = []
         for i in range(r):
-            nondeg.extend([_unit(n, i), _unit(n, half + i)])
+            nondeg.extend([unit[i], unit[half + i]])
     if radical and nondeg:
         nondeg[0] = nondeg[0] + radical[0]
-    cols = nondeg + radical
     f_mat = np.zeros((n, dim_u), dtype=complex)
-    for j, c in enumerate(cols):
+    for j, c in enumerate(nondeg + radical):
         f_mat[:, j] = c
     return f_mat
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    v[i] = 1.0
-    return v
 
 
 def hom_element(alg: GradedAlgebra, f_mat) -> np.ndarray:
@@ -185,20 +180,17 @@ def mp_inverse_homform(
     :func:`verify_homform` on (F, G); a report that fails raises
     ArithmeticError instead.
 
-    b = 0: G inverts the restriction of F onto its image and vanishes on the
-    omega-orthocomplement of the image.  b = a: the image is totally
-    isotropic; G vanishes on gram * conj(Im F) and on the common complement,
-    and equals half the inverse of the restriction on Im F.  Orbits with
-    0 < b < a raise NotMoorePenroseOrbit carrying the Hermitian-defect
-    certificate of the embedded minimal characteristic.
+    b = a: G = F+ / 2 (Im F is totally isotropic, so F+ vanishes already on
+    gram * conj(Im F)).  b = 0: G = F+ P (P^T W P)^{-1} P^T W, F+ after the
+    omega-projection onto Im F, with P an orthonormal basis of Im F and W the
+    Gram matrix.  Orbits with 0 < b < a raise NotMoorePenroseOrbit carrying
+    the Hermitian-defect certificate of the embedded minimal characteristic.
     """
     f_mat = as_matrix(f_mat)
     _standard_symmetry(form, tol)
-    n, k = f_mat.shape
-    if n != form.dim:
-        raise ShapeMismatch(f"map must have {form.dim} rows, got {n}")
     label = classify_orbit(form, f_mat, tol)
     a, b = label.a, label.b
+    n, k = f_mat.shape
     if not label.has_inverse:
         # The exception is an orbit statement, so the certificate is computed
         # at the general-position representative of O(a, b): its embedded
@@ -209,8 +201,14 @@ def mp_inverse_homform(
         raise NotMoorePenroseOrbit(a, b, res.hermitian_defect)
     if a == 0:
         g_mat = np.zeros((k, n), dtype=complex)
+    elif b == a:
+        g_mat = classical.pinv(f_mat, tol) / 2.0
     else:
-        g_mat = _inverse_on_orbit(form, f_mat, b, tol)
+        image = rank_decomposition(f_mat, tol).image
+        w = form.gram
+        g_mat = classical.pinv(f_mat, tol) @ image @ np.linalg.solve(
+            image.T @ w @ image, image.T @ w
+        )
     report = verify_homform(form, f_mat, g_mat, tol)
     if not report.passed:
         raise ArithmeticError(
@@ -219,45 +217,23 @@ def mp_inverse_homform(
     return g_mat, label, report
 
 
-def _inverse_on_orbit(
-    form: BilinearForm, f_mat: np.ndarray, b: int, tol: Tolerance
-) -> np.ndarray:
-    """G for a nonzero F whose label has b = 0 or b = rank F."""
-    n, k = f_mat.shape
-    dec = rank_decomposition(f_mat, tol)
-    a = dec.rank
-    image = dec.image                                             # (n, a)
-    coimage = rank_decomposition(dec.kernel.conj().T, tol).kernel  # (k, a)
-    restricted = image.conj().T @ f_mat @ coimage                  # (a, a)
-
-    if b == 0:
-        perp = rank_decomposition(image.T @ form.gram, tol).kernel  # omega-complement
-        basis = np.hstack([image, perp])
-        lead = coimage @ np.linalg.solve(restricted, np.eye(a))
-    else:
-        polar = form.gram @ image.conj()
-        rest = rank_decomposition(np.hstack([image, polar]).conj().T, tol).kernel
-        basis = np.hstack([image, polar, rest])
-        lead = coimage @ np.linalg.solve(restricted, np.eye(a)) / 2.0
-    if rank_decomposition(basis, tol).rank < n:
-        raise DegenerateForm("image decomposition of V failed to span")
-    padded = np.hstack([lead, np.zeros((k, n - a), dtype=complex)])
-    return np.linalg.solve(basis.T, padded.T).T
-
-
 def verify_homform(
     form: BilinearForm, f_mat, g_mat, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
     """Relative residuals of conditions (*) and (**) for a candidate pair (F, G)."""
     f_mat = as_matrix(f_mat)
     g_mat = as_matrix(g_mat)
+    if f_mat.shape[0] != form.dim:
+        raise ShapeMismatch(f"map must have {form.dim} rows, got {f_mat.shape[0]}")
     if g_mat.shape != (f_mat.shape[1], f_mat.shape[0]):
         raise ShapeMismatch(
             f"G must have shape {(f_mat.shape[1], f_mat.shape[0])}, got {g_mat.shape}"
         )
+    if not form.is_nondegenerate(tol):
+        raise DegenerateForm("sharp adjoint requires a nondegenerate form")
     gf = g_mat @ f_mat
     fg = f_mat @ g_mat
-    fg_sharp = sharp(form, fg, tol)
+    fg_sharp = np.linalg.solve(form.gram, fg.T @ form.gram)
     diff = fg - fg_sharp
     star1 = 2.0 * fg @ f_mat - fg_sharp @ f_mat - f_mat
     star2 = 2.0 * g_mat @ fg - g_mat @ fg_sharp - g_mat

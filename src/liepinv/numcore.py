@@ -1,10 +1,10 @@
 """Deterministic dense linear algebra over complex scalars.
 
 Everything here is a thin, tolerance-aware layer over LAPACK (through
-numpy): numerical ranks, orthonormal kernel/image bases, adjoints,
-and equality-constrained least squares.  Quaternion matrices are supported
-through their standard complex embedding; there is deliberately no native
-quaternion factorization.
+numpy): numerical ranks, orthonormal kernel/image/coimage bases, adjoints,
+exact power-of-two unit scaling, and equality-constrained least squares.
+Quaternion matrices are supported through their standard complex embedding;
+there is deliberately no native quaternion factorization.
 
 All inputs must be finite; all outputs are fresh arrays.  Every function is
 pure, so concurrent use is safe.
@@ -14,9 +14,11 @@ where they enter (finite entries, shapes, membership, degree or component);
 ``_``-prefixed helpers take checked ndarrays and check nothing again.  Two
 public calls stay inside those chains so that their call counts keep their
 meaning: ``GradedAlgebra.ad`` (in ``orbit_height`` and ``killing``) and
-``JordanPair.operator_matrix`` (in ``verify_jordan_mp``).  ``forms``,
-``homform`` and ``complexes`` do not follow the rule yet: they still re-check
-between their public functions.
+``JordanPair.operator_matrix`` (in ``verify_jordan_mp``).  ``homform``
+follows the rule too, with ``classify_orbit`` and ``verify_homform`` kept as
+public calls inside ``mp_inverse_homform`` for the same reason.  ``forms`` and
+``complexes`` do not follow it yet: they still re-check between their public
+functions.
 """
 
 from __future__ import annotations
@@ -130,11 +132,12 @@ def frob(a) -> float:
 
 
 class RankDecomposition(NamedTuple):
-    """Numerical rank with orthonormal kernel and image bases (as columns)."""
+    """Numerical rank with orthonormal kernel, image and coimage bases (as columns)."""
 
     rank: int
-    kernel: np.ndarray  # shape (cols, cols - rank)
-    image: np.ndarray   # shape (rows, rank)
+    kernel: np.ndarray   # shape (cols, cols - rank)
+    image: np.ndarray    # shape (rows, rank)
+    coimage: np.ndarray  # shape (cols, rank), the orthocomplement of the kernel
 
 
 def rank_decomposition(a, tol: Tolerance = DEFAULT_TOL) -> RankDecomposition:
@@ -142,17 +145,38 @@ def rank_decomposition(a, tol: Tolerance = DEFAULT_TOL) -> RankDecomposition:
 
     Singular values sigma <= rank_rtol * sigma_max are treated as zero.  The
     kernel columns are right singular vectors of the discarded values, the
-    image columns are left singular vectors of the kept ones; both families
-    are orthonormal.  A zero (or empty) matrix has rank 0 and full kernel.
+    image and coimage columns are the left and right singular vectors of the
+    kept ones; all three families are orthonormal.  A zero (or empty) matrix
+    has rank 0 and full kernel.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m == 0 or n == 0:
-        return RankDecomposition(0, np.eye(n, dtype=complex), np.zeros((m, 0), complex))
+        return RankDecomposition(
+            0, np.eye(n, dtype=complex), np.zeros((m, 0), complex), np.zeros((n, 0), complex)
+        )
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     cutoff = tol.rank_rtol * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
-    return RankDecomposition(rank, vh[rank:].conj().T.copy(), u[:, :rank].copy())
+    v = vh.conj().T
+    return RankDecomposition(rank, v[:, rank:].copy(), u[:, :rank].copy(), v[:, :rank].copy())
+
+
+def _unit_exponent(a: np.ndarray) -> int:
+    """The k that puts the largest real or imaginary part of a / 2**k in [1, 2) (0 at zero)."""
+    top = np.max(np.abs(np.ascontiguousarray(a).view(float)), initial=0.0)
+    return int(np.frexp(top)[1]) - 1 if top else 0
+
+
+def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """a * 2**k, exact on the real and imaginary parts; OverflowError past the float range.
+
+    Complex division by a subnormal 2**-k would form its overflowing reciprocal.
+    """
+    parts = np.ascontiguousarray(a).view(float)
+    if np.frexp(np.max(np.abs(parts), initial=0.0))[1] + k > 1024:
+        raise OverflowError("inverse is non-finite: its entries exceed the float range")
+    return np.ldexp(parts, k).view(a.dtype)
 
 
 def solve_least_squares_constrained(

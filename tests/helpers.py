@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from liepinv.graded import GradedAlgebra, bracket
-from liepinv.numcore import DEFAULT_TOL, QuaternionMatrix, as_matrix, frob
+from liepinv.numcore import DEFAULT_TOL, QuaternionMatrix, as_matrix, frob, rank_decomposition
 
 
 def random_complex(rng, *shape) -> np.ndarray:
@@ -79,6 +79,57 @@ def pinv_factorization(a, tol=DEFAULT_TOL) -> np.ndarray:
     c[:, piv] = r[:rank, :]
     ch = c.conj().T
     return ch @ np.linalg.solve(c @ ch, b.conj().T)
+
+
+def form_pinv_annihilator(gram, tol=DEFAULT_TOL) -> np.ndarray:
+    """The inverse form built from the kernel/annihilator geometry, as liepinv once built it.
+
+    With K an orthonormal kernel basis of the Gram matrix W, the annihilator
+    of the kernel is spanned by an orthonormal A with ker(K^T) = span(A); the
+    inverse of the nondegenerate form W induces there, extended by zero on the
+    Hermitian orthocomplement, is W+ = conj(A) (A* W conj(A))^-1 A*.  An
+    independent route to ``forms.form_pinv``, which is ``classical.pinv`` of W.
+    """
+    w = as_matrix(gram)
+    n = w.shape[0]
+    kernel = rank_decomposition(w, tol).kernel
+    if kernel.shape[1] == n:
+        return np.zeros((n, n), dtype=complex)
+    ann = rank_decomposition(kernel.T, tol).kernel  # basis of Ann(Ker w)
+    ann_c = ann.conj()
+    return ann_c @ np.linalg.solve(ann.conj().T @ w @ ann_c, ann.conj().T)
+
+
+def homform_basis_solve(form, f_mat, b: int, tol=DEFAULT_TOL) -> np.ndarray:
+    """The Hom(U, V) inverse G of a nonzero F with b = 0 or b = rank F, by a basis solve.
+
+    V is split as Im F + its omega-orthocomplement (b = 0), or as
+    Im F + gram conj(Im F) + the Hermitian complement of both (b = a).  G
+    inverts the restriction of F from its coimage onto Im F (halved when
+    b = a) and vanishes on the other summands; one solve against the basis
+    fixes it.  This is how liepinv once built the inverse, and an independent
+    route to ``homform.mp_inverse_homform``, which builds it from
+    ``classical.pinv``.
+    """
+    f_mat = as_matrix(f_mat)
+    n, k = f_mat.shape
+    dec = rank_decomposition(f_mat, tol)
+    a = dec.rank
+    image = dec.image                                             # (n, a)
+    coimage = rank_decomposition(dec.kernel.conj().T, tol).kernel  # (k, a)
+    lead = coimage @ np.linalg.inv(image.conj().T @ f_mat @ coimage)
+    if b == 0:
+        perp = rank_decomposition(image.T @ form.gram, tol).kernel  # omega-complement
+        basis = np.hstack([image, perp])
+    else:
+        polar = form.gram @ image.conj()
+        rest = rank_decomposition(np.hstack([image, polar]).conj().T, tol).kernel
+        basis = np.hstack([image, polar, rest])
+        lead = lead / 2.0
+    if rank_decomposition(basis, tol).rank < n:
+        raise ValueError("image decomposition of V failed to span")
+    padded = np.hstack([lead, np.zeros((k, n - a), dtype=complex)])
+    return np.linalg.solve(basis.T, padded.T).T
 
 
 def jordan_mp_fixed_point(pair, inv, a, scale: float = 1.0, max_iter: int = 150,
@@ -210,8 +261,6 @@ def centralizer_positive_directions(alg, e, h, degree=None) -> np.ndarray:
     the degree-0 part (the whole algebra in the ungraded case), directly from
     the centralizer rather than from the solver's constraint kernel.
     """
-    from liepinv.numcore import rank_decomposition
-
     basis = alg.basis(0) if degree else alg.basis()
     br_e = np.einsum("ab,kbc->kac", e, basis) - np.einsum("kab,bc->kac", basis, e)
     ade = np.einsum("jab,kab->jk", alg.basis().conj(), br_e)
@@ -240,8 +289,6 @@ def random_exact_complex(rng, sizes, ranks) -> list[np.ndarray]:
             maps.append(random_matrix_with_rank(rng, d_to, d_from, rank))
             continue
         left = maps[-1]
-        from liepinv.numcore import rank_decomposition
-
         kernel = rank_decomposition(left).kernel  # inside the domain of `left`
         if rank > kernel.shape[1]:
             raise ValueError("rank too large for an exact complex")

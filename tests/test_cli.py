@@ -202,6 +202,57 @@ class TestCheckOnce:
         assert counts["as_matrix"] <= 25
 
 
+class TestOneDecomposition:
+    """A Moore-Penrose construction takes one SVD, and a form's rank is decided once."""
+
+    # before pinv took its coimage from the same SVD: pinv 2, form-pinv 2, homform 7
+    @pytest.mark.parametrize("command, most", [("pinv", 1), ("form-pinv", 1), ("homform", 3)])
+    def test_golden_input(self, monkeypatch, command, most):
+        counts = count_calls(monkeypatch, {"numcore": ("rank_decomposition",)})
+        assert run_job(golden_job(command))[0] == EXIT_OK
+        assert 1 <= counts["rank_decomposition"] <= most
+
+
+class TestExceptionFirewall:
+    """An unexpected exception exits 2 and names its type; a batch writes every output."""
+
+    @staticmethod
+    def explode_on_bad(monkeypatch, command):
+        original = COMMANDS[command]
+
+        def command_fn(doc, job):
+            if Path(job.input_path).stem == "bad":
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return original(doc, job)
+
+        monkeypatch.setitem(COMMANDS, command, command_fn)
+
+    def test_single_job(self, monkeypatch, tmp_path):
+        self.explode_on_bad(monkeypatch, "pinv")
+        bad = tmp_path / "bad.json"
+        shutil.copy(GOLDEN / "pinv.in.json", bad)
+        code, document = run_job(JobSpec("pinv", str(bad)))
+        assert code == EXIT_VERIFY
+        assert document["error"] == "MemoryError: Unable to allocate 7.28 TiB"
+        out = tmp_path / "bad.out.json"
+        assert main(["pinv", str(bad), "--output", str(out)]) == EXIT_VERIFY
+        assert json.loads(out.read_text())["error"].startswith("MemoryError")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch(self, monkeypatch, tmp_path, jobs):
+        self.explode_on_bad(monkeypatch, "homform")
+        paths = [tmp_path / "bad.json", tmp_path / "good.json"]
+        for path in paths:
+            shutil.copy(GOLDEN / "homform.in.json", path)
+        out_dir = tmp_path / "out"
+        code = main(["homform", *map(str, paths), "--jobs", str(jobs), "--output", str(out_dir)])
+        assert code == EXIT_VERIFY
+        bad = json.loads((out_dir / "bad.out.json").read_text())
+        assert bad["error"] == "MemoryError: Unable to allocate 7.28 TiB"
+        want = (GOLDEN / "homform.out.json").read_text()
+        assert (out_dir / "good.out.json").read_text() == want
+
+
 class TestIsotropicVector:
     """so(1,2,1) at an isotropic vector: M vanishes on ker C in the sl2 engine."""
 
@@ -542,6 +593,29 @@ class TestExtremeScale:
         f = decode_complex_matrix(document["result"][key], key)
         ref_f = decode_complex_matrix(ref["result"][key], key)
         assert frob(t * f - ref_f) <= 1e-12 * frob(ref_f)
+
+
+    # each vector inverse takes both of its branches: off and on the isotropic cone
+    @pytest.mark.parametrize("command, fields, vector", [
+        ("vector-pinv", {}, [0.6, [0.0, 0.8], [-0.48, 0.36]]),
+        ("vector-pinv", {}, [[0.6, 0.0], [0.0, 0.6], 0.0]),
+        ("pseudo-pinv", {"signature": [2, 1]}, [0.48, -0.64, 0.6]),
+        ("pseudo-pinv", {"signature": [2, 1]}, [0.6, 0.8, 1.0]),
+    ], ids=["vector", "vector-isotropic", "pseudo", "pseudo-null"])
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+    def test_vector_inverse_scales(self, tmp_path, command, fields, vector, t):
+        def run(scale):
+            scaled = [[scale * x for x in entry] if isinstance(entry, list) else scale * entry
+                      for entry in vector]
+            doc = tmp_path / f"{command}-{scale:g}.json"
+            doc.write_text(json.dumps({**fields, "vector": scaled}))
+            code, document = run_job(JobSpec(command, str(doc)))
+            assert code == EXIT_OK and document["passed"], document
+            got = np.array(json.loads(to_json(document))["result"]["pinv"], dtype=float)
+            return got[..., 0] + 1j * got[..., 1] if got.ndim == 2 else got
+
+        ref = run(1.0)
+        assert frob(t * run(t) - ref) <= 1e-12 * frob(ref)
 
 
 class TestIllConditionedBlock:

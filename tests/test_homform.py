@@ -19,6 +19,7 @@ from liepinv.homform import (
 from liepinv.numcore import frob
 
 from helpers import (
+    homform_basis_solve,
     random_complex,
     random_unitary,
     reachable_orbit_labels,
@@ -159,6 +160,41 @@ class TestInverseConstruction:
         gfa = ga @ fa
         assert frob(gfa - gfa.conj().T) < 1e-10
         assert frob(2.0 * gfa @ (2.0 * gfa) - 2.0 * gfa) < 1e-10
+
+
+class TestAgreesWithBasisSolve:
+    """mp_inverse_homform (built on classical.pinv) against the basis-solve oracle."""
+
+    @staticmethod
+    def form_preserving(rng, form):
+        """exp of a random element of so(V) or sp(V): preserves the form, not unitary."""
+        m = random_complex(rng, form.dim, form.dim) / 2.0
+        sign = 1.0 if form.symmetry == SYMMETRIC else -1.0
+        g = scipy.linalg.expm(np.linalg.solve(form.gram, (m - sign * m.T) / 2.0))
+        assert frob(g.T @ form.gram @ g - form.gram) < 1e-10 * frob(g) ** 2
+        return g
+
+    @pytest.mark.parametrize(
+        "symmetry,dim_v", [(SYMMETRIC, 3), (SYMMETRIC, 5), (SKEW, 4), (SKEW, 6)]
+    )
+    def test_under_random_group_moves(self, symmetry, dim_v):
+        rng = np.random.default_rng(86 + dim_v)
+        form = standard_form(symmetry, dim_v)
+        branches = set()
+        for dim_u in (1, 2, 3, 4):
+            for a, b in reachable_orbit_labels(symmetry, dim_v, dim_u):
+                if a == 0 or 0 < b < a:
+                    continue
+                base = generic_orbit_map(form, a, b, dim_u)
+                for _ in range(3):
+                    g_u = random_complex(rng, dim_u, dim_u)  # generic invertible on U
+                    f_mat = self.form_preserving(rng, form) @ base @ g_u
+                    g_mat, label, _ = mp_inverse_homform(form, f_mat)
+                    assert (label.a, label.b) == (a, b)
+                    want = homform_basis_solve(form, f_mat, b)
+                    assert frob(g_mat - want) <= 1e-10 * (1.0 + frob(want))
+                branches.add("b = 0" if b == 0 else "b = a")
+        assert branches == {"b = 0", "b = a"}
 
 
 class TestVerifyHomform:

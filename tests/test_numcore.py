@@ -124,6 +124,20 @@ class TestRankDecomposition:
         assert frob(a @ dec.kernel) <= DEFAULT_TOL.residual_tol * (1.0 + frob(a))
         assert frob(dec.image.conj().T @ dec.image - np.eye(rank)) < 1e-13
 
+    @pytest.mark.parametrize("shape,rank", [((5, 3), 2), ((3, 6), 3), ((4, 4), 1), ((3, 3), 0)])
+    def test_coimage_complements_the_kernel(self, shape, rank):
+        rng = np.random.default_rng(sum(shape) + 10 * rank)
+        a = random_matrix_with_rank(rng, *shape, rank)
+        dec = rank_decomposition(a)
+        assert dec.coimage.shape == (shape[1], rank)
+        assert frob(dec.coimage.conj().T @ dec.coimage - np.eye(rank)) < 1e-13
+        assert frob(dec.kernel.conj().T @ dec.coimage) < 1e-13
+        assert rank_decomposition(a @ dec.coimage).rank == rank
+
+    def test_coimage_of_empty_input(self):
+        assert rank_decomposition(np.zeros((0, 4))).coimage.shape == (4, 0)
+        assert rank_decomposition(np.zeros((4, 0))).coimage.shape == (0, 0)
+
 
 class TestConstrainedLeastSquares:
     def test_unconstrained_minimal_norm(self):
