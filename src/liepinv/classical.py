@@ -44,7 +44,11 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     modulus or Frobenius norm may overflow, are answered; OverflowError when
     pinv(a) itself leaves the float range.
     """
-    a = as_matrix(a)
+    return _pinv(as_matrix(a), tol)
+
+
+def _pinv(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """pinv of a checked matrix."""
     m, n = a.shape
     exp = _unit_exponent(a)
     a = _ldexp(a, -exp)

@@ -279,7 +279,7 @@ def _algebra_from(doc: dict, job: JobSpec) -> graded.GradedAlgebra:
         raise InputError("fields 'algebra' and 'blocks' are required (or pass --algebra/--blocks)")
     blocks = [_integer(d, f"blocks[{i}]", 1) for i, d in enumerate(blocks)]
     try:
-        return graded.GradedAlgebra(kind, blocks, job.tol)
+        return graded.GradedAlgebra(kind, blocks)
     except (ValueError, LiepinvError) as exc:
         raise InputError(f"invalid algebra: {exc}") from exc
 
@@ -355,13 +355,13 @@ def _cmd_hermitian_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 
 def _minimality_margin(
-    alg: graded.GradedAlgebra, res: graded.CharacteristicResult, degree, seed: int
+    alg: graded.GradedAlgebra, res: graded.CharacteristicResult, degree, job: JobSpec
 ) -> float | None:
     """Smallest relative energy increase over random feasible perturbations."""
-    directions = graded.characteristic_direction_space(alg, res.e, degree)
+    directions = graded.characteristic_direction_space(alg, res.e, degree, job.tol)
     if directions.shape[0] == 0:
         return None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(job.seed)
     base = frob(res.h) ** 2
     margin = np.inf
     for _ in range(20):
@@ -387,7 +387,7 @@ def _sl2_report(alg, res: graded.CharacteristicResult, degree, job: JobSpec, **v
         "triple_residuals": list(res.triple.residuals),
         "hermitian_defect": res.hermitian_defect,
     }
-    margin = _minimality_margin(alg, res, degree, job.seed)
+    margin = _minimality_margin(alg, res, degree, job)
     if margin is not None:
         residuals["minimality_margin"] = margin
     residuals.update(verdicts)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical
+from .classical import _pinv
 from .errors import NotAComplex, ShapeMismatch
-from .graded import Sl2Triple, bracket
+from .graded import _certificate
 from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob, rank_decomposition
 
 __all__ = [
@@ -55,6 +55,14 @@ class ChainTuple:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "maps", maps)
 
+    @classmethod
+    def _of_checked(cls, sizes: tuple[int, ...], maps: tuple[np.ndarray, ...]) -> "ChainTuple":
+        """A tuple of checked sizes and maps, built without checking them again."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "sizes", sizes)
+        object.__setattr__(t, "maps", maps)
+        return t
+
     def __len__(self) -> int:
         return len(self.maps)
 
@@ -68,41 +76,48 @@ class ComplexCertificate:
     ranks: tuple[int, ...]
 
 
+def _compositions(maps, tol: Tolerance) -> tuple[tuple[float, ...], bool]:
+    """Residuals |f_{i-1} f_i| of checked maps, and whether each is small against its factors."""
+    pairs = list(zip(maps, maps[1:]))
+    residuals = tuple(frob(left @ right) for left, right in pairs)
+    bounds = [tol.residual_tol * (1.0 + frob(left) * frob(right)) for left, right in pairs]
+    return residuals, not any(res > bound for res, bound in zip(residuals, bounds))
+
+
 def certify_complex(t: ChainTuple, tol: Tolerance = DEFAULT_TOL) -> ComplexCertificate:
     """Check zero consecutive compositions, relative to the factor norms."""
-    residuals = []
-    ok = True
-    for left, right in zip(t.maps, t.maps[1:]):
-        res = frob(left @ right)
-        residuals.append(res)
-        if res > tol.residual_tol * (1.0 + frob(left) * frob(right)):
-            ok = False
+    residuals, ok = _compositions(t.maps, tol)
     ranks = tuple(rank_decomposition(m, tol).rank for m in t.maps)
-    return ComplexCertificate(ok, tuple(residuals), ranks)
+    return ComplexCertificate(ok, residuals, ranks)
+
+
+def _place(sizes, maps, lower: bool) -> np.ndarray:
+    """Checked maps on the block superdiagonal, or with ``lower`` on the subdiagonal."""
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    out = np.zeros((starts[-1], starts[-1]), dtype=complex)
+    for i, m in enumerate(maps):
+        near, far = slice(starts[i], starts[i + 1]), slice(starts[i + 1], starts[i + 2])
+        out[(far, near) if lower else (near, far)] = m
+    return out
 
 
 def assemble_raising(t: ChainTuple) -> np.ndarray:
     """Superdiagonal block matrix with the chain maps: an element of degree +1."""
-    n = sum(t.sizes)
-    out = np.zeros((n, n), dtype=complex)
-    starts = np.concatenate([[0], np.cumsum(t.sizes)])
-    for i, m in enumerate(t.maps):
-        out[starts[i] : starts[i + 1], starts[i + 1] : starts[i + 2]] = m
-    return out
+    return _place(t.sizes, t.maps, lower=False)
 
 
 def assemble_lowering(t: ChainTuple, lowering_maps) -> np.ndarray:
     """Subdiagonal block matrix carrying maps C^{d_i} -> C^{d_{i+1}}."""
-    n = sum(t.sizes)
-    out = np.zeros((n, n), dtype=complex)
-    starts = np.concatenate([[0], np.cumsum(t.sizes)])
-    for i, m in enumerate(lowering_maps):
-        m = as_matrix(m)
-        want = (t.sizes[i + 1], t.sizes[i])
+    return _lowering(t.sizes, [as_matrix(m) for m in lowering_maps])
+
+
+def _lowering(sizes, maps) -> np.ndarray:
+    """assemble_lowering of checked matrices."""
+    for i, m in enumerate(maps):
+        want = (sizes[i + 1], sizes[i])
         if m.shape != want:
             raise ShapeMismatch(f"lowering map {i + 1} must be {want}, got {m.shape}")
-        out[starts[i + 1] : starts[i + 2], starts[i] : starts[i + 1]] = m
-    return out
+    return _place(sizes, maps, lower=True)
 
 
 def complex_pinv(
@@ -121,8 +136,8 @@ def complex_pinv(
         raise NotAComplex(
             f"composition residuals {cert.composition_residuals} exceed tolerance"
         )
-    inverted = [classical.pinv(m, tol) for m in t.maps]
-    return ChainTuple(t.sizes[::-1], tuple(inverted[::-1])), cert
+    inverted = [_pinv(m, tol) for m in t.maps]
+    return ChainTuple._of_checked(t.sizes[::-1], tuple(inverted[::-1])), cert
 
 
 def verify_complex_pinv(
@@ -136,19 +151,15 @@ def verify_complex_pinv(
     the maps of ``t`` and f those of ``out``, is an sl2-triple whose
     characteristic is Hermitian.
     """
-    cert_out = certify_complex(out, tol)
-    e = assemble_raising(t)
-    f = assemble_lowering(t, out.maps[::-1])
-    h = bracket(e, f)
-    triple = Sl2Triple.from_elements(e, h, f)
-    defect = frob(h - h.conj().T) / (1.0 + frob(h))
+    if len(out.sizes) != len(t.sizes):
+        raise ShapeMismatch(f"inverse tuple must have sizes {t.sizes[::-1]}, got {out.sizes}")
+    triple, defect = _certificate(assemble_raising(t), _lowering(t.sizes, out.maps[::-1]))
+    out_residuals, out_is_complex = _compositions(out.maps, tol)
     residuals = {
         "composition_residuals": list(cert.composition_residuals),
-        "inverse_composition_residuals": list(cert_out.composition_residuals),
+        "inverse_composition_residuals": list(out_residuals),
         "triple_residuals": list(triple.residuals),
         "characteristic_defect": defect,
     }
-    passed = cert_out.is_complex and triple.passes(tol) and defect <= tol.residual_tol
+    passed = out_is_complex and triple.passes(tol) and defect <= tol.residual_tol
     return Report(residuals, passed)
-
-

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical
 from .errors import ShapeMismatch, SymmetryViolation
-from .graded import Sl2Triple, _as_vector, bracket, vector_pinv
+from .graded import _as_vector, _bracket, _certificate, vector_pinv
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
@@ -118,12 +118,8 @@ def verify_form_pinv(
 # ---------------------------------------------------------------------------
 
 
-def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triple (e_v, [e_v, f_w], f_w) in the short vector grading of so_{d+2}."""
-    v = _as_vector(v)
-    w = _as_vector(w)
-    if v.shape != w.shape or v.size == 0:
-        raise ShapeMismatch("vectors must share a positive dimension")
+def _vector_legs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e_v and f_w of checked vectors of one shape in the short grading of so_{d+2}."""
     # blocks (1, 2) and (2, 1) with their partners under the split form
     n = v.size + 2
     e = np.zeros((n, n), dtype=complex)
@@ -132,25 +128,28 @@ def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = np.zeros_like(e)
     f[1:-1, 0] = w
     f[-1, 1:-1] = -w
-    return e, bracket(e, f), f
+    return e, f
 
 
-def _triple_report(e, h, f, defect: float, tol: Tolerance) -> Report:
-    """Largest sl2 residual of (e, h, f) and the compact-form defect of h."""
-    triple = Sl2Triple.from_elements(e, h, f)
-    return Report.gated(
-        {"triple_residual": triple.max_residual(), "characteristic_defect": defect}, tol
-    )
+def _vector_pair(v, w, empty_ok: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Checked vectors of one shape; that shape may be empty only with ``empty_ok``."""
+    v, w = _as_vector(v), _as_vector(w)
+    if v.shape != w.shape or (v.size == 0 and not empty_ok):
+        raise ShapeMismatch("vectors must share a positive dimension")
+    return v, w
+
+
+def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triple (e_v, [e_v, f_w], f_w) in the short vector grading of so_{d+2}."""
+    e, f = _vector_legs(*_vector_pair(v, w, empty_ok=False))
+    return e, _bracket(e, f), f
 
 
 def verify_vector_pinv(v, w, tol: Tolerance = DEFAULT_TOL) -> Report:
-    """Check that w inverts v: homogeneous sl2-triple with Hermitian h."""
-    v = _as_vector(v)
-    w = _as_vector(w)
-    if frob(v) == 0.0 and frob(w) == 0.0:
-        return Report.gated({"triple_residual": 0.0, "characteristic_defect": 0.0}, tol)
-    e, h, f = vector_triple(v, w)
-    return _triple_report(e, h, f, frob(h - h.conj().T) / (1.0 + frob(h)), tol)
+    """Check that w inverts v: homogeneous sl2-triple with Hermitian h (empty vectors pass)."""
+    triple, defect = _certificate(*_vector_legs(*_vector_pair(v, w, empty_ok=True)))
+    residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
+    return Report.gated(residuals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +219,12 @@ def pseudo_euclidean_triple(
     stated inverse formulas satisfy the sl2 relations with h in the symmetric
     part of the Levi.
     """
-    v = _as_real_vector(space, v)
-    w = _as_real_vector(space, w)
+    e, f = _pseudo_legs(space, _as_real_vector(space, v), _as_real_vector(space, w))
+    return e, _bracket(e, f), f
+
+
+def _pseudo_legs(space, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e and f of :func:`pseudo_euclidean_triple` for checked vectors."""
     d = space.dim
     ivec = space.signature_matrix
     e = np.zeros((d + 2, d + 2))
@@ -231,7 +234,7 @@ def pseudo_euclidean_triple(
     f = np.zeros((d + 2, d + 2))
     f[1 : d + 1, 0] = p
     f[d + 1, 1 : d + 1] = -(ivec @ p)
-    return e, bracket(e, f), f
+    return e, f
 
 
 def verify_pseudo_euclidean_pinv(
@@ -240,10 +243,9 @@ def verify_pseudo_euclidean_pinv(
     """Check the defining conditions: sl2 relations with real symmetric h."""
     v = _as_real_vector(space, v)
     w = _as_real_vector(space, w)
-    if frob(v) == 0.0 and frob(w) == 0.0:
-        return Report.gated({"triple_residual": 0.0, "characteristic_defect": 0.0}, tol)
-    e, h, f = pseudo_euclidean_triple(space, v, w)
-    return _triple_report(e, h, f, (frob(h - h.T) + frob(h.imag)) / (1.0 + frob(h)), tol)
+    triple, defect = _certificate(*_pseudo_legs(space, v, w))
+    residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
+    return Report.gated(residuals, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ __all__ = [
 
 def bracket(x, y) -> np.ndarray:
     """Matrix commutator [x, y] = xy - yx."""
-    x = as_matrix(x)
-    y = as_matrix(y)
+    x, y = as_matrix(x), as_matrix(y)
     _square_pair(x, y)
     return _bracket(x, y)
 
@@ -153,12 +152,6 @@ def _bracket_coords(x: np.ndarray, source: _IndexBasis, target: _IndexBasis) -> 
     return target.coords(source.brackets(x)).T
 
 
-def _unit_scale(x: np.ndarray) -> float:
-    """The power of two nearest |x|_F (1 for zero); dividing by it is exact."""
-    norm = frob(x)
-    return 2.0 ** np.round(np.log2(norm)) if norm > 0.0 else 1.0
-
-
 class GradedAlgebra:
     """A classical matrix Lie algebra with a block Z-grading.
 
@@ -176,7 +169,7 @@ class GradedAlgebra:
     m = 0, the n - 1 Helmert rows of the traceless diagonal.
     """
 
-    def __init__(self, kind: str, blocks, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, kind: str, blocks):
         kind = str(kind).lower()
         if kind not in ("sl", "so", "sp"):
             raise ValueError(f"kind must be 'sl', 'so' or 'sp', got {kind!r}")
@@ -186,7 +179,6 @@ class GradedAlgebra:
         self.kind = kind
         self.blocks = blocks
         self.ambient_dim = sum(blocks)
-        self.tol = tol
 
         k = len(blocks)
         if kind in ("so", "sp"):
@@ -338,11 +330,11 @@ class GradedAlgebra:
         x = self._check_ambient(x)
         return frob(x - self._project(x))
 
-    def require_member(self, x) -> np.ndarray:
+    def require_member(self, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """x as a checked ambient ndarray; NotInAlgebra unless x lies in the algebra."""
         x = self._check_ambient(x)
         res = frob(x - self._project(x))
-        if res > self.tol.residual_tol * (1.0 + frob(x)):
+        if res > tol.residual_tol * (1.0 + frob(x)):
             raise NotInAlgebra(
                 f"membership residual {res:.3e} exceeds tolerance for {self.kind}{self.blocks}"
             )
@@ -352,15 +344,15 @@ class GradedAlgebra:
         x = self._check_ambient(x)
         return np.where(self._degree_mask == m, x, 0.0)
 
-    def homogeneous_degree(self, x, tol: Tolerance | None = None) -> int | None:
+    def homogeneous_degree(self, x, tol: Tolerance = DEFAULT_TOL) -> int | None:
         """Degree of a homogeneous element, None for zero; errors if mixed."""
-        return self._degree(self.require_member(x), tol)
+        return self._degree(self.require_member(x, tol), tol)
 
-    def _degree(self, x: np.ndarray, tol: Tolerance | None = None) -> int | None:
+    def _degree(self, x: np.ndarray, tol: Tolerance) -> int | None:
         scale = frob(x)
         if scale == 0.0:
             return None
-        cut = (tol or self.tol).residual_tol * scale
+        cut = tol.residual_tol * scale
         present = [m for m in self.degrees if frob(x[self._degree_mask == m]) > cut]
         if len(present) != 1:
             raise ValueError(f"element is not homogeneous; degrees with mass: {present}")
@@ -373,10 +365,9 @@ class GradedAlgebra:
         whole = self._index_basis()
         return _bracket_coords(self._check_ambient(x), whole, whole)
 
-    def killing(self, x, y) -> complex:
+    def killing(self, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
         """Killing form B(x, y) = Tr(ad x . ad y) on the algebra."""
-        x = self.require_member(x)
-        y = self.require_member(y)
+        x, y = self.require_member(x, tol), self.require_member(y, tol)
         return complex(np.einsum("ij,ji->", self.ad(x), self.ad(y)))
 
     def element_from_block(self, i: int, j: int, block) -> np.ndarray:
@@ -389,8 +380,7 @@ class GradedAlgebra:
         if i == j:
             raise ValueError("element_from_block needs i != j")
         block = as_matrix(block)
-        di = self.blocks[i - 1]
-        dj = self.blocks[j - 1]
+        di, dj = self.blocks[i - 1], self.blocks[j - 1]
         if block.shape != (di, dj):
             raise ShapeMismatch(f"block ({i},{j}) must be {di}x{dj}, got {block.shape}")
         n = self.ambient_dim
@@ -430,8 +420,9 @@ class GradedAlgebra:
 class Sl2Triple:
     """Elements (e, h, f) with the bracket relations as testable residuals.
 
-    The residuals are relative: each defect norm is divided by
-    1 + |e| + |h| + |f|.  The zero triple is legal and has zero residuals.
+    The residuals are those of (e / 2**k, h, f * 2**k), e / 2**k at unit scale,
+    so no term overflows at any finite e; each defect norm is divided by
+    1 + |e / 2**k| + |h| + |f * 2**k|.  The zero triple has zero residuals.
     """
 
     e: np.ndarray
@@ -477,13 +468,25 @@ class CharacteristicResult:
 
 def _triple(e: np.ndarray, h: np.ndarray, f: np.ndarray) -> Sl2Triple:
     """Sl2Triple.from_elements of checked ndarrays of one square shape."""
-    scale = 1.0 + frob(e) + frob(h) + frob(f)
+    k = _unit_exponent(e)
+    # 2**k is finite for every finite e; an f past the range fails as an inf residual
+    unit_e, unit_f = _ldexp(e, -k), f * np.ldexp(1.0, k)
+    scale = 1.0 + frob(unit_e) + frob(h) + frob(unit_f)
     res = (
-        frob(_bracket(e, f) - h) / scale,
-        frob(_bracket(h, e) - 2.0 * e) / scale,
-        frob(_bracket(h, f) + 2.0 * f) / scale,
+        frob(_bracket(unit_e, unit_f) - h) / scale,
+        frob(_bracket(h, unit_e) - 2.0 * unit_e) / scale,
+        frob(_bracket(h, unit_f) + 2.0 * unit_f) / scale,
     )
     return Sl2Triple(e, h, f, res)
+
+
+def _certificate(e: np.ndarray, f: np.ndarray) -> tuple[Sl2Triple, float]:
+    """(e, [e, f], f) of checked ndarrays and its defect |h - h*| / (1 + |h|).
+
+    f is the Moore-Penrose inverse of e when the residuals and the defect are small.
+    """
+    h = _bracket(e, f)
+    return _triple(e, h, f), frob(h - h.conj().T) / (1.0 + frob(h))
 
 
 def _completion_system(e, neg: _IndexBasis, res: _IndexBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -502,8 +505,8 @@ def _minimal_triple(
     so the Frobenius minimizer is the one orthogonal to the direction space.
     The second leg f is recovered from the joint linear system
     [e, f] = h, [h, f] = -2f, which has a unique solution.  The systems are
-    solved for e / s with s a power of two near |e|: h does not depend on the
-    scale of e, and f scales by 1 / s.
+    solved for e / s, s a power of two near the largest entry of e: h does not
+    depend on the scale of e, and f scales by 1 / s.
     """
     if frob(e) == 0.0:
         zero = np.zeros_like(e)
@@ -511,8 +514,8 @@ def _minimal_triple(
     if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
-    scale = _unit_scale(e)
-    unit = e / scale
+    k = _unit_exponent(e)
+    unit = _ldexp(e, -k)
     br_e, c_mat = _completion_system(unit, neg, res)
     m_obj = h_basis.coords(br_e).T
     d = 2.0 * res.coords(unit)
@@ -533,7 +536,7 @@ def _minimal_triple(
     gap = frob(a_full @ fc - b_full)
     if gap > tol.residual_tol * (1.0 + frob(h) + frob(unit)):
         raise NoTriple(f"f-recovery residual {gap:.3e} above tolerance")
-    f = neg.combine(fc) / scale
+    f = _ldexp(neg.combine(fc), -k)
 
     triple = _triple(e, h, f)
     defect = frob(h - h.conj().T)
@@ -545,7 +548,7 @@ def minimal_characteristic(
     alg: GradedAlgebra,
     e,
     degree: int | None = None,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> CharacteristicResult:
     """Complete a nilpotent e to the sl2-triple of minimal-norm characteristic.
 
@@ -556,8 +559,7 @@ def minimal_characteristic(
     these realizations is a fixed positive multiple of the squared Frobenius
     norm.
     """
-    tol = tol or alg.tol
-    e = alg.require_member(e)
+    e = alg.require_member(e, tol)
     if degree != 0:
         inferred = alg._degree(e, tol)
         if degree is None:
@@ -571,7 +573,7 @@ def minimal_characteristic(
 
 
 def characteristic_direction_space(
-    alg: GradedAlgebra, e, degree: int | None = None, tol: Tolerance | None = None
+    alg: GradedAlgebra, e, degree: int | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Orthonormal basis of the direction space of the characteristic affine set.
 
@@ -580,15 +582,14 @@ def characteristic_direction_space(
     kernel of the completion constraint.  Returns a (count, n, n) stack;
     empty when the characteristic is unique.
     """
-    tol = tol or alg.tol
-    e = alg.require_member(e)
+    e = alg.require_member(e, tol)
     if degree is None:
         degree = alg._degree(e, tol) or 0
     neg = alg._index_basis(-degree if degree != 0 else None)
     res = alg._index_basis(degree if degree != 0 else None)
     if frob(e) == 0.0 or neg.count == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    br_e, c_mat = _completion_system(e / _unit_scale(e), neg, res)
+    br_e, c_mat = _completion_system(_ldexp(e, -_unit_exponent(e)), neg, res)
     null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
     if null.shape[1] == 0:
         return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
@@ -627,7 +628,7 @@ def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _ldexp(w, -exp)
 
 
-def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.ndarray:
+def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a homogeneous element of a short grading.
 
     The inverse f is the third leg of the sl2-triple of e with Hermitian
@@ -638,10 +639,9 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> np.
     both are scale-free.  The triple (e, [e, f], f) is checked, and its
     characteristic must be Hermitian.
     """
-    tol = tol or alg.tol
     if not alg.is_short:
         raise NotShortGrading(f"grading of {alg!r} has degrees {alg.degrees}")
-    e = alg.require_member(e)
+    e = alg.require_member(e, tol)
     return _mp_inverse_short(alg, e, alg._degree(e, tol), tol)
 
 
@@ -661,13 +661,12 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
         f = alg._project(f)
     else:
         f = alg.element_from_block(j, i, vector_pinv(block, tol).reshape(block.shape[::-1]))
-    triple = _triple(e, _bracket(e, f), f)
+    triple, defect = _certificate(e, f)
     if not triple.passes(tol):
         raise ArithmeticError(
             f"closed-form triple residuals {list(triple.residuals)} above tolerance"
         )
-    defect = frob(triple.h - triple.h.conj().T)
-    if defect > tol.residual_tol * (1.0 + frob(triple.h)):
+    if defect > tol.residual_tol:
         raise ArithmeticError(
             f"closed-form characteristic unexpectedly non-Hermitian "
             f"(defect {defect:.3e}) in a short grading"
@@ -675,24 +674,24 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
     return f
 
 
-def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance | None = None) -> bool:
+def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Raising-space criterion: does ad(e) kill the positive ad(h)-part of g_0?
 
     h must be a characteristic of e (any homogeneous triple works; the answer
     does not depend on the choice).  The degree-0 part of the algebra is
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
-    The test runs on e / s, s a power of two near |e|, so it is scale-free.
+    The test runs on e / s, s a power of two near max |e_ij|, so it is scale-free.
     """
-    return _annihilates_positive_part(alg, alg.require_member(e), alg.require_member(h), tol)
+    e, h = alg.require_member(e, tol), alg.require_member(h, tol)
+    return _annihilates_positive_part(alg, e, h, tol)
 
 
 def _annihilates_positive_part(
-    alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance | None
+    alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance
 ) -> bool:
     """annihilates_positive_part of checked members e and h."""
-    tol = tol or alg.tol
-    e = e / _unit_scale(e)
+    e = _ldexp(e, -_unit_exponent(e))
     zero = alg._index_basis(0)
     eigvals, eigvecs = np.linalg.eig(_bracket_coords(h, zero, zero))
     positive = eigvecs[:, eigvals.real > 0.5]
@@ -706,23 +705,20 @@ def is_mp_element(
     alg: GradedAlgebra,
     e,
     degree: int | None = None,
-    tol: Tolerance | None = None,
-    cross_check: bool = True,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> bool:
     """Whether e admits a homogeneous sl2-triple with Hermitian characteristic.
 
-    Decided through the minimal characteristic.  With cross_check the
-    raising-space criterion is evaluated on the same triple: a positive
-    criterion forces a Hermitian characteristic (the whole orbit is
-    Moore-Penrose), and a violation of that implication raises
-    ArithmeticError.  The converse is not asserted: an orbit that is not
-    Moore-Penrose can still contain special elements in Hermitian position,
-    so criterion False with a Hermitian characteristic is a legitimate
-    outcome, not a numerical failure.
+    Decided through the minimal characteristic and cross-checked with the
+    raising-space criterion on the same triple: a positive criterion forces
+    a Hermitian characteristic (the whole orbit is Moore-Penrose), and a
+    violation of that implication raises ArithmeticError.  The converse is
+    not asserted: an orbit that is not Moore-Penrose can still contain
+    special elements in Hermitian position, so criterion False with a
+    Hermitian characteristic is a legitimate outcome, not a numerical failure.
     """
-    tol = tol or alg.tol
     result = minimal_characteristic(alg, e, degree, tol)
-    if cross_check and frob(result.e) > 0.0:
+    if frob(result.e) > 0.0:
         crit = _annihilates_positive_part(alg, result.e, result.h, tol)
         if crit and not result.is_hermitian:
             raise ArithmeticError(
@@ -732,20 +728,19 @@ def is_mp_element(
     return result.is_hermitian
 
 
-def orbit_height(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> int:
+def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     """Height of the nilpotent orbit: the largest k with ad(e)^k != 0.
 
-    Powers of ad(e / s), s a power of two near |e|, are compared against
+    Powers of ad(e / s), s a power of two near max |e_ij|, are compared against
     residual_tol * |ad(e / s)|^k, so the decision is scale-invariant and the
     powers stay in range; the zero element has height 0.  NotNilpotent is
     raised when ad(e)^dim does not vanish.
     """
-    return _orbit_height(alg, alg.require_member(e), tol)
+    return _orbit_height(alg, alg.require_member(e, tol), tol)
 
 
-def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance | None) -> int:
-    tol = tol or alg.tol
-    ad_e = alg.ad(e / _unit_scale(e))
+def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
+    ad_e = alg.ad(_ldexp(e, -_unit_exponent(e)))
     top = np.linalg.norm(ad_e, 2) if ad_e.size else 0.0
     power = np.eye(ad_e.shape[0], dtype=complex)
     for k in range(1, alg.dim + 1):
@@ -757,32 +752,30 @@ def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance | None) -> i
     return 0
 
 
-def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance | None = None) -> bool:
+def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the adjoint orbit of a nonzero nilpotent is Moore-Penrose.
 
     Equivalent to the orbit having height exactly 2.
     """
-    tol = tol or alg.tol
-    e = alg.require_member(e)
+    e = alg.require_member(e, tol)
     if frob(e) == 0.0:
         raise ZeroElement("the zero element does not generate a nilpotent orbit")
     return _orbit_height(alg, e, tol) == 2
 
 
 def multidegree_characteristic(
-    alg: GradedAlgebra, i: int, j: int, e, tol: Tolerance | None = None
+    alg: GradedAlgebra, i: int, j: int, e, tol: Tolerance = DEFAULT_TOL
 ) -> CharacteristicResult:
     """Minimal characteristic for an element supported on the single block (i, j).
 
     This is the per-multidegree problem of a parabolic of sl_n: the opposite
     leg is searched in the transposed block (j, i) only.
     """
-    tol = tol or alg.tol
     if alg.kind != "sl":
         raise ValueError("multidegree checks are defined for sl gradings")
     if i == j:
         raise ValueError("block position must be off-diagonal")
-    e = alg.require_member(e)
+    e = alg.require_member(e, tol)
     inside = np.zeros_like(e)
     sl_i, sl_j = alg.block_slice(i), alg.block_slice(j)
     inside[sl_i, sl_j] = e[sl_i, sl_j]
@@ -798,7 +791,7 @@ def multidegree_characteristic(
 
 
 def mp_check_multidegree(
-    alg: GradedAlgebra, i: int, j: int, e, tol: Tolerance | None = None
+    alg: GradedAlgebra, i: int, j: int, e, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
     """Moore-Penrose property of a single-block element of a parabolic of sl_n."""
     return multidegree_characteristic(alg, i, j, e, tol).is_hermitian

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
 from .graded import GradedAlgebra, _bracket, _bracket_coords, _mp_inverse_short, bracket
-from .numcore import Report, Tolerance, as_matrix, frob
+from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob
 
 __all__ = [
     "JordanPair",
@@ -55,16 +55,16 @@ class JordanPair:
     def dim(self) -> int:
         return self.index_plus.count
 
-    def component_of(self, x, tol: Tolerance | None = None) -> int:
+    def component_of(self, x, tol: Tolerance = DEFAULT_TOL) -> int:
         """+1 or -1 depending on which component x lies in (0 for zero)."""
-        return self._component(self.algebra.require_member(x), tol)
+        return self._component(self.algebra.require_member(x, tol), tol)
 
-    def require_component(self, x, sign: int, tol: Tolerance | None = None) -> np.ndarray:
-        x = self.algebra.require_member(x)
+    def require_component(self, x, sign: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        x = self.algebra.require_member(x, tol)
         self._component(x, tol, sign)
         return x
 
-    def _component(self, x: np.ndarray, tol: Tolerance | None = None, expect: int = 0) -> int:
+    def _component(self, x: np.ndarray, tol: Tolerance, expect: int = 0) -> int:
         """component_of a checked member; WrongComponent if it is nonzero outside V_expect."""
         degree = self.algebra._degree(x, tol)
         if degree is None:
@@ -93,18 +93,18 @@ class JordanPair:
         return 0.5 * _bracket_coords(xy, self._index(sign), self._index(sign))
 
 
-def triple_product(pair: JordanPair, x, y, z, tol: Tolerance | None = None) -> np.ndarray:
+def triple_product(pair: JordanPair, x, y, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """{x, y, z} = [[x, y], z] / 2 with x, z in one component and y in the other."""
-    x, y, z = (pair.algebra.require_member(m) for m in (x, y, z))
+    x, y, z = (pair.algebra.require_member(m, tol) for m in (x, y, z))
     sign = pair._component(x, tol)
     sign = pair._component(z, tol, sign) or sign or 1  # x = 0 takes the side of z
     pair._component(y, tol, -sign)
     return 0.5 * _bracket(_bracket(x, y), z)
 
 
-def killing_pairing(pair: JordanPair, x, y, tol: Tolerance | None = None) -> complex:
+def killing_pairing(pair: JordanPair, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
     """B(x, y) = Tr of z -> {x, y, z} on the component of x."""
-    x, y = pair.algebra.require_member(x), pair.algebra.require_member(y)
+    x, y = pair.algebra.require_member(x, tol), pair.algebra.require_member(y, tol)
     sign = pair._component(x, tol)
     if sign == 0:
         return 0.0 + 0.0j
@@ -137,8 +137,8 @@ class CartanInvolution:
     omega_plus: np.ndarray
     omega_minus: np.ndarray
 
-    def apply(self, pair: JordanPair, x, tol: Tolerance | None = None) -> np.ndarray:
-        x = pair.algebra.require_member(x)
+    def apply(self, pair: JordanPair, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        x = pair.algebra.require_member(x, tol)
         sign = pair._component(x, tol)
         if sign == 0:
             return np.zeros_like(x)
@@ -173,7 +173,7 @@ def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.nd
 
 
 def mp_inverse_jordan(
-    pair: JordanPair, inv: CartanInvolution, a, tol: Tolerance | None = None
+    pair: JordanPair, inv: CartanInvolution, a, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, Report]:
     """The unique element satisfying (*) and (**), via the short-grading closed form.
 
@@ -181,8 +181,7 @@ def mp_inverse_jordan(
     verified against the pair equations and returned with that report (a
     failing report raises ArithmeticError instead).
     """
-    tol = tol or pair.algebra.tol
-    a = pair.algebra.require_member(a)
+    a = pair.algebra.require_member(a, tol)
     sign = pair._component(a, tol)  # WrongComponent unless a lies in V+ or V-
     x = _mp_inverse_short(pair.algebra, a, sign or None, tol)
     report = verify_jordan_mp(pair, inv, a, x, tol)
@@ -194,15 +193,14 @@ def mp_inverse_jordan(
 
 
 def verify_jordan_mp(
-    pair: JordanPair, inv: CartanInvolution, a, x, tol: Tolerance | None = None
+    pair: JordanPair, inv: CartanInvolution, a, x, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
     """Residuals of (*) and the Hermitian defects of the two operators in (**).
 
     The component of a is decided once and that of x is required once; then
     {a x a} and {x a x} come from the one commutator [a, x].
     """
-    tol = tol or pair.algebra.tol
-    a, x = pair.algebra.require_member(a), pair.algebra.require_member(x)
+    a, x = pair.algebra.require_member(a, tol), pair.algebra.require_member(x, tol)
     sign = pair._component(a, tol)
     sign = -pair._component(x, tol, -sign) or sign or 1  # a = 0 takes the side opposite x
     ax = _bracket(a, x)

@@ -9,16 +9,14 @@ there is deliberately no native quaternion factorization.
 All inputs must be finite; all outputs are fresh arrays.  Every function is
 pure, so concurrent use is safe.
 
-In ``graded`` and ``jordan`` each public function checks its arguments once,
+Throughout the package each public function checks its arguments once,
 where they enter (finite entries, shapes, membership, degree or component);
-``_``-prefixed helpers take checked ndarrays and check nothing again.  Two
-public calls stay inside those chains so that their call counts keep their
-meaning: ``GradedAlgebra.ad`` (in ``orbit_height`` and ``killing``) and
-``JordanPair.operator_matrix`` (in ``verify_jordan_mp``).  ``homform``
-follows the rule too, with ``classify_orbit`` and ``verify_homform`` kept as
-public calls inside ``mp_inverse_homform`` for the same reason.  ``forms`` and
-``complexes`` do not follow it yet: they still re-check between their public
-functions.
+``_``-prefixed helpers take checked ndarrays and check nothing again.  A few
+public calls stay inside those chains so that their counted metrics keep
+their meaning: ``GradedAlgebra.ad``, ``JordanPair.operator_matrix``,
+``classify_orbit``, ``verify_homform``, ``certify_complex``,
+``classical.pinv`` and ``rank_decomposition``.  The tolerance is each call's
+argument, never the state of an object.
 """
 
 from __future__ import annotations
@@ -279,14 +277,7 @@ class Quaternion:
                           self.c + other.c, self.d + other.d)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        return Quaternion(*_hamilton(self.as_array(), other.as_array()).tolist())
 
     def norm(self) -> float:
         return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))

@@ -133,7 +133,7 @@ def homform_basis_solve(form, f_mat, b: int, tol=DEFAULT_TOL) -> np.ndarray:
 
 
 def jordan_mp_fixed_point(pair, inv, a, scale: float = 1.0, max_iter: int = 150,
-                          tol=None) -> np.ndarray:
+                          tol=DEFAULT_TOL) -> np.ndarray:
     """Solve the Jordan-pair equations by a guarded Newton-Schulz refinement.
 
     Iterates X <- 2X - {X, A, X} from X0 = scale * omega(A) / nu, where nu is
@@ -145,7 +145,6 @@ def jordan_mp_fixed_point(pair, inv, a, scale: float = 1.0, max_iter: int = 150,
     is independent of the closed form and of the sl2 engine, and tests
     uniqueness.
     """
-    tol = tol or pair.algebra.tol
     a = as_matrix(a)
     if frob(a) == 0.0:
         return np.zeros_like(a)

@@ -1,6 +1,8 @@
 import importlib
 import json
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -68,7 +70,7 @@ class TestGoldenFiles:
 
 
 # Verifier calls per job on the golden inputs.  Each check runs once; complex-pinv
-# certifies its input and its output.
+# certifies its input, and its verifier checks the output's compositions itself.
 VERIFIERS = {
     "classical": ("verify_penrose",),
     "forms": ("verify_form_pinv", "verify_vector_pinv", "verify_pseudo_euclidean_pinv",
@@ -84,7 +86,7 @@ VERIFIER_CALLS = {
     "pseudo-pinv": {"verify_pseudo_euclidean_pinv": 1},
     "hermitian-pinv": {"verify_hermitian_pinv": 1},
     "homform": {"classify_orbit": 1, "verify_homform": 1},
-    "complex-pinv": {"certify_complex": 2, "verify_complex_pinv": 1},
+    "complex-pinv": {"certify_complex": 1, "verify_complex_pinv": 1},
     "jordan-mp": {"verify_jordan_mp": 1},
 }
 
@@ -188,7 +190,7 @@ class TestRegenGoldens:
 
 
 class TestCheckOnce:
-    """A jordan-mp job checks each argument where it enters, and decides each degree once."""
+    """A job checks each argument where it enters, and decides each degree once."""
 
     COUNTED = {"numcore": ("as_matrix",),
                "graded": ("GradedAlgebra.homogeneous_degree", "GradedAlgebra._degree")}
@@ -200,6 +202,20 @@ class TestCheckOnce:
         assert counts.get("GradedAlgebra.homogeneous_degree", 0) <= 4
         assert counts["GradedAlgebra._degree"] <= 4  # every decision, public or internal
         assert counts["as_matrix"] <= 25
+
+    @pytest.mark.parametrize("command", ["vector-pinv", "pseudo-pinv"])
+    def test_vector_verifiers(self, monkeypatch, command):
+        counts = count_calls(monkeypatch, {"numcore": ("as_matrix",),
+                                           "graded": ("bracket", "Sl2Triple.from_elements")})
+        assert run_job(golden_job(command))[0] == EXIT_OK
+        # before the shared sl2 certificate: 5 as_matrix, 1 bracket, 1 from_elements
+        assert counts == {}
+
+    def test_complex_pinv(self, monkeypatch):
+        counts = count_calls(monkeypatch, {"numcore": ("as_matrix", "rank_decomposition")})
+        assert run_job(golden_job("complex-pinv"))[0] == EXIT_OK
+        # before: 19 as_matrix and 6 rank_decomposition, the output's ranks decided again
+        assert counts["as_matrix"] <= 6 and counts["rank_decomposition"] <= 4
 
 
 class TestOneDecomposition:
@@ -251,6 +267,134 @@ class TestExceptionFirewall:
         assert bad["error"] == "MemoryError: Unable to allocate 7.28 TiB"
         want = (GOLDEN / "homform.out.json").read_text()
         assert (out_dir / "good.out.json").read_text() == want
+
+
+class TestBoundaryFuzz:
+    """Small documents, malformed or not, for every command: the CLI answers each with an
+    exit code and a JSON output, and none ends in the per-job exception firewall."""
+
+    # the firewall writes "<ExceptionType>: message" (e.g. "_ArrayMemoryError: ..."); an
+    # input error starts with a lower-case field name
+    FIREWALL = re.compile(r"^_?[A-Z][A-Za-z]*: ")
+    # entries near 1e308, where [h, e] - 2e overflows unless e is at unit scale; each passes
+    UNIT_SCALE = [
+        ("vector-pinv", {"vector": [1e308, 1.6, -0.35]}),
+        ("pseudo-pinv", {"signature": [2, 1], "vector": [1e308, 1.6, -0.35]}),
+        ("complex-pinv", {"sizes": [2, 2], "maps": [[[1e308, 0], [0, 1]]]}),
+        *((command, {"algebra": "sl", "blocks": [2, 2], "degree": 1,
+                     "element": [[0, 0, 1e308, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]})
+          for command in ("sl2-complete", "mp-element")),
+    ]
+
+    @classmethod
+    def run(cls, command, doc) -> tuple[int, dict]:
+        with tempfile.TemporaryDirectory() as scratch:
+            doc_path, out_path = Path(scratch, "doc.json"), Path(scratch, "doc.out.json")
+            doc_path.write_text(json.dumps(doc))
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main([command, str(doc_path), "--output", str(out_path)])
+            output = json.loads(out_path.read_text())
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_VERIFY, EXIT_NO_INVERSE)
+        assert not cls.FIREWALL.match(output.get("error", "")), output["error"]
+        return code, output
+
+    @pytest.mark.parametrize("command, doc", UNIT_SCALE, ids=[c for c, _ in UNIT_SCALE])
+    def test_unit_scale_documents_pass(self, command, doc):
+        code, output = self.run(command, doc)
+        assert code == EXIT_OK and output["passed"], output
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(job=st.data())
+    def test_documents(self, job):
+        self.run(*job.draw(_fuzz_documents()))
+
+
+NUMBER = st.sampled_from([0, 0, 0, 1, -1, 0.5, -2.5, 1e-300, 1e308, -1e308])
+JUNK = st.sampled_from([None, True, False, "x", {}, [], [[]], [1, [2]], 3])
+
+
+def _entries(rows, cols, entry=NUMBER):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _matrix(entry=st.one_of(NUMBER, st.lists(NUMBER, min_size=2, max_size=2))):
+    """A regular matrix up to 5 x 5, a ragged one, or junk."""
+    regular = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda s: _entries(*s, entry))
+    return st.one_of(regular, regular, st.lists(st.lists(entry, max_size=5), max_size=5), JUNK)
+
+
+@st.composite
+def _mirrored(draw, sign=1):
+    """A real square matrix with m[j][i] = sign * m[i][j]."""
+    n = draw(st.integers(1, 5))
+    m = draw(_entries(n, n))
+    return [[m[i][j] if i <= j else sign * m[j][i] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _graded_doc(draw):
+    kind = draw(st.sampled_from(["sl", "sl", "so", "sp"]))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = [[a, b], [a, b, b], [a]] if kind == "sl" else [[a, a], [a, 2, a], [a, b, a]]
+    blocks = draw(st.sampled_from(shapes))
+    i, j = draw(st.sampled_from([(i, j) for i in range(1, len(blocks) + 1)
+                                 for j in range(1, len(blocks) + 1) if i != j] or [(1, 1)]))
+    block = np.array(draw(_entries(blocks[i - 1], blocks[j - 1])), dtype=float)
+    try:
+        element = GradedAlgebra(kind, blocks).element_from_block(i, j, block)
+    except Exception:  # noqa: BLE001 - an invalid algebra or block still makes a document
+        element = np.zeros((sum(blocks), sum(blocks)))
+    doc = {"algebra": kind, "blocks": blocks, "element": element.real.tolist()}
+    if draw(st.booleans()):
+        doc["degree"] = draw(st.sampled_from([-1, 0, 1, 2, True]))
+    if draw(st.integers(0, 3)) == 0:
+        doc["element"] = draw(_matrix())
+    return doc
+
+
+@st.composite
+def _complex_doc(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    maps = [draw(_entries(d, e)) for d, e in zip(sizes, sizes[1:])]
+    return {"sizes": sizes, "maps": maps}
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """(command, document) for each of the commands, with now and then one field spoilt."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    field_kind = st.sampled_from(["complex", "real", "quaternion"])
+    symmetry = st.sampled_from(["symmetric", "skew"])
+    if command in ("pinv", "hermitian-pinv"):
+        kind = draw(field_kind)
+        matrix = (_matrix(st.lists(NUMBER, min_size=4, max_size=4)) if kind == "quaternion"
+                  else st.one_of(_matrix(), _mirrored(), _mirrored(-1)))
+        doc = {"field": kind, "matrix": draw(matrix)}
+    elif command == "form-pinv":
+        sym = draw(symmetry)
+        doc = {"symmetry": sym, "gram": draw(_mirrored(1 if sym == "symmetric" else -1))}
+    elif command == "homform":
+        n, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        form = draw(st.sampled_from([{"symmetry": "symmetric", "gram": np.eye(n).tolist()},
+                                     {"symmetry": "skew", "gram": [[0, 1], [-1, 0]]}]))
+        rows = len(form["gram"])
+        doc = {"form": form, "map": draw(st.one_of(_entries(rows, k), _matrix()))}
+    elif command == "vector-pinv":
+        doc = {"vector": draw(st.lists(st.one_of(NUMBER, st.lists(NUMBER, min_size=2, max_size=2)),
+                                       max_size=5))}
+    elif command == "pseudo-pinv":
+        n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        doc = {"signature": [n, m], "vector": draw(st.lists(NUMBER, min_size=n + m,
+                                                            max_size=n + m))}
+    elif command == "complex-pinv":
+        doc = draw(_complex_doc())
+    elif command == "report-table":
+        doc = {}
+    else:
+        doc = draw(_graded_doc())
+    if doc and draw(st.integers(0, 4)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return command, doc
 
 
 class TestIsotropicVector:
@@ -453,6 +597,23 @@ class TestMainEntry:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["result"]["is_hermitian"] is True
+
+    @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
+    def test_tolerance_flags_reach_the_minimality_margin(self, tmp_path, command):
+        # a rank-one degree-1 element of sl(2, 2) off the algebra by 1e-6 * I: a member at
+        # --tol-residual 1e-4, not at the default, with a nonzero characteristic direction space
+        element = np.zeros((4, 4))
+        element[0, 2] = 1.0
+        element += 1e-6 * np.eye(4)
+        doc = tmp_path / "elem.json"
+        doc.write_text(json.dumps({"algebra": "sl", "blocks": [2, 2], "degree": 1,
+                                   "element": encode_complex_matrix(element).tolist()}))
+        out = tmp_path / "o.json"
+        assert main([command, str(doc), "--output", str(out)]) == EXIT_INPUT
+        code = main([command, str(doc), "--tol-residual", "1e-4", "--output", str(out)])
+        payload = json.loads(out.read_text())
+        assert code == EXIT_OK and payload["passed"], payload
+        assert payload["verification"]["minimality_margin"] > 0.5
 
     def test_batch_mode(self, tmp_path):
         import shutil

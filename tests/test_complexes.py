@@ -47,14 +47,20 @@ class TestCertify:
 
 
 class TestComplexPinv:
-    def test_overflowing_triple_fails(self):
-        # [h, e] overflows, so one triple residual is nan
+    def test_triple_at_1e308_passes(self):
+        # [h, e] - 2e would overflow here; the residuals are taken with e at unit scale
         t = chain((1, 1), [[[1e308]]])
         out, cert = complex_pinv(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = verify_complex_pinv(t, cert, out)
-        assert np.isnan(report.residuals["triple_residuals"][1])
-        assert not report.passed
+        report = verify_complex_pinv(t, cert, out)
+        assert report.passed and max(report.residuals["triple_residuals"]) <= 1e-15
+
+    def test_wrongly_sized_inverse_names_the_map(self):
+        t = chain((2, 3), [np.ones((2, 3))])
+        cert = complex_pinv(t)[1]
+        with pytest.raises(ShapeMismatch, match=r"lowering map 1 must be \(3, 2\), got \(2, 2\)"):
+            verify_complex_pinv(t, cert, chain((2, 2), [np.ones((2, 2))]))
+        with pytest.raises(ShapeMismatch, match="inverse tuple must have sizes"):
+            verify_complex_pinv(t, cert, chain((3, 2, 2), [np.zeros((3, 2)), np.zeros((2, 2))]))
 
     def test_simple_chain(self):
         t = chain((1, 1, 1), [[[1.0]], [[0.0]]])

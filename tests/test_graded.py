@@ -27,7 +27,7 @@ from liepinv.graded import (
     multidegree_characteristic,
     orbit_height,
 )
-from liepinv.numcore import frob, rank_decomposition
+from liepinv.numcore import Tolerance, frob, rank_decomposition
 
 from helpers import (
     ALL_PAIRS,
@@ -397,6 +397,16 @@ class TestShortGradingInverse:
         f = mp_inverse_short(alg, e)
         assert frob(mp_inverse_short(alg, f) - e) <= 1e-8 * (1.0 + frob(e))
 
+    def test_membership_is_judged_at_the_calls_tolerance(self):
+        # membership is judged at the call's tolerance, not at a default held by the algebra
+        alg = GradedAlgebra("sl", (2, 2))
+        e = alg.random_element(1, np.random.default_rng(33)) + 1e-6 * np.eye(4)
+        loose = Tolerance(residual_tol=1e-4)
+        f = mp_inverse_short(alg, e, loose)
+        assert frob(alg.block_component(f, 2, 1) - classical.pinv(e[:2, 2:])) < 1e-9
+        with pytest.raises(NotInAlgebra):
+            mp_inverse_short(alg, e)
+
     def test_rejects_long_gradings(self):
         alg = GradedAlgebra("sl", (1, 1, 1))
         with pytest.raises(NotShortGrading):
@@ -573,3 +583,13 @@ class TestSl2TripleType:
     def test_residuals_detect_failure(self):
         t = Sl2Triple.from_elements(E12, H2, 2.0 * E21)
         assert not t.passes()
+
+    def test_nan_residual_fails(self):
+        z = np.zeros((2, 2))
+        assert not Sl2Triple(z, z, z, (0.0, np.nan, 0.0)).passes()
+
+    @pytest.mark.parametrize("t", [1e-300, 1.0, 1e300, 1e308])
+    def test_residuals_are_scale_free(self, t):
+        # [h, e] - 2e overflows at 1e308 unless e is brought to unit scale first
+        triple = Sl2Triple.from_elements(t * E12, H2, E21 / t)
+        assert triple.passes() and triple.max_residual() <= 1e-15
