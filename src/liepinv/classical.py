@@ -19,10 +19,12 @@ from .errors import ShapeMismatch
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
+    RankDecomposition,
     Report,
     Tolerance,
     _ldexp,
-    _unit_exponent,
+    _unit_pair,
+    _unit_scale,
     as_matrix,
     frob,
     rank_decomposition,
@@ -39,24 +41,20 @@ __all__ = [
 def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse built intrinsically from the coimage and image bases.
 
-    It is pinv(a / s) / s with s the power of two that puts the largest real
-    or imaginary part of a / s in [1, 2), so entries near 1e308, whose
-    modulus or Frobenius norm may overflow, are answered; OverflowError when
-    pinv(a) itself leaves the float range.
+    It is built at unit scale, so entries near 1e308 are answered;
+    OverflowError when pinv(a) itself leaves the float range.
     """
-    return _pinv(as_matrix(a), tol)
+    unit, k = _unit_scale(as_matrix(a))
+    return _ldexp(_pinv(unit, tol)[0], -k)
 
 
-def _pinv(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """pinv of a checked matrix."""
-    m, n = a.shape
-    exp = _unit_exponent(a)
-    a = _ldexp(a, -exp)
+def _pinv(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, RankDecomposition]:
+    """pinv of a checked matrix at unit scale, with the one decomposition it is built from."""
     dec = rank_decomposition(a, tol)
     if dec.rank == 0:
-        return np.zeros((n, m), dtype=complex)
+        return np.zeros(a.shape[::-1], dtype=complex), dec
     restricted = dec.image.conj().T @ a @ dec.coimage  # (r, r), invertible
-    return _ldexp(dec.coimage @ np.linalg.solve(restricted, dec.image.conj().T), -exp)
+    return dec.coimage @ np.linalg.solve(restricted, dec.image.conj().T), dec
 
 
 def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -76,6 +74,7 @@ def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:
         raise ShapeMismatch(
             f"candidate inverse must have shape {(a.shape[1], a.shape[0])}, got {x.shape}"
         )
+    a, x = _unit_pair(a, x)
     ax = a @ x
     xa = x @ a
     return Report.gated(
@@ -95,12 +94,12 @@ def pinv_real(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Computed through the complex engine; the discarded imaginary mass must be
     below tolerance (it is zero in exact arithmetic).
     """
-    a = np.asarray(a, dtype=float)
-    result = pinv(as_matrix(a), tol)
+    unit, k = _unit_scale(as_matrix(np.asarray(a, dtype=float)))
+    result = _pinv(unit, tol)[0]
     drift = frob(result.imag)
     if drift > tol.residual_tol * (1.0 + frob(result)):
         raise ArithmeticError(f"imaginary drift {drift:.3e} on a real input")
-    return result.real.copy()
+    return _ldexp(result.real, -k)
 
 
 def pinv_quaternion(q: QuaternionMatrix, tol: Tolerance = DEFAULT_TOL) -> QuaternionMatrix:

@@ -14,9 +14,9 @@ ndarrays: complex ones with a trailing [re, im] axis, quaternion ones with a
 trailing axis of 4.  ``to_json`` writes each such array in one pass, so
 ``json.loads(to_json(document))`` gives plain JSON lists.
 
-Exit codes: 0 success, 1 input error, 2 verification failure (also when a
-result is not finite and cannot be written, and on any other exception, named
-by its type), 3 orbit without a Moore-Penrose inverse.
+Exit codes: 0 success, 1 input error, 2 verification or numerical failure
+(also when a result is not finite and cannot be written, and on any other
+exception, named by its type), 3 orbit without a Moore-Penrose inverse.
 """
 
 from __future__ import annotations
@@ -506,17 +506,14 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
         envelope["orbit"] = {"a": exc.a, "b": exc.b}
         envelope["certificate"] = exc.certificate
         return EXIT_NO_INVERSE, envelope
-    except np.linalg.LinAlgError as exc:
-        # a numerical breakdown, although numpy makes it a ValueError
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # a numerical failure on a valid input (numpy makes LinAlgError a ValueError,
+        # and NoTriple and EmbeddingMismatch are LiepinvErrors): caught before input errors
         envelope["error"] = str(exc)
         return EXIT_VERIFY, envelope
     except (LiepinvError, ValueError) as exc:  # InputError included
         envelope["error"] = str(exc)
         return EXIT_INPUT, envelope
-    except ArithmeticError as exc:
-        # internal verification failed even though the input was valid
-        envelope["error"] = str(exc)
-        return EXIT_VERIFY, envelope
     except Exception as exc:  # noqa: BLE001 - one job's failure must not end a batch
         envelope["error"] = f"{type(exc).__name__}: {exc}"
         return EXIT_VERIFY, envelope

@@ -21,7 +21,8 @@ import numpy as np
 from .classical import _pinv
 from .errors import NotAComplex, ShapeMismatch
 from .graded import _certificate
-from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob, rank_decomposition
+from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, _unit_scale, as_matrix,
+                      frob, rank_decomposition)
 
 __all__ = [
     "ChainTuple",
@@ -77,15 +78,16 @@ class ComplexCertificate:
 
 
 def _compositions(maps, tol: Tolerance) -> tuple[tuple[float, ...], bool]:
-    """Residuals |f_{i-1} f_i| of checked maps, and whether each is small against its factors."""
-    pairs = list(zip(maps, maps[1:]))
+    """Residuals |f_{i-1} f_i| of checked maps, each at unit scale, and whether each is small."""
+    units = [_unit_scale(m)[0] for m in maps]
+    pairs = list(zip(units, units[1:]))
     residuals = tuple(frob(left @ right) for left, right in pairs)
     bounds = [tol.residual_tol * (1.0 + frob(left) * frob(right)) for left, right in pairs]
     return residuals, not any(res > bound for res, bound in zip(residuals, bounds))
 
 
 def certify_complex(t: ChainTuple, tol: Tolerance = DEFAULT_TOL) -> ComplexCertificate:
-    """Check zero consecutive compositions, relative to the factor norms."""
+    """Check zero consecutive compositions, relative to the factor norms, each map at unit scale."""
     residuals, ok = _compositions(t.maps, tol)
     ranks = tuple(rank_decomposition(m, tol).rank for m in t.maps)
     return ComplexCertificate(ok, residuals, ranks)
@@ -136,7 +138,7 @@ def complex_pinv(
         raise NotAComplex(
             f"composition residuals {cert.composition_residuals} exceed tolerance"
         )
-    inverted = [_pinv(m, tol) for m in t.maps]
+    inverted = [_ldexp(_pinv(unit, tol)[0], -k) for unit, k in map(_unit_scale, t.maps)]
     return ChainTuple._of_checked(t.sizes[::-1], tuple(inverted[::-1])), cert
 
 
@@ -153,7 +155,8 @@ def verify_complex_pinv(
     """
     if len(out.sizes) != len(t.sizes):
         raise ShapeMismatch(f"inverse tuple must have sizes {t.sizes[::-1]}, got {out.sizes}")
-    triple, defect = _certificate(assemble_raising(t), _lowering(t.sizes, out.maps[::-1]))
+    raising, lowering = assemble_raising(t), _lowering(t.sizes, out.maps[::-1])
+    triple, defect = _certificate(*_unit_pair(raising, lowering))
     out_residuals, out_is_complex = _compositions(out.maps, tol)
     residuals = {
         "composition_residuals": list(cert.composition_residuals),

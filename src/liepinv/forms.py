@@ -23,7 +23,8 @@ from .numcore import (
     Report,
     Tolerance,
     _ldexp,
-    _unit_exponent,
+    _unit_pair,
+    _unit_scale,
     as_matrix,
     frob,
     rank_decomposition,
@@ -64,8 +65,9 @@ class BilinearForm:
         if gram.shape[0] != gram.shape[1]:
             raise ShapeMismatch("Gram matrix must be square")
         sign = 1.0 if self.symmetry == SYMMETRIC else -1.0
-        defect = frob(gram.T - sign * gram)
-        if defect > DEFAULT_TOL.residual_tol * (1.0 + frob(gram)):
+        unit, _ = _unit_scale(gram)
+        defect = frob(unit.T - sign * unit)
+        if defect > DEFAULT_TOL.residual_tol * (1.0 + frob(unit)):
             raise SymmetryViolation(
                 f"Gram matrix is not {self.symmetry} (defect {defect:.3e})"
             )
@@ -89,17 +91,17 @@ def form_pinv(form: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     The inverse of the form W induces on the annihilator of its kernel,
     extended by zero, satisfies the Penrose conditions with W, so by
     uniqueness it is pinv(W); its symmetry class, kept up to roundoff, is
-    checked and then imposed.
+    checked on pinv(W / 2**k) and then imposed.
     """
-    w_plus = classical.pinv(form.gram, tol)
+    unit, k = _unit_scale(form.gram)
+    w_plus = classical._pinv(unit, tol)[0]
     sign = 1.0 if form.symmetry == SYMMETRIC else -1.0
     sym_defect = frob(w_plus.T - sign * w_plus)
     if sym_defect > tol.residual_tol * (1.0 + frob(w_plus)):
         raise SymmetryViolation(
             f"inverse form lost its symmetry class (defect {sym_defect:.3e})"
         )
-    w_plus = (w_plus + sign * w_plus.T) / 2.0
-    return BilinearForm(form.symmetry, w_plus)
+    return BilinearForm(form.symmetry, _ldexp((w_plus + sign * w_plus.T) / 2.0, -k))
 
 
 def verify_form_pinv(
@@ -147,7 +149,7 @@ def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def verify_vector_pinv(v, w, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Check that w inverts v: homogeneous sl2-triple with Hermitian h (empty vectors pass)."""
-    triple, defect = _certificate(*_vector_legs(*_vector_pair(v, w, empty_ok=True)))
+    triple, defect = _certificate(*_unit_pair(*_vector_legs(*_vector_pair(v, w, empty_ok=True))))
     residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
     return Report.gated(residuals, tol)
 
@@ -192,13 +194,11 @@ def pseudo_euclidean_pinv(
     """Three-case inverse for pseudo-Euclidean vectors.
 
     -v/{v,v} off the null cone; -Iv/(2(v,v)) for nonzero null vectors; zero
-    at zero, evaluated at a power-of-two unit scale.  Signs follow the source
-    convention for this grading; see :func:`pseudo_euclidean_triple` for the
-    normalization that realizes them as an sl2-triple.
+    at zero.  Signs follow the source convention for this grading; see
+    :func:`pseudo_euclidean_triple` for the normalization that realizes them
+    as an sl2-triple.
     """
-    v = _as_real_vector(space, v)
-    exp = _unit_exponent(v)
-    v = _ldexp(v, -exp)
+    v, exp = _unit_scale(_as_real_vector(space, v))
     euclid = float(v @ v)
     if euclid == 0.0:
         return np.zeros_like(v)
@@ -243,7 +243,7 @@ def verify_pseudo_euclidean_pinv(
     """Check the defining conditions: sl2 relations with real symmetric h."""
     v = _as_real_vector(space, v)
     w = _as_real_vector(space, w)
-    triple, defect = _certificate(*_pseudo_legs(space, v, w))
+    triple, defect = _certificate(*_unit_pair(*_pseudo_legs(space, v, w)))
     residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
     return Report.gated(residuals, tol)
 
@@ -253,7 +253,8 @@ def verify_pseudo_euclidean_pinv(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_class(a: np.ndarray, tol: Tolerance) -> str:
+def _hermitian_sign(a: np.ndarray, tol: Tolerance) -> float:
+    """1.0 for a Hermitian, -1.0 for a skew-Hermitian checked matrix at unit scale."""
     if a.shape[0] != a.shape[1]:
         # a quaternion matrix arrives embedded, so its size would read doubled
         raise ShapeMismatch("matrix must be square")
@@ -261,9 +262,9 @@ def _hermitian_class(a: np.ndarray, tol: Tolerance) -> str:
     herm = frob(a - a.conj().T)
     skew = frob(a + a.conj().T)
     if herm <= tol.residual_tol * scale:
-        return "hermitian"
+        return 1.0
     if skew <= tol.residual_tol * scale:
-        return "skew-hermitian"
+        return -1.0
     raise SymmetryViolation(
         f"matrix is neither Hermitian nor skew-Hermitian "
         f"(defects {herm:.3e} / {skew:.3e})"
@@ -280,12 +281,10 @@ def hermitian_pinv(a, tol: Tolerance = DEFAULT_TOL):
     """
     if isinstance(a, QuaternionMatrix):
         return QuaternionMatrix.from_embedding(hermitian_pinv(a.embed(), tol), tol)
-    a = as_matrix(a)
-    kind = _hermitian_class(a, tol)
-    x = classical.pinv(a, tol)
-    sign = 1.0 if kind == "hermitian" else -1.0
-    x = (x + sign * x.conj().T) / 2.0
-    return x
+    unit, k = _unit_scale(as_matrix(a))
+    sign = _hermitian_sign(unit, tol)
+    x = classical._pinv(unit, tol)[0]
+    return _ldexp((x + sign * x.conj().T) / 2.0, -k)
 
 
 def verify_hermitian_pinv(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -298,8 +297,8 @@ def verify_hermitian_pinv(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:
     x = as_matrix(x)
     if x.shape != (a.shape[1], a.shape[0]):
         raise ShapeMismatch("candidate inverse has the wrong shape")
-    kind = _hermitian_class(a, tol)
-    sign = 1.0 if kind == "hermitian" else -1.0
+    a, x = _unit_pair(a, x)
+    sign = _hermitian_sign(a, tol)
     return Report.gated(
         {
             "recover_a": frob(a @ x @ a - a) / (1.0 + frob(a)),

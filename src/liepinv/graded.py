@@ -25,11 +25,11 @@ subalgebras of sl_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import pinv
+from .classical import _pinv
 from .errors import (
     NoTriple,
     NotInAlgebra,
@@ -44,7 +44,8 @@ from .numcore import (
     DEFAULT_TOL,
     Tolerance,
     _ldexp,
-    _unit_exponent,
+    _unit_pair,
+    _unit_scale,
     as_matrix,
     frob,
     rank_decomposition,
@@ -332,13 +333,18 @@ class GradedAlgebra:
 
     def require_member(self, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """x as a checked ambient ndarray; NotInAlgebra unless x lies in the algebra."""
+        return self._unit_member(x, tol)[0]
+
+    def _unit_member(self, x, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, int]:
+        """(x, x / 2**k, k) for an ambient member x, membership decided at unit scale."""
         x = self._check_ambient(x)
-        res = frob(x - self._project(x))
-        if res > tol.residual_tol * (1.0 + frob(x)):
+        unit, k = _unit_scale(x)
+        res = frob(unit - self._project(unit))
+        if res > tol.residual_tol * (1.0 + frob(unit)):
             raise NotInAlgebra(
                 f"membership residual {res:.3e} exceeds tolerance for {self.kind}{self.blocks}"
             )
-        return x
+        return x, unit, k
 
     def degree_component(self, x, m: int) -> np.ndarray:
         x = self._check_ambient(x)
@@ -346,9 +352,10 @@ class GradedAlgebra:
 
     def homogeneous_degree(self, x, tol: Tolerance = DEFAULT_TOL) -> int | None:
         """Degree of a homogeneous element, None for zero; errors if mixed."""
-        return self._degree(self.require_member(x, tol), tol)
+        return self._degree(self._unit_member(x, tol)[1], tol)
 
     def _degree(self, x: np.ndarray, tol: Tolerance) -> int | None:
+        """homogeneous_degree of a checked member at unit scale."""
         scale = frob(x)
         if scale == 0.0:
             return None
@@ -420,9 +427,8 @@ class GradedAlgebra:
 class Sl2Triple:
     """Elements (e, h, f) with the bracket relations as testable residuals.
 
-    The residuals are those of (e / 2**k, h, f * 2**k), e / 2**k at unit scale,
-    so no term overflows at any finite e; each defect norm is divided by
-    1 + |e / 2**k| + |h| + |f * 2**k|.  The zero triple has zero residuals.
+    The residuals are those of the unit-scale pair (e / 2**k, h, f * 2**k), each
+    defect norm divided by 1 + |e / 2**k| + |h| + |f * 2**k|; they are zero at zero.
     """
 
     e: np.ndarray
@@ -435,7 +441,7 @@ class Sl2Triple:
         e, h, f = (as_matrix(m) for m in (e, h, f))
         _square_pair(e, f)
         _square_pair(h, e)
-        return _triple(e, h, f)
+        return cls(e, h, f, _relations(*_unit_pair(e, f), h))
 
     def max_residual(self) -> float:
         """Largest residual; nan if any residual is nan, so that passes() fails."""
@@ -466,27 +472,23 @@ class CharacteristicResult:
         return self.triple.f
 
 
-def _triple(e: np.ndarray, h: np.ndarray, f: np.ndarray) -> Sl2Triple:
-    """Sl2Triple.from_elements of checked ndarrays of one square shape."""
-    k = _unit_exponent(e)
-    # 2**k is finite for every finite e; an f past the range fails as an inf residual
-    unit_e, unit_f = _ldexp(e, -k), f * np.ldexp(1.0, k)
-    scale = 1.0 + frob(unit_e) + frob(h) + frob(unit_f)
-    res = (
-        frob(_bracket(unit_e, unit_f) - h) / scale,
-        frob(_bracket(h, unit_e) - 2.0 * unit_e) / scale,
-        frob(_bracket(h, unit_f) + 2.0 * unit_f) / scale,
+def _relations(e: np.ndarray, f: np.ndarray, h: np.ndarray) -> tuple[float, float, float]:
+    """The residuals of Sl2Triple for a checked pair (e, f) at unit scale and h."""
+    scale = 1.0 + frob(e) + frob(h) + frob(f)
+    return (
+        frob(_bracket(e, f) - h) / scale,
+        frob(_bracket(h, e) - 2.0 * e) / scale,
+        frob(_bracket(h, f) + 2.0 * f) / scale,
     )
-    return Sl2Triple(e, h, f, res)
 
 
 def _certificate(e: np.ndarray, f: np.ndarray) -> tuple[Sl2Triple, float]:
-    """(e, [e, f], f) of checked ndarrays and its defect |h - h*| / (1 + |h|).
+    """(e, [e, f], f) of a checked pair at unit scale and its defect |h - h*| / (1 + |h|).
 
     f is the Moore-Penrose inverse of e when the residuals and the defect are small.
     """
     h = _bracket(e, f)
-    return _triple(e, h, f), frob(h - h.conj().T) / (1.0 + frob(h))
+    return Sl2Triple(e, h, f, _relations(e, f, h)), frob(h - h.conj().T) / (1.0 + frob(h))
 
 
 def _completion_system(e, neg: _IndexBasis, res: _IndexBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -504,21 +506,18 @@ def _minimal_triple(
     and for homogeneous e the set is exactly the homogeneous characteristics,
     so the Frobenius minimizer is the one orthogonal to the direction space.
     The second leg f is recovered from the joint linear system
-    [e, f] = h, [h, f] = -2f, which has a unique solution.  The systems are
-    solved for e / s, s a power of two near the largest entry of e: h does not
-    depend on the scale of e, and f scales by 1 / s.
+    [e, f] = h, [h, f] = -2f, which has a unique solution.  e is a checked
+    member at unit scale, and so is the result (see :func:`_at_scale`).
     """
-    if frob(e) == 0.0:
+    if not e.any():
         zero = np.zeros_like(e)
-        return CharacteristicResult(_triple(zero, zero, zero), 0.0, True)
+        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True)
     if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
-    k = _unit_exponent(e)
-    unit = _ldexp(e, -k)
-    br_e, c_mat = _completion_system(unit, neg, res)
+    br_e, c_mat = _completion_system(e, neg, res)
     m_obj = h_basis.coords(br_e).T
-    d = 2.0 * res.coords(unit)
+    d = 2.0 * res.coords(e)
     try:
         y = solve_least_squares_constrained(
             m_obj, np.zeros(m_obj.shape[0]), c_mat, d, tol
@@ -534,14 +533,17 @@ def _minimal_triple(
     b_full = np.concatenate([h_basis.coords(h), np.zeros(neg.count)])
     fc = np.linalg.lstsq(a_full, b_full, rcond=tol.rank_rtol)[0]
     gap = frob(a_full @ fc - b_full)
-    if gap > tol.residual_tol * (1.0 + frob(h) + frob(unit)):
+    if gap > tol.residual_tol * (1.0 + frob(h) + frob(e)):
         raise NoTriple(f"f-recovery residual {gap:.3e} above tolerance")
-    f = _ldexp(neg.combine(fc), -k)
-
-    triple = _triple(e, h, f)
+    f = neg.combine(fc)
     defect = frob(h - h.conj().T)
     hermitian = defect <= tol.residual_tol * (1.0 + frob(h))
-    return CharacteristicResult(triple, defect, hermitian)
+    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h)), defect, hermitian)
+
+
+def _at_scale(result: CharacteristicResult, e: np.ndarray, k: int) -> CharacteristicResult:
+    """The engine's result on e / 2**k, carried to e: f takes the factor 2**-k exactly."""
+    return replace(result, triple=replace(result.triple, e=e, f=_ldexp(result.f, -k)))
 
 
 def minimal_characteristic(
@@ -559,7 +561,12 @@ def minimal_characteristic(
     these realizations is a fixed positive multiple of the squared Frobenius
     norm.
     """
-    e = alg.require_member(e, tol)
+    e, unit, k = alg._unit_member(e, tol)
+    return _at_scale(_unit_characteristic(alg, unit, degree, tol), e, k)
+
+
+def _unit_characteristic(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> CharacteristicResult:
+    """minimal_characteristic of a checked member e at unit scale, at that scale."""
     if degree != 0:
         inferred = alg._degree(e, tol)
         if degree is None:
@@ -582,18 +589,14 @@ def characteristic_direction_space(
     kernel of the completion constraint.  Returns a (count, n, n) stack;
     empty when the characteristic is unique.
     """
-    e = alg.require_member(e, tol)
+    e = alg._unit_member(e, tol)[1]
     if degree is None:
         degree = alg._degree(e, tol) or 0
     neg = alg._index_basis(-degree if degree != 0 else None)
     res = alg._index_basis(degree if degree != 0 else None)
-    if frob(e) == 0.0 or neg.count == 0:
-        return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    br_e, c_mat = _completion_system(_ldexp(e, -_unit_exponent(e)), neg, res)
+    br_e, c_mat = _completion_system(e, neg, res)
     null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
-    if null.shape[1] == 0:
-        return np.zeros((0, alg.ambient_dim, alg.ambient_dim), dtype=complex)
-    deltas = np.einsum("kj,kab->jab", null, br_e).reshape(null.shape[1], -1)
+    deltas = np.einsum("kj,kab->jab", null, br_e).reshape(-1, alg.ambient_dim**2)
     # e is at unit scale and the kernel columns are orthonormal, so a
     # direction of norm below rank_rtol is roundoff, not a direction
     _, sv, vh = np.linalg.svd(deltas, full_matrices=False)
@@ -613,19 +616,20 @@ def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Three cases: 2v/(v,v) when (v,v) is nonzero; conj(v)/(conj(v),v) for a
     nonzero isotropic v; zero at zero.  The isotropy decision is relative:
     |(v,v)| <= residual_tol * (conj(v), v).  Near-isotropic vectors are
-    genuine discontinuity points of the formula, evaluated at a power-of-two
-    unit scale.  This is the closed form of the short grading so(1, d, 1),
-    whose degree +-1 blocks are vectors.
+    genuine discontinuity points of the formula.  This is the closed form of
+    the short grading so(1, d, 1), whose degree +-1 blocks are vectors.
     """
-    v = _as_vector(v)
-    exp = _unit_exponent(v)
-    v = _ldexp(v, -exp)
+    v, exp = _unit_scale(_as_vector(v))
+    return _ldexp(_vector_pinv(v, tol), -exp)
+
+
+def _vector_pinv(v: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """vector_pinv of a checked vector at unit scale."""
     herm = float(np.vdot(v, v).real)
     if herm == 0.0:
         return np.zeros_like(v)
     bil = complex(v @ v)
-    w = 2.0 * v / bil if abs(bil) > tol.residual_tol * herm else v.conj() / herm
-    return _ldexp(w, -exp)
+    return 2.0 * v / bil if abs(bil) > tol.residual_tol * herm else v.conj() / herm
 
 
 def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -641,12 +645,12 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> np.
     """
     if not alg.is_short:
         raise NotShortGrading(f"grading of {alg!r} has degrees {alg.degrees}")
-    e = alg.require_member(e, tol)
-    return _mp_inverse_short(alg, e, alg._degree(e, tol), tol)
+    _, unit, k = alg._unit_member(e, tol)
+    return _ldexp(_mp_inverse_short(alg, unit, alg._degree(unit, tol), tol), -k)
 
 
 def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol: Tolerance):
-    """mp_inverse_short of a checked member e of a short grading, of the given degree."""
+    """mp_inverse_short of a checked member e at unit scale, of the given degree, at that scale."""
     if degree is None:
         return np.zeros_like(e)
     if degree == 0:
@@ -657,10 +661,11 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
         # pinv keeps the (skew-)symmetry of a self-paired so/sp block only to roundoff
         # times its condition number: project, and let the triple check judge
         f = np.zeros_like(e)
-        f[alg.block_slice(j), alg.block_slice(i)] = pinv(block, tol)
+        f[alg.block_slice(j), alg.block_slice(i)] = _pinv(block, tol)[0]
         f = alg._project(f)
     else:
-        f = alg.element_from_block(j, i, vector_pinv(block, tol).reshape(block.shape[::-1]))
+        w = _vector_pinv(block.reshape(-1), tol)
+        f = alg.element_from_block(j, i, w.reshape(block.shape[::-1]))
     triple, defect = _certificate(e, f)
     if not triple.passes(tol):
         raise ArithmeticError(
@@ -681,17 +686,15 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT
     does not depend on the choice).  The degree-0 part of the algebra is
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
-    The test runs on e / s, s a power of two near max |e_ij|, so it is scale-free.
     """
-    e, h = alg.require_member(e, tol), alg.require_member(h, tol)
+    e, h = alg._unit_member(e, tol)[1], alg.require_member(h, tol)
     return _annihilates_positive_part(alg, e, h, tol)
 
 
 def _annihilates_positive_part(
     alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance
 ) -> bool:
-    """annihilates_positive_part of checked members e and h."""
-    e = _ldexp(e, -_unit_exponent(e))
+    """annihilates_positive_part of checked members e, at unit scale, and h."""
     zero = alg._index_basis(0)
     eigvals, eigvecs = np.linalg.eig(_bracket_coords(h, zero, zero))
     positive = eigvecs[:, eigvals.real > 0.5]
@@ -717,30 +720,29 @@ def is_mp_element(
     special elements in Hermitian position, so criterion False with a
     Hermitian characteristic is a legitimate outcome, not a numerical failure.
     """
-    result = minimal_characteristic(alg, e, degree, tol)
-    if frob(result.e) > 0.0:
-        crit = _annihilates_positive_part(alg, result.e, result.h, tol)
-        if crit and not result.is_hermitian:
-            raise ArithmeticError(
-                f"raising-space criterion holds but the minimal characteristic "
-                f"has Hermitian defect {result.hermitian_defect:.3e}"
-            )
+    e = alg._unit_member(e, tol)[1]
+    result = _unit_characteristic(alg, e, degree, tol)  # the zero element is Hermitian
+    if not result.is_hermitian and _annihilates_positive_part(alg, e, result.h, tol):
+        raise ArithmeticError(
+            f"raising-space criterion holds but the minimal characteristic "
+            f"has Hermitian defect {result.hermitian_defect:.3e}"
+        )
     return result.is_hermitian
 
 
 def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     """Height of the nilpotent orbit: the largest k with ad(e)^k != 0.
 
-    Powers of ad(e / s), s a power of two near max |e_ij|, are compared against
-    residual_tol * |ad(e / s)|^k, so the decision is scale-invariant and the
-    powers stay in range; the zero element has height 0.  NotNilpotent is
-    raised when ad(e)^dim does not vanish.
+    Powers of ad(e) at unit scale are compared against residual_tol * |ad(e)|^k;
+    the zero element has height 0.  NotNilpotent is raised when ad(e)^dim does
+    not vanish.
     """
-    return _orbit_height(alg, alg.require_member(e, tol), tol)
+    return _orbit_height(alg, alg._unit_member(e, tol)[1], tol)
 
 
 def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
-    ad_e = alg.ad(_ldexp(e, -_unit_exponent(e)))
+    """orbit_height of a checked member at unit scale."""
+    ad_e = alg.ad(e)
     top = np.linalg.norm(ad_e, 2) if ad_e.size else 0.0
     power = np.eye(ad_e.shape[0], dtype=complex)
     for k in range(1, alg.dim + 1):
@@ -757,8 +759,8 @@ def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> bool:
 
     Equivalent to the orbit having height exactly 2.
     """
-    e = alg.require_member(e, tol)
-    if frob(e) == 0.0:
+    e = alg._unit_member(e, tol)[1]
+    if not e.any():
         raise ZeroElement("the zero element does not generate a nilpotent orbit")
     return _orbit_height(alg, e, tol) == 2
 
@@ -775,19 +777,15 @@ def multidegree_characteristic(
         raise ValueError("multidegree checks are defined for sl gradings")
     if i == j:
         raise ValueError("block position must be off-diagonal")
-    e = alg.require_member(e, tol)
-    inside = np.zeros_like(e)
-    sl_i, sl_j = alg.block_slice(i), alg.block_slice(j)
-    inside[sl_i, sl_j] = e[sl_i, sl_j]
-    outside = frob(e - inside)
-    if outside > tol.residual_tol * (1.0 + frob(e)):
-        raise UnsupportedBlock(
-            f"element has mass {outside:.3e} outside block ({i},{j})"
-        )
+    e, unit, k = alg._unit_member(e, tol)
+    outside = unit.copy()
+    outside[alg.block_slice(i), alg.block_slice(j)] = 0.0
+    if frob(outside) > tol.residual_tol * (1.0 + frob(unit)):
+        raise UnsupportedBlock(f"element has mass {frob(outside):.3e} outside block ({i},{j})")
     # the units of block (j, i), one entry each, in row-major order
     block = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
-    return _minimal_triple(e, alg._unit_basis(np.flatnonzero(block)),
-                           alg._index_basis(j - i), alg._index_basis(0), tol)
+    neg, res = alg._unit_basis(np.flatnonzero(block)), alg._index_basis(j - i)
+    return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), tol), e, k)
 
 
 def mp_check_multidegree(

@@ -25,7 +25,8 @@ from . import classical
 from .errors import DegenerateForm, NotMoorePenroseOrbit, ShapeMismatch
 from .forms import SYMMETRIC, BilinearForm
 from .graded import GradedAlgebra, minimal_characteristic
-from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob, rank_decomposition
+from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, _unit_scale, as_matrix,
+                      frob, rank_decomposition)
 
 __all__ = [
     "OrbitLabel",
@@ -77,7 +78,7 @@ def classify_orbit(form: BilinearForm, f_mat, tol: Tolerance = DEFAULT_TOL) -> O
         raise ShapeMismatch(f"map must have {form.dim} rows, got {f_mat.shape[0]}")
     if not form.is_nondegenerate(tol):
         raise DegenerateForm("orbit classification requires a nondegenerate form")
-    dec = rank_decomposition(f_mat, tol)
+    dec = rank_decomposition(_unit_scale(f_mat)[0], tol)
     if dec.rank == 0:
         return OrbitLabel(0, 0)
     restricted = dec.image.T @ form.gram @ dec.image
@@ -190,25 +191,22 @@ def mp_inverse_homform(
     _standard_symmetry(form, tol)
     label = classify_orbit(form, f_mat, tol)
     a, b = label.a, label.b
-    n, k = f_mat.shape
     if not label.has_inverse:
         # The exception is an orbit statement, so the certificate is computed
         # at the general-position representative of O(a, b): its embedded
         # minimal characteristic has a strictly positive Hermitian defect.
-        alg = embedding_algebra(form, k)
-        witness = generic_orbit_map(form, a, b, k)
+        alg = embedding_algebra(form, f_mat.shape[1])
+        witness = generic_orbit_map(form, a, b, f_mat.shape[1])
         res = minimal_characteristic(alg, hom_element(alg, witness), 1, tol)
         raise NotMoorePenroseOrbit(a, b, res.hermitian_defect)
-    if a == 0:
-        g_mat = np.zeros((k, n), dtype=complex)
-    elif b == a:
-        g_mat = classical.pinv(f_mat, tol) / 2.0
+    unit, exp = _unit_scale(f_mat)
+    f_plus, dec = classical._pinv(unit, tol)
+    if b == a:  # F+ = 0 at a = 0
+        g_mat = f_plus / 2.0
     else:
-        image = rank_decomposition(f_mat, tol).image
-        w = form.gram
-        g_mat = classical.pinv(f_mat, tol) @ image @ np.linalg.solve(
-            image.T @ w @ image, image.T @ w
-        )
+        p, w = dec.image, form.gram
+        g_mat = f_plus @ p @ np.linalg.solve(p.T @ w @ p, p.T @ w)
+    g_mat = _ldexp(g_mat, -exp)
     report = verify_homform(form, f_mat, g_mat, tol)
     if not report.passed:
         raise ArithmeticError(
@@ -231,6 +229,7 @@ def verify_homform(
         )
     if not form.is_nondegenerate(tol):
         raise DegenerateForm("sharp adjoint requires a nondegenerate form")
+    f_mat, g_mat = _unit_pair(f_mat, g_mat)
     gf = g_mat @ f_mat
     fg = f_mat @ g_mat
     fg_sharp = np.linalg.solve(form.gram, fg.T @ form.gram)

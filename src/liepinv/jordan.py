@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
 from .graded import GradedAlgebra, _bracket, _bracket_coords, _mp_inverse_short, bracket
-from .numcore import DEFAULT_TOL, Report, Tolerance, as_matrix, frob
+from .numcore import DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, as_matrix, frob
 
 __all__ = [
     "JordanPair",
@@ -57,15 +57,15 @@ class JordanPair:
 
     def component_of(self, x, tol: Tolerance = DEFAULT_TOL) -> int:
         """+1 or -1 depending on which component x lies in (0 for zero)."""
-        return self._component(self.algebra.require_member(x, tol), tol)
+        return self._component(self.algebra._unit_member(x, tol)[1], tol)
 
     def require_component(self, x, sign: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        x = self.algebra.require_member(x, tol)
-        self._component(x, tol, sign)
+        x, unit, _ = self.algebra._unit_member(x, tol)
+        self._component(unit, tol, sign)
         return x
 
     def _component(self, x: np.ndarray, tol: Tolerance, expect: int = 0) -> int:
-        """component_of a checked member; WrongComponent if it is nonzero outside V_expect."""
+        """component_of a member at unit scale; WrongComponent if it is nonzero outside V_expect."""
         degree = self.algebra._degree(x, tol)
         if degree is None:
             return 0
@@ -95,20 +95,20 @@ class JordanPair:
 
 def triple_product(pair: JordanPair, x, y, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """{x, y, z} = [[x, y], z] / 2 with x, z in one component and y in the other."""
-    x, y, z = (pair.algebra.require_member(m, tol) for m in (x, y, z))
-    sign = pair._component(x, tol)
-    sign = pair._component(z, tol, sign) or sign or 1  # x = 0 takes the side of z
-    pair._component(y, tol, -sign)
+    (x, ux, _), (y, uy, _), (z, uz, _) = (pair.algebra._unit_member(m, tol) for m in (x, y, z))
+    sign = pair._component(ux, tol)
+    sign = pair._component(uz, tol, sign) or sign or 1  # x = 0 takes the side of z
+    pair._component(uy, tol, -sign)
     return 0.5 * _bracket(_bracket(x, y), z)
 
 
 def killing_pairing(pair: JordanPair, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
     """B(x, y) = Tr of z -> {x, y, z} on the component of x."""
-    x, y = pair.algebra.require_member(x, tol), pair.algebra.require_member(y, tol)
-    sign = pair._component(x, tol)
+    (x, ux, _), (y, uy, _) = (pair.algebra._unit_member(m, tol) for m in (x, y))
+    sign = pair._component(ux, tol)
     if sign == 0:
         return 0.0 + 0.0j
-    pair._component(y, tol, -sign)
+    pair._component(uy, tol, -sign)
     return complex(np.trace(pair._operator(_bracket(x, y), sign)))
 
 
@@ -138,8 +138,8 @@ class CartanInvolution:
     omega_minus: np.ndarray
 
     def apply(self, pair: JordanPair, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        x = pair.algebra.require_member(x, tol)
-        sign = pair._component(x, tol)
+        x, unit, _ = pair.algebra._unit_member(x, tol)
+        sign = pair._component(unit, tol)
         if sign == 0:
             return np.zeros_like(x)
         mat = self.omega_plus if sign > 0 else self.omega_minus
@@ -181,9 +181,9 @@ def mp_inverse_jordan(
     verified against the pair equations and returned with that report (a
     failing report raises ArithmeticError instead).
     """
-    a = pair.algebra.require_member(a, tol)
-    sign = pair._component(a, tol)  # WrongComponent unless a lies in V+ or V-
-    x = _mp_inverse_short(pair.algebra, a, sign or None, tol)
+    a, unit, k = pair.algebra._unit_member(a, tol)
+    sign = pair._component(unit, tol)  # WrongComponent unless a lies in V+ or V-
+    x = _ldexp(_mp_inverse_short(pair.algebra, unit, sign or None, tol), -k)
     report = verify_jordan_mp(pair, inv, a, x, tol)
     if not report.passed:
         raise ArithmeticError(
@@ -198,11 +198,12 @@ def verify_jordan_mp(
     """Residuals of (*) and the Hermitian defects of the two operators in (**).
 
     The component of a is decided once and that of x is required once; then
-    {a x a} and {x a x} come from the one commutator [a, x].
+    {a x a} and {x a x} come from the one commutator [a, x] of the unit pair.
     """
-    a, x = pair.algebra.require_member(a, tol), pair.algebra.require_member(x, tol)
-    sign = pair._component(a, tol)
-    sign = -pair._component(x, tol, -sign) or sign or 1  # a = 0 takes the side opposite x
+    (a, ua, _), (x, ux, _) = (pair.algebra._unit_member(m, tol) for m in (a, x))
+    sign = pair._component(ua, tol)
+    sign = -pair._component(ux, tol, -sign) or sign or 1  # a = 0 takes the side opposite x
+    a, x = _unit_pair(a, x)
     ax = _bracket(a, x)
     residuals = {
         "recover_a": frob(0.5 * _bracket(ax, a) - a) / (1.0 + frob(a)),

@@ -10,13 +10,16 @@ All inputs must be finite; all outputs are fresh arrays.  Every function is
 pure, so concurrent use is safe.
 
 Throughout the package each public function checks its arguments once,
-where they enter (finite entries, shapes, membership, degree or component);
-``_``-prefixed helpers take checked ndarrays and check nothing again.  A few
-public calls stay inside those chains so that their counted metrics keep
-their meaning: ``GradedAlgebra.ad``, ``JordanPair.operator_matrix``,
-``classify_orbit``, ``verify_homform``, ``certify_complex``,
-``classical.pinv`` and ``rank_decomposition``.  The tolerance is each call's
-argument, never the state of an object.
+where they enter (finite entries, shapes, membership, degree or component),
+and at unit scale: every decision on ``_unit_scale(a)``, every residual on
+the pair ``_unit_pair(a, x)``.  The problems are homogeneous, so nothing
+depends on the scale; constructors rescale their answers exactly, and no
+other module computes a scale.  ``_``-prefixed helpers take checked
+unit-scale ndarrays and neither check nor scale again.  A few public calls
+stay inside those chains so that their counted metrics keep their meaning:
+``GradedAlgebra.ad``, ``JordanPair.operator_matrix``, ``classify_orbit``,
+``verify_homform``, ``certify_complex`` and ``rank_decomposition``.  The
+tolerance is each call's argument, never the state of an object.
 """
 
 from __future__ import annotations
@@ -160,10 +163,18 @@ def rank_decomposition(a, tol: Tolerance = DEFAULT_TOL) -> RankDecomposition:
     return RankDecomposition(rank, v[:, rank:].copy(), u[:, :rank].copy(), v[:, :rank].copy())
 
 
-def _unit_exponent(a: np.ndarray) -> int:
-    """The k that puts the largest real or imaginary part of a / 2**k in [1, 2) (0 at zero)."""
-    top = np.max(np.abs(np.ascontiguousarray(a).view(float)), initial=0.0)
-    return int(np.frexp(top)[1]) - 1 if top else 0
+def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**-k, k) with the largest real or imaginary part of a * 2**-k in [1, 2); k = 0 at 0."""
+    parts = np.ascontiguousarray(a).view(float)
+    top = np.max(np.abs(parts), initial=0.0)
+    k = int(np.frexp(top)[1]) - 1 if top else 0
+    return np.ldexp(parts, -k).view(a.dtype), k
+
+
+def _unit_pair(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a * 2**-k, x * 2**k), a * 2**-k at unit scale; x pushed past the float range reads inf."""
+    unit, k = _unit_scale(a)
+    return unit, x * np.ldexp(1.0, k)
 
 
 def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
@@ -396,14 +407,13 @@ class QuaternionMatrix:
         m = as_matrix(m)
         if m.shape[0] % 2 or m.shape[1] % 2:
             raise EmbeddingMismatch("embedded matrix must have even dimensions")
-        z = m[0::2, 0::2]
-        w = m[0::2, 1::2]
-        z2 = m[1::2, 1::2]
-        w2 = m[1::2, 0::2]
-        defect = max(frob(z2 - z.conj()), frob(w2 + w.conj()))
-        if defect > tol.residual_tol * (1.0 + frob(m)):
+        unit, _ = _unit_scale(m)
+        z, w = unit[0::2, 0::2], unit[0::2, 1::2]
+        defect = max(frob(unit[1::2, 1::2] - z.conj()), frob(unit[1::2, 0::2] + w.conj()))
+        if defect > tol.residual_tol * (1.0 + frob(unit)):
             raise EmbeddingMismatch(
                 f"block-structure defect {defect:.3e} exceeds tolerance"
             )
+        z, w = m[0::2, 0::2], m[0::2, 1::2]
         data = np.stack([z.real, z.imag, w.real, w.imag], axis=-1)
         return cls(data)

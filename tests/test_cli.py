@@ -228,6 +228,17 @@ class TestOneDecomposition:
         assert run_job(golden_job(command))[0] == EXIT_OK
         assert 1 <= counts["rank_decomposition"] <= most
 
+    def test_homform_b_zero_map(self, monkeypatch, tmp_path):
+        # before F+ and the image basis came from one SVD: 4 (orbit, form rank, F+, image)
+        doc = tmp_path / "map.json"
+        doc.write_text(json.dumps({"form": {"symmetry": "symmetric", "gram": np.eye(3).tolist()},
+                                   "map": [[1, 0], [0, 2], [0, 0]]}))
+        counts = count_calls(monkeypatch, {"numcore": ("rank_decomposition",),
+                                           "homform": ("classify_orbit",)})
+        code, document = run_job(JobSpec("homform", str(doc)))
+        assert code == EXIT_OK and document["result"]["orbit"] == {"a": 2, "b": 0}
+        assert counts == {"rank_decomposition": 3, "classify_orbit": 1}
+
 
 class TestExceptionFirewall:
     """An unexpected exception exits 2 and names its type; a batch writes every output."""
@@ -269,6 +280,13 @@ class TestExceptionFirewall:
         assert (out_dir / "good.out.json").read_text() == want
 
 
+def command_ids(cases) -> list[str]:
+    """Each case named by its command; from a command's second case on, with a counter."""
+    commands = [command for command, _ in cases]
+    return [c if c not in commands[:i] else f"{c}-{commands[:i].count(c) + 1}"
+            for i, c in enumerate(commands)]
+
+
 class TestBoundaryFuzz:
     """Small documents, malformed or not, for every command: the CLI answers each with an
     exit code and a JSON output, and none ends in the per-job exception firewall."""
@@ -276,14 +294,31 @@ class TestBoundaryFuzz:
     # the firewall writes "<ExceptionType>: message" (e.g. "_ArrayMemoryError: ..."); an
     # input error starts with a lower-case field name
     FIREWALL = re.compile(r"^_?[A-Z][A-Za-z]*: ")
-    # entries near 1e308, where [h, e] - 2e overflows unless e is at unit scale; each passes
+    # entries near 1e308, where [h, e] - 2e, x + tau(x), the degree cut or a pair equation
+    # overflows unless its argument is at unit scale; each passes
     UNIT_SCALE = [
         ("vector-pinv", {"vector": [1e308, 1.6, -0.35]}),
         ("pseudo-pinv", {"signature": [2, 1], "vector": [1e308, 1.6, -0.35]}),
         ("complex-pinv", {"sizes": [2, 2], "maps": [[[1e308, 0], [0, 1]]]}),
         *((command, {"algebra": "sl", "blocks": [2, 2], "degree": 1,
                      "element": [[0, 0, 1e308, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]})
-          for command in ("sl2-complete", "mp-element")),
+          for command in ("sl2-complete", "mp-element", "jordan-mp")),
+        *((command, {"algebra": "so", "blocks": [1, 2, 1],
+                     "element": [[0, 1, 1e308, 0], [0, 0, 0, -1], [0, 0, 0, -1e308], [0, 0, 0, 0]]})
+          for command in ("mp-orbit", "jordan-mp")),
+        ("mp-element", {"algebra": "sl", "blocks": [2, 3],
+                        "element": [[0, 0, 1e308, 1e308, 0], [0, 0, 0, 1e308, 1e308],
+                                    [0] * 5, [0] * 5, [0] * 5]}),
+        ("homform", {"form": {"symmetry": "symmetric", "gram": [[1, 0], [0, 1]]},
+                     "map": [[1e308], [0]]}),
+    ]
+    # a non-member, a matrix neither Hermitian nor skew and a tuple that is not a complex, at
+    # entries near 1e-10, where a check against 1e-9 * (1 + |x|) passes; each is an input error
+    SMALL_SCALE = [
+        ("orbit-height", {"algebra": "so", "blocks": [2, 2],
+                          "element": [[0, 0, 1e-10, 0], [0] * 4, [0] * 4, [0] * 4]}),
+        ("hermitian-pinv", {"matrix": [[0, 1e-10], [0, 0]]}),
+        ("complex-pinv", {"sizes": [2, 2, 2], "maps": [[[1e-5, 0], [0, 1e-5]]] * 2}),
     ]
 
     @classmethod
@@ -298,10 +333,15 @@ class TestBoundaryFuzz:
         assert not cls.FIREWALL.match(output.get("error", "")), output["error"]
         return code, output
 
-    @pytest.mark.parametrize("command, doc", UNIT_SCALE, ids=[c for c, _ in UNIT_SCALE])
+    @pytest.mark.parametrize("command, doc", UNIT_SCALE, ids=command_ids(UNIT_SCALE))
     def test_unit_scale_documents_pass(self, command, doc):
         code, output = self.run(command, doc)
         assert code == EXIT_OK and output["passed"], output
+
+    @pytest.mark.parametrize("command, doc", SMALL_SCALE, ids=command_ids(SMALL_SCALE))
+    def test_small_scale_violations_are_input_errors(self, command, doc):
+        code, output = self.run(command, doc)
+        assert code == EXIT_INPUT, output
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(job=st.data())
@@ -737,6 +777,60 @@ class TestScaleFree:
         assert document["result"]["height"] == ref["result"]["height"] == 4
 
 
+class TestGoldenAtScale:
+    """Each golden input scaled by t answers as the mathematics says: inverses scale by 1/t,
+    the element e by t, and characteristics, heights, labels, ranks and verdicts not at all."""
+
+    # the scaled input field of each command, and the power of t of each result field
+    SCALED = {
+        "pinv": ("matrix", {"pinv": -1}),
+        "form-pinv": ("gram", {"symmetry": 0, "gram": -1}),
+        "vector-pinv": ("vector", {"pinv": -1}),
+        "pseudo-pinv": ("vector", {"pinv": -1}),
+        "hermitian-pinv": ("matrix", {"pinv": -1}),
+        "sl2-complete": ("element", {"e": 1, "h": 0, "f": -1, "is_hermitian": 0}),
+        "mp-element": ("element", {"is_mp_element": 0, "hermitian_defect": 0}),
+        "orbit-height": ("element", {"height": 0}),
+        "mp-orbit": ("element", {"is_mp_orbit": 0, "height": 0}),
+        "homform": ("map", {"orbit": 0, "inverse": -1}),
+        "complex-pinv": ("maps", {"sizes": 0, "maps": -1, "ranks": 0}),
+        "jordan-mp": ("element", {"inverse": -1}),
+    }
+
+    @staticmethod
+    def scaled(value, t):
+        return [TestGoldenAtScale.scaled(v, t) for v in value] if isinstance(value, list) else t * value
+
+    @staticmethod
+    def run(tmp_path, command, doc) -> dict:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_OK and document["passed"], document
+        return json.loads(to_json(document))
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e150, 1e300])
+    @pytest.mark.parametrize("command", sorted(SCALED))
+    def test_answer_scales(self, tmp_path, command, t):
+        field, powers = self.SCALED[command]
+        doc = json.loads((GOLDEN / f"{command}.in.json").read_text())
+        ref = self.run(tmp_path, command, doc)
+        got = self.run(tmp_path, command, {**doc, field: self.scaled(doc[field], t)})
+        assert set(powers) == set(got["result"])
+        for key, power in powers.items():
+            want, have = ref["result"][key], got["result"][key]
+            if power == 0 and not isinstance(want, (list, float)):
+                assert have == want, key
+                continue
+            # ragged map lists compare map by map
+            pairs = zip(want, have) if key == "maps" else [(want, have)]
+            for w, h in pairs:
+                w, h = np.array(w, dtype=float), np.array(h, dtype=float) * t ** -power
+                assert frob(h - w) <= 1e-10 * (1.0 + frob(w)), key
+        verdicts = {k: v for k, v in ref["verification"].items() if isinstance(v, bool)}
+        assert verdicts == {k: got["verification"][k] for k in verdicts}
+
+
 class TestExtremeScale:
     """Inputs whose squared entries under- or overflow: t * f(t x) must equal f(x)."""
 
@@ -780,22 +874,37 @@ class TestExtremeScale:
 
 
 class TestIllConditionedBlock:
-    """A valid element is never an input error, however ill-conditioned its block."""
+    """A valid element is never an input error, however ill-conditioned its block: a
+    numerical failure (NoTriple included) exits 2."""
 
-    @pytest.mark.parametrize("kind", ["so", "sp"])
-    @pytest.mark.parametrize("cond", [1e8, 1e10])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_jordan_mp_is_not_an_input_error(self, tmp_path, kind, cond, seed):
+    @staticmethod
+    def element(kind, cond, seed) -> np.ndarray:
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         if kind == "so":  # skew block with singular values 1, 1, 1/cond, 1/cond
             core = np.zeros((4, 4))
             core[0, 1], core[2, 3] = 1.0, 1.0 / cond
             block = q @ (core - core.T) @ q.T
-        else:  # symmetric block with singular values from 1 down to 1/cond
-            block = q @ np.diag(np.logspace(0, -np.log10(cond), 4)) @ q.T
-        element = GradedAlgebra(kind, (4, 4)).element_from_block(1, 2, block)
+        else:  # sp: symmetric block with singular values from 1 down to 1/cond; sl: any block
+            right = q.T if kind == "sp" else np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            block = q @ np.diag(np.logspace(0, -np.log10(cond), 4)) @ right
+        return GradedAlgebra(kind, (4, 4)).element_from_block(1, 2, block)
+
+    @pytest.mark.parametrize("kind", ["so", "sp"])
+    @pytest.mark.parametrize("cond", [1e8, 1e10])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_jordan_mp_is_not_an_input_error(self, tmp_path, kind, cond, seed):
+        element = self.element(kind, cond, seed)
         code, document = TestScaleFree.run_scaled(tmp_path, "jordan-mp", kind, (4, 4), element, 1.0)
+        assert code in (EXIT_OK, EXIT_VERIFY), document
+
+    @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
+    @pytest.mark.parametrize("kind", ["sl", "so", "sp"])
+    @pytest.mark.parametrize("cond", [1e3, 1e4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_engine_is_not_an_input_error(self, tmp_path, command, kind, cond, seed):
+        element = self.element(kind, cond, seed)
+        code, document = TestScaleFree.run_scaled(tmp_path, command, kind, (4, 4), element, 1.0)
         assert code in (EXIT_OK, EXIT_VERIFY), document
 
 

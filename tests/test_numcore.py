@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from liepinv import classical, forms, homform, jordan
 from liepinv.errors import EmbeddingMismatch, InconsistentConstraints, ShapeMismatch
+from liepinv.graded import GradedAlgebra
 from liepinv.numcore import (
     DEFAULT_TOL,
     Quaternion,
@@ -235,3 +237,43 @@ class TestQuaternions:
             QuaternionMatrix.from_embedding(z)
         with pytest.raises(EmbeddingMismatch):
             QuaternionMatrix.from_embedding(random_complex(rng, 3, 3))
+
+
+
+def _verifier_case(name, rng, t):
+    """(verify, t * a, its inverse, a random candidate of the scale of t * a) for one verifier."""
+    if name == "penrose":
+        a = random_matrix_with_rank(rng, 4, 3, 2)
+        a = t * a / frob(a)
+        return classical.verify_penrose, a, classical.pinv(a), t * random_complex(rng, 3, 4)
+    if name == "hermitian":
+        h, x = random_matrix_with_rank(rng, 4, 4, 3), random_complex(rng, 4, 4)
+        h, x = h + h.conj().T, x + x.conj().T
+        h, x = t * h / frob(h), t * x / frob(x)
+        return forms.verify_hermitian_pinv, h, forms.hermitian_pinv(h), x
+    if name == "homform":
+        form = forms.BilinearForm(forms.SYMMETRIC, np.eye(3))
+        f = random_complex(rng, 3, 2)
+        f = t * f / frob(f)
+        return (lambda a, x: homform.verify_homform(form, a, x), f,
+                homform.mp_inverse_homform(form, f)[0], t * random_complex(rng, 2, 3))
+    alg = GradedAlgebra("sl", (2, 3))
+    pair = jordan.JordanPair(alg)
+    inv = jordan.standard_cartan_involution(pair)
+    e, y = alg.random_element(1, rng), alg.random_element(-1, rng)
+    e, y = t * e / frob(e), t * y / frob(y)
+    return (lambda a, x: jordan.verify_jordan_mp(pair, inv, a, x), e,
+            jordan.mp_inverse_jordan(pair, inv, e)[0], y)
+
+
+class TestVerifiersAreNotVacuous:
+    """At small scale the inverse passes and a random candidate of the scale of a fails: the
+    residuals are taken on the unit-scale pair, not against 1 + |x| at the input's scale.
+    verify_form_pinv is verify_penrose on the Gram matrices."""
+
+    @pytest.mark.parametrize("t", [1e-10, 1e-300])
+    @pytest.mark.parametrize("name", ["penrose", "hermitian", "homform", "jordan"])
+    def test_random_candidate_fails(self, name, t):
+        verify, a, inverse, candidate = _verifier_case(name, np.random.default_rng(7), t)
+        assert verify(a, inverse).passed
+        assert not verify(a, candidate).passed
