@@ -30,6 +30,7 @@ from .errors import (
     LiepinvError,
     NoTriple,
     NotAComplex,
+    NotCharacteristic,
     NotInAlgebra,
     NotMoorePenroseOrbit,
     NotNilpotent,
@@ -121,6 +122,6 @@ __all__ = [
     # errors
     "LiepinvError", "ShapeMismatch", "InconsistentConstraints",
     "EmbeddingMismatch", "NotInAlgebra", "NoTriple", "NotShortGrading",
-    "NotNilpotent", "ZeroElement", "UnsupportedBlock", "SymmetryViolation",
+    "NotCharacteristic", "NotNilpotent", "ZeroElement", "UnsupportedBlock", "SymmetryViolation",
     "DegenerateForm", "NotMoorePenroseOrbit", "NotAComplex", "WrongComponent",
 ]

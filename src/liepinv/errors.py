@@ -29,6 +29,10 @@ class NotShortGrading(LiepinvError, ValueError):
     """Operation requires a grading with only degrees -1, 0, 1."""
 
 
+class NotCharacteristic(LiepinvError, ValueError):
+    """A matrix is not semisimple of degree 0 with integer eigenvalues, as a characteristic is."""
+
+
 class NotNilpotent(LiepinvError, ValueError):
     """Operation requires a nilpotent element."""
 

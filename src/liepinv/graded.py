@@ -13,14 +13,14 @@ matrices, unit pairs tied by the form, and for sl the Helmert rows of the
 traceless diagonal.  Coordinates are gathers, and a bracket with a basis
 element touches one row and one column.
 
-On top of the algebra the module provides: brackets, Killing forms,
+On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
 completion of a homogeneous nilpotent to the norm-minimal sl2-triple (the
 minimal-characteristic engine), Moore-Penrose inverses in short gradings in
 closed form (the classical pseudoinverse of the degree +-1 block, or the
-vector formula of so(1, d, 1); the engine is their certificate in the
-tests), the raising-space criterion for Moore-Penrose orbits, nilpotent
-orbit heights, and the per-block multidegree check for parabolic
-subalgebras of sl_n.
+vector formula of so(1, d, 1); the engine is their certificate in the tests),
+the raising-space criterion for Moore-Penrose orbits (from the kernels of
+h - k, k the integer levels of the n x n characteristic h), nilpotent orbit
+heights, and the per-block multidegree check for parabolics of sl_n.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .classical import _pinv
 from .errors import (
     NoTriple,
+    NotCharacteristic,
     NotInAlgebra,
     NotNilpotent,
     NotShortGrading,
@@ -140,17 +141,16 @@ class _IndexBasis:
         out[self.units:] = x * (d[:, None, :] - d[:, :, None])
         return out
 
+    def ad(self, x: np.ndarray) -> np.ndarray:
+        """Matrix of [x, .] on this basis: column k holds the coordinates of [x, b_k]."""
+        return self.coords(self.brackets(x)).T
+
     def dense(self) -> np.ndarray:
         out = np.zeros((self.count, self.n * self.n), dtype=complex)
         out[np.arange(self.units), self.pos] = self.weight
         out[np.arange(self.units), self.partner] += self.pweight
         out[self.units:, :: self.n + 1] = self.cartan
         return out.reshape(self.count, self.n, self.n)
-
-
-def _bracket_coords(x: np.ndarray, source: _IndexBasis, target: _IndexBasis) -> np.ndarray:
-    """Coordinates of [x, b_k] in ``target`` for each element b_k of ``source``; column k."""
-    return target.coords(source.brackets(x)).T
 
 
 class GradedAlgebra:
@@ -218,9 +218,10 @@ class GradedAlgebra:
         """Involution -J^-1 x^T J of gl_n whose fixed space is the algebra (so/sp only).
 
         J is a signed permutation, so each entry of the image is a signed entry
-        of x: the one at the form partner of its position.
+        of x: the one at the form partner of its position.  x may be a (..., n, n) stack.
         """
-        return (self._tau_sign * x.reshape(-1)[self._partner]).reshape(x.shape)
+        flat = x.reshape(*x.shape[:-2], self.ambient_dim**2)
+        return (self._tau_sign * flat[..., self._partner]).reshape(x.shape)
 
     def _build_basis(self):
         n, k = self.ambient_dim, len(self.blocks)
@@ -324,7 +325,8 @@ class GradedAlgebra:
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "sl":
-            return x - np.trace(x) / self.ambient_dim * np.eye(self.ambient_dim)
+            trace = np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+            return x - trace / self.ambient_dim * np.eye(self.ambient_dim)
         return (x + self._tau(x)) / 2.0
 
     def membership_residual(self, x) -> float:
@@ -369,13 +371,13 @@ class GradedAlgebra:
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad(x) on the orthonormal basis of the algebra."""
-        whole = self._index_basis()
-        return _bracket_coords(self._check_ambient(x), whole, whole)
+        return self._index_basis().ad(self._check_ambient(x))
 
     def killing(self, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
-        """Killing form B(x, y) = Tr(ad x . ad y) on the algebra."""
+        """Killing form Tr(ad x . ad y) = c Tr(xy): c = 2n (sl), n - 2 (so), n + 2 (sp)."""
         x, y = self.require_member(x, tol), self.require_member(y, tol)
-        return complex(np.einsum("ij,ji->", self.ad(x), self.ad(y)))
+        n = self.ambient_dim
+        return complex({"sl": 2 * n, "so": n - 2, "sp": n + 2}[self.kind] * np.sum(x * y.T))
 
     def element_from_block(self, i: int, j: int, block) -> np.ndarray:
         """The unique algebra element of degree j - i whose (i, j) block is given.
@@ -390,23 +392,21 @@ class GradedAlgebra:
         di, dj = self.blocks[i - 1], self.blocks[j - 1]
         if block.shape != (di, dj):
             raise ShapeMismatch(f"block ({i},{j}) must be {di}x{dj}, got {block.shape}")
-        n = self.ambient_dim
+        n, rows, cols = self.ambient_dim, self.block_slice(i), self.block_slice(j)
         x = np.zeros((n, n), dtype=complex)
-        x[self.block_slice(i), self.block_slice(j)] = block
+        x[rows, cols] = block
         if self.kind == "sl":
             return x
-        k = len(self.blocks)
-        self_paired = (k + 1 - j, k + 1 - i) == (i, j)
-        out = x + self._tau(x)
-        if self_paired:
+        unit, exp = _unit_scale(x)  # the symmetry is decided at unit scale
+        out = unit + self._tau(unit)
+        if i + j == len(self.blocks) + 1:  # (i, j) is self-paired
             out /= 2.0
-        got = out[self.block_slice(i), self.block_slice(j)]
-        if frob(got - block) > 1e-10 * (1.0 + frob(block)):
+        if frob(out[rows, cols] - unit[rows, cols]) > 1e-10 * (1.0 + frob(unit)):
             raise SymmetryViolation(
                 f"block ({i},{j}) of {self.kind}{self.blocks} requires the "
                 "form-induced symmetry; given block violates it"
             )
-        return out
+        return _ldexp(out, exp)
 
     def random_element(self, m: int | None, rng: np.random.Generator) -> np.ndarray:
         """Random element of g_m (or of the whole algebra for m=None)."""
@@ -528,7 +528,7 @@ def _minimal_triple(
     h = np.tensordot(y, br_e, 1)
 
     # recover f: [e, f] = h  and  [h, f] = -2 f, both inside the neg span
-    a_bot = _bracket_coords(h, neg, neg) + 2.0 * np.eye(neg.count)
+    a_bot = neg.ad(h) + 2.0 * np.eye(neg.count)
     a_full = np.vstack([m_obj, a_bot])
     b_full = np.concatenate([h_basis.coords(h), np.zeros(neg.count)])
     fc = np.linalg.lstsq(a_full, b_full, rcond=tol.rank_rtol)[0]
@@ -686,6 +686,13 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT
     does not depend on the choice).  The degree-0 part of the algebra is
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
+
+    The eigenspaces are taken from h, an n x n matrix: at each integer level k
+    of its rounded eigenvalues, of multiplicity m_k, the last m_k left and right
+    singular vectors of h - k.  Multiplicity gate: those singular values must lie
+    below residual_tol * (1 + |h|), so that the kernels fill C^n, and h must have
+    degree 0; else NotCharacteristic is raised.  The positive part is spanned by
+    pi(v w*), k > j, with pi the orthogonal projection onto g_0.
     """
     e, h = alg._unit_member(e, tol)[1], alg.require_member(h, tol)
     return _annihilates_positive_part(alg, e, h, tol)
@@ -695,12 +702,20 @@ def _annihilates_positive_part(
     alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance
 ) -> bool:
     """annihilates_positive_part of checked members e, at unit scale, and h."""
-    zero = alg._index_basis(0)
-    eigvals, eigvecs = np.linalg.eig(_bracket_coords(h, zero, zero))
-    positive = eigvecs[:, eigvals.real > 0.5]
-    # [e, x_j] for each eigenvector x_j; the basis is orthonormal, so |x_j|_F = |positive_j|
-    moved = np.linalg.norm(np.tensordot(positive.T, zero.brackets(e), 1), axis=(1, 2))
-    bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(positive, axis=0))
+    n, cut = alg.ambient_dim, tol.residual_tol * (1.0 + frob(h))
+    levels, counts = np.unique(np.rint(np.linalg.eigvals(h).real), return_counts=True)
+    u, sv, vh = np.linalg.svd(h - levels[:, None, None] * np.eye(n))
+    kernel = np.arange(n) >= (n - counts)[:, None]  # the last m_k singular triplets of h - k
+    gap = max(sv[kernel].max(), frob(h[alg._degree_mask != 0]))
+    if gap > cut:
+        raise NotCharacteristic(f"h is not of degree 0 and diagonalizable with integer "
+                                f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
+    level = np.repeat(levels, counts)
+    a, b = np.nonzero(level[:, None] > level[None, :])
+    outer = vh.conj()[kernel][a, :, None] * u.conj().transpose(0, 2, 1)[kernel][b, None, :]
+    x = alg._project(np.where(alg._degree_mask == 0, outer, 0.0))  # pi(v w*)
+    moved = np.linalg.norm(_bracket(e, x), axis=(-2, -1))
+    bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
     return bool(np.all(moved <= bound))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
-from .graded import GradedAlgebra, _bracket, _bracket_coords, _mp_inverse_short, bracket
+from .graded import GradedAlgebra, _bracket, _mp_inverse_short, bracket
 from .numcore import DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, as_matrix, frob
 
 __all__ = [
@@ -90,7 +90,7 @@ class JordanPair:
 
     def _operator(self, xy: np.ndarray, sign: int) -> np.ndarray:
         """operator_matrix from [x, y]: column k holds the coordinates of [[x, y], b_k] / 2."""
-        return 0.5 * _bracket_coords(xy, self._index(sign), self._index(sign))
+        return 0.5 * self._index(sign).ad(xy)
 
 
 def triple_product(pair: JordanPair, x, y, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -277,6 +277,38 @@ def centralizer_positive_directions(alg, e, h, degree=None) -> np.ndarray:
     return np.einsum("kj,kab->jab", coords, basis)
 
 
+def positive_part_annihilated_eig(alg, e, h, tol=DEFAULT_TOL) -> bool:
+    """The raising-space criterion from np.linalg.eig of ad(h) on g_0, as liepinv once decided it.
+
+    Each eigenvector x of ad(h)|g_0 with eigenvalue above 1/2, unit norm in
+    the orthonormal basis of g_0, must satisfy
+    |[e, x]| <= residual_tol (1 + |e|) (1 + |x|), with e at unit scale.  An
+    independent route to ``graded.annihilates_positive_part``, which takes
+    the eigenspaces of h itself.
+    """
+    e = as_matrix(e)
+    top = np.max(np.abs(e.view(float)), initial=0.0)
+    e = e * np.ldexp(1.0, 1 - np.frexp(top)[1]) if top else e  # largest part in [1, 2)
+    basis = alg.basis(0)
+    br_h = np.einsum("ab,kbc->kac", h, basis) - np.einsum("kab,bc->kac", basis, h)
+    eigvals, eigvecs = np.linalg.eig(np.einsum("jab,kab->jk", basis.conj(), br_h))
+    positive = eigvecs[:, eigvals.real > 0.5]
+    x = np.einsum("kj,kab->jab", positive, basis)
+    moved = np.linalg.norm(np.einsum("ab,jbc->jac", e, x) - np.einsum("jab,bc->jac", x, e),
+                           axis=(1, 2))
+    bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(positive, axis=0))
+    return bool(np.all(moved <= bound))
+
+
+def killing_ad(alg, x, y) -> complex:
+    """Killing form Tr(ad x . ad y) from the ad matrices, as liepinv once computed it.
+
+    An independent route to ``GradedAlgebra.killing``, which takes the closed
+    form c Tr(xy).
+    """
+    return complex(np.einsum("ij,ji->", alg.ad(x), alg.ad(y)))
+
+
 def random_exact_complex(rng, sizes, ranks) -> list[np.ndarray]:
     """Chain maps with prescribed ranks and numerically exact zero compositions."""
     k = len(sizes)

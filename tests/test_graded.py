@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepinv import classical
 from liepinv.errors import (
+    NotCharacteristic,
     NotInAlgebra,
     NotNilpotent,
     NotShortGrading,
@@ -34,7 +37,10 @@ from helpers import (
     centralizer_positive_directions,
     compact_group_element,
     jordan_nilpotent,
+    killing_ad,
+    levi_group_element,
     partitions,
+    positive_part_annihilated_eig,
     random_complex,
     random_matrix_with_rank,
     split_form,
@@ -207,6 +213,13 @@ class TestGradedAlgebraStructure:
         with pytest.raises(SymmetryViolation):
             sp.element_from_block(1, 2, skew)  # needs a symmetric block
 
+    def test_element_from_block_decides_symmetry_at_unit_scale(self):
+        sp = GradedAlgebra("sp", (2, 2))
+        huge = np.array([[1e308, 0.0], [0.0, 1.0]])
+        assert np.array_equal(sp.block_component(sp.element_from_block(1, 2, huge), 1, 2), huge)
+        with pytest.raises(SymmetryViolation):  # tiny, but not symmetric
+            sp.element_from_block(1, 2, [[0.0, 1e-12], [0.0, 0.0]])
+
 
 class TestKillingForm:
     def test_sl2_values(self):
@@ -237,6 +250,15 @@ class TestKillingForm:
             y = alg.random_element(-1, rng)
             ratio = alg.killing(x, y) / np.trace(x @ y)
             assert abs(ratio - expected) < 1e-9 * expected
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS + [("sl", (2,)), ("so", (5,)), ("sp", (4,))])
+    def test_closed_form_matches_ad_trace(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(6)
+        x, y = alg.random_element(None, rng), alg.random_element(None, rng)
+        for a, b in ((x, y), (x, x.conj().T), (y, y)):
+            want = killing_ad(alg, a, b)
+            assert abs(alg.killing(a, b) - want) <= 1e-12 * abs(want)
 
 
 class TestMinimalCharacteristic:
@@ -354,7 +376,8 @@ class TestShortGradingInverse:
         if alg.kind == "sl":
             block = random_matrix_with_rank(rng, p, q, min(p, q) - 1)
         else:
-            low = random_matrix_with_rank(rng, p, p, p - 1)
+            # a skew block has even rank: the only deficient skew 2 x 2 block is zero
+            low = random_matrix_with_rank(rng, p, p, p - 1 if alg.kind == "sp" else (p - 1) // 2 * 2)
             block = low @ alg.block_component(alg.random_element(1, rng), 1, 2) @ low.T
         yield "deficient", alg.element_from_block(1, 2, block)
 
@@ -509,7 +532,106 @@ class TestScaleFree:
             assert orbit_height(alg, t * moved) == 4
 
 
+# Short, two-step and three-step gradings, with and without so/sp middle blocks.
+CRITERION_GRADINGS = [
+    ("sl", (2, 3, 2)), ("sl", (3, 3)), ("sl", (2, 2, 2, 2)), ("sl", (1, 3, 2)), ("sl", (4, 4, 4)),
+    ("so", (2, 3, 2)), ("so", (1, 4, 1)), ("so", (2, 2, 2, 2)), ("sp", (2, 2, 2)), ("sp", (3, 3)),
+]
+
+
+def criterion_elements(alg, rng, count):
+    """(degree, e) for homogeneous e of each positive degree, every block of random nonzero rank.
+
+    In so(2, 3, 2) the Levi conjugates of a map of rank 2 whose image carries
+    a form of rank 1 are added: that orbit is not Moore-Penrose.
+    """
+    k = len(alg.blocks)
+    for m in [d for d in alg.degrees if d > 0]:
+        for _ in range(count):
+            e = np.zeros((alg.ambient_dim,) * 2, dtype=complex)
+            for i in range(1, k + 1 - m):
+                p, q = alg.blocks[i - 1], alg.blocks[i - 1 + m]
+                r = int(rng.integers(1, min(p, q) + 1))
+                e[alg.block_slice(i), alg.block_slice(i + m)] = random_matrix_with_rank(rng, p, q, r)
+            yield m, alg.project(e)
+    if (alg.kind, alg.blocks) == ("so", (2, 3, 2)):
+        e = alg.element_from_block(1, 2, np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0]]))
+        for _ in range(count):
+            g = levi_group_element(alg, rng)
+            yield 1, g @ e @ np.linalg.inv(g)
+
+
+def criterion_triple(kind, blocks, seed):
+    """(alg, e, h): a random element from criterion_elements and its minimal characteristic."""
+    alg = GradedAlgebra(kind, blocks)
+    elements = list(criterion_elements(alg, np.random.default_rng(seed), 2))
+    m, e = elements[seed % len(elements)]
+    return alg, e, minimal_characteristic(alg, e, m).h
+
+
 class TestCriterion:
+    def test_agrees_with_eig_oracle(self):
+        rng = np.random.default_rng(53)
+        verdicts = []
+        for kind, blocks in CRITERION_GRADINGS:
+            alg = GradedAlgebra(kind, blocks)
+            for m, e in criterion_elements(alg, rng, 8):
+                h = minimal_characteristic(alg, e, m).h
+                got = annihilates_positive_part(alg, e, h)
+                assert got == positive_part_annihilated_eig(alg, e, h), (kind, blocks, m)
+                verdicts.append(got)
+        assert len(verdicts) >= 100 and verdicts.count(False) >= 20
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_agrees_with_eig_oracle_where_so_and_gl_differ(self, n):
+        # a b^T - b a^T, a isotropic and b a unit vector orthogonal to it, has Jordan type
+        # (3, 1, ...): it is Moore-Penrose in so(n) but not in gl(n), so ad(e) kills the
+        # positive part of so(n) only, not that of gl(n)
+        alg = GradedAlgebra("so", (n,))
+        a, b = np.zeros(n, dtype=complex), np.zeros(n)
+        a[:2], b[2] = (1.0, 1j), 1.0
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            g = compact_group_element(alg, rng)
+            e = g @ (np.outer(a, b) - np.outer(b, a)) @ g.conj().T
+            h = minimal_characteristic(alg, e, 0).h
+            assert annihilates_positive_part(alg, e, h) and positive_part_annihilated_eig(alg, e, h)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CRITERION_GRADINGS), seed=st.integers(0, 2**16),
+           exponent=st.floats(-150.0, 150.0))
+    def test_verdict_does_not_depend_on_scale(self, case, seed, exponent):
+        alg, e, h = criterion_triple(*case, seed)
+        want = annihilates_positive_part(alg, e, h)
+        assert annihilates_positive_part(alg, 10.0**exponent * e, h) == want
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CRITERION_GRADINGS), seed=st.integers(0, 2**16))
+    def test_verdict_is_invariant_under_unitary_levi_conjugation(self, case, seed):
+        alg, e, h = criterion_triple(*case, seed)
+        g = compact_group_element(alg, np.random.default_rng(seed))
+        want = annihilates_positive_part(alg, e, h)
+        assert annihilates_positive_part(alg, g @ e @ g.conj().T, g @ h @ g.conj().T) == want
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(case=st.sampled_from(CRITERION_GRADINGS), seed=st.integers(0, 2**16),
+           t=st.floats(0.55, 0.65))
+    def test_non_characteristic_raises(self, case, seed, t):
+        alg, e, h = criterion_triple(*case, seed)
+        # t h has an eigenvalue strictly between two integers; e lies outside g_0
+        for bad in (t * h, e):
+            with pytest.raises(NotCharacteristic):
+                annihilates_positive_part(alg, e, bad)
+
+    def test_non_semisimple_degree_zero_h_raises(self):
+        alg = GradedAlgebra("sl", (3,))
+        e = jordan_nilpotent((3,))
+        jordan = np.diag([1.0, 1.0, -2.0])
+        jordan[0, 1] = 1.0
+        for bad in (e, jordan):  # integer eigenvalues, but a Jordan block
+            with pytest.raises(NotCharacteristic):
+                annihilates_positive_part(alg, e, bad)
+
     def test_agrees_across_two_triples(self):
         # the raising-space criterion must not depend on the chosen triple
         rng = np.random.default_rng(50)
