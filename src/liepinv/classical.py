@@ -19,15 +19,14 @@ from .errors import ShapeMismatch
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
-    RankDecomposition,
     Report,
     Tolerance,
     _ldexp,
+    _pinv,
     _unit_pair,
     _unit_scale,
     as_matrix,
     frob,
-    rank_decomposition,
 )
 
 __all__ = [
@@ -46,15 +45,6 @@ def pinv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     unit, k = _unit_scale(as_matrix(a))
     return _ldexp(_pinv(unit, tol)[0], -k)
-
-
-def _pinv(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, RankDecomposition]:
-    """pinv of a checked matrix at unit scale, with the one decomposition it is built from."""
-    dec = rank_decomposition(a, tol)
-    if dec.rank == 0:
-        return np.zeros(a.shape[::-1], dtype=complex), dec
-    restricted = dec.image.conj().T @ a @ dec.coimage  # (r, r), invertible
-    return dec.coimage @ np.linalg.solve(restricted, dec.image.conj().T), dec
 
 
 def verify_penrose(a, x, tol: Tolerance = DEFAULT_TOL) -> Report:

@@ -538,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("inputs", nargs="*", help="input JSON document(s)")
     parser.add_argument("--tol-rank", type=float, default=Tolerance().rank_rtol,
-                        help="relative singular value cutoff (default 1e-10)")
+                        help="relative singular value cutoff of every rank decision, "
+                             "orbit heights included (default 1e-10)")
     parser.add_argument("--tol-residual", type=float, default=Tolerance().residual_tol,
                         help="relative residual acceptance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=0,

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _pinv
 from .errors import NotAComplex, ShapeMismatch
 from .graded import _certificate
-from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, _unit_scale, as_matrix,
-                      frob, rank_decomposition)
+from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _pinv, _unit_pair, _unit_scale,
+                      as_matrix, frob, rank_decomposition)
 
 __all__ = [
     "ChainTuple",

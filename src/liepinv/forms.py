@@ -23,6 +23,7 @@ from .numcore import (
     Report,
     Tolerance,
     _ldexp,
+    _pinv,
     _unit_pair,
     _unit_scale,
     as_matrix,
@@ -94,7 +95,7 @@ def form_pinv(form: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     checked on pinv(W / 2**k) and then imposed.
     """
     unit, k = _unit_scale(form.gram)
-    w_plus = classical._pinv(unit, tol)[0]
+    w_plus = _pinv(unit, tol)[0]
     sign = 1.0 if form.symmetry == SYMMETRIC else -1.0
     sym_defect = frob(w_plus.T - sign * w_plus)
     if sym_defect > tol.residual_tol * (1.0 + frob(w_plus)):
@@ -283,7 +284,7 @@ def hermitian_pinv(a, tol: Tolerance = DEFAULT_TOL):
         return QuaternionMatrix.from_embedding(hermitian_pinv(a.embed(), tol), tol)
     unit, k = _unit_scale(as_matrix(a))
     sign = _hermitian_sign(unit, tol)
-    x = classical._pinv(unit, tol)[0]
+    x = _pinv(unit, tol)[0]
     return _ldexp((x + sign * x.conj().T) / 2.0, -k)
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import _pinv
 from .errors import (
     NoTriple,
     NotCharacteristic,
@@ -45,6 +44,7 @@ from .numcore import (
     DEFAULT_TOL,
     Tolerance,
     _ldexp,
+    _pinv,
     _unit_pair,
     _unit_scale,
     as_matrix,
@@ -597,10 +597,10 @@ def characteristic_direction_space(
     br_e, c_mat = _completion_system(e, neg, res)
     null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
     deltas = np.einsum("kj,kab->jab", null, br_e).reshape(-1, alg.ambient_dim**2)
-    # e is at unit scale and the kernel columns are orthonormal, so a
-    # direction of norm below rank_rtol is roundoff, not a direction
-    _, sv, vh = np.linalg.svd(deltas, full_matrices=False)
-    return vh[sv > tol.rank_rtol].reshape(-1, alg.ambient_dim, alg.ambient_dim)
+    # e is at unit scale and the kernel columns are orthonormal, so the cut is
+    # absolute: a direction of norm below rank_rtol is roundoff, not a direction
+    image = rank_decomposition(deltas.T, tol, 1.0).image
+    return image.T.reshape(-1, alg.ambient_dim, alg.ambient_dim)
 
 
 def _as_vector(v) -> np.ndarray:
@@ -748,25 +748,28 @@ def is_mp_element(
 def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     """Height of the nilpotent orbit: the largest k with ad(e)^k != 0.
 
-    Powers of ad(e) at unit scale are compared against residual_tol * |ad(e)|^k;
-    the zero element has height 0.  NotNilpotent is raised when ad(e)^dim does
-    not vanish.
+    The image of ad(e)^k is invariant, so the rank of ad(e) on it, in an
+    orthonormal basis, is the rank of ad(e)^(k+1).  Each rank is decided with
+    rank_rtol at the scale |ad(e)|_F, and its decomposition gives the next
+    basis.  The height is the number of steps until the rank reaches 0; the
+    zero element has height 0.  NotNilpotent is raised as soon as the rank
+    stops falling.
     """
     return _orbit_height(alg, alg._unit_member(e, tol)[1], tol)
 
 
 def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
     """orbit_height of a checked member at unit scale."""
-    ad_e = alg.ad(e)
-    top = np.linalg.norm(ad_e, 2) if ad_e.size else 0.0
-    power = np.eye(ad_e.shape[0], dtype=complex)
-    for k in range(1, alg.dim + 1):
-        power = power @ ad_e
-        if np.linalg.norm(power, 2) <= tol.residual_tol * top**k:
-            return k - 1
-    if top > 0.0:
-        raise NotNilpotent("ad(e)^dim does not vanish within tolerance")
-    return 0
+    on_image = alg.ad(e)  # ad(e) on the image of ad(e)^height
+    scale, height = frob(on_image), 0
+    while (dec := rank_decomposition(on_image, tol, scale)).rank:
+        if dec.rank == on_image.shape[0]:
+            raise NotNilpotent(
+                f"e is not nilpotent: ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}"
+            )
+        on_image = dec.image.conj().T @ on_image @ dec.image
+        height += 1
+    return height
 
 
 def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical
 from .errors import DegenerateForm, NotMoorePenroseOrbit, ShapeMismatch
 from .forms import SYMMETRIC, BilinearForm
 from .graded import GradedAlgebra, minimal_characteristic
-from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, _unit_scale, as_matrix,
-                      frob, rank_decomposition)
+from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _pinv, _unit_pair, _unit_scale,
+                      as_matrix, frob, rank_decomposition)
 
 __all__ = [
     "OrbitLabel",
@@ -81,12 +80,11 @@ def classify_orbit(form: BilinearForm, f_mat, tol: Tolerance = DEFAULT_TOL) -> O
     dec = rank_decomposition(_unit_scale(f_mat)[0], tol)
     if dec.rank == 0:
         return OrbitLabel(0, 0)
+    # the restricted form is ranked at the ambient form's scale |W|_2: a totally
+    # isotropic image leaves only roundoff in it
     restricted = dec.image.T @ form.gram @ dec.image
-    # rank of the restricted form is judged against the ambient form's scale:
-    # a totally isotropic image leaves only roundoff noise in `restricted`
-    singular = np.linalg.svd(restricted, compute_uv=False)
-    cutoff = tol.rank_rtol * np.linalg.norm(form.gram, 2)
-    return OrbitLabel(dec.rank, dec.rank - int(np.sum(singular > cutoff)))
+    return OrbitLabel(dec.rank, dec.rank - rank_decomposition(
+        restricted, tol, np.linalg.norm(form.gram, 2)).rank)
 
 
 def _standard_symmetry(form: BilinearForm, tol: Tolerance) -> None:
@@ -200,7 +198,7 @@ def mp_inverse_homform(
         res = minimal_characteristic(alg, hom_element(alg, witness), 1, tol)
         raise NotMoorePenroseOrbit(a, b, res.hermitian_defect)
     unit, exp = _unit_scale(f_mat)
-    f_plus, dec = classical._pinv(unit, tol)
+    f_plus, dec = _pinv(unit, tol)
     if b == a:  # F+ = 0 at a = 0
         g_mat = f_plus / 2.0
     else:

@@ -1,10 +1,15 @@
 """Deterministic dense linear algebra over complex scalars.
 
 Everything here is a thin, tolerance-aware layer over LAPACK (through
-numpy): numerical ranks, orthonormal kernel/image/coimage bases, adjoints,
-exact power-of-two unit scaling, and equality-constrained least squares.
-Quaternion matrices are supported through their standard complex embedding;
-there is deliberately no native quaternion factorization.
+numpy): numerical ranks, orthonormal kernel/image/coimage bases, the
+pseudoinverse built on them, adjoints, exact power-of-two unit scaling, and
+equality-constrained least squares.  Quaternion matrices are supported
+through their standard complex embedding; there is deliberately no native
+quaternion factorization.
+
+One rank rule: every numerical rank of the package is decided by
+:func:`rank_decomposition` at a named scale (sigma <= rank_rtol * scale is
+zero); residual_tol judges residuals, never a rank.
 
 All inputs must be finite; all outputs are fresh arrays.  Every function is
 pure, so concurrent use is safe.
@@ -50,9 +55,11 @@ __all__ = [
 class Tolerance:
     """Numerical policy: rank cutoff and residual acceptance.
 
-    rank_rtol is a relative singular-value cutoff (sigma <= rank_rtol * sigma_max
-    counts as zero); residual_tol is the relative residual below which a
-    verification condition is accepted.  Both must lie in (0, 1e-3].
+    rank_rtol decides every rank, orbit heights included: sigma <=
+    rank_rtol * scale counts as zero, at the scale :func:`rank_decomposition`
+    is given (sigma_max by default).  residual_tol is the relative residual
+    below which a verification condition is accepted.  Both must lie in
+    (0, 1e-3].
     """
 
     rank_rtol: float = 1e-10
@@ -141,14 +148,16 @@ class RankDecomposition(NamedTuple):
     coimage: np.ndarray  # shape (cols, rank), the orthocomplement of the kernel
 
 
-def rank_decomposition(a, tol: Tolerance = DEFAULT_TOL) -> RankDecomposition:
-    """Rank, kernel basis and image basis of ``a`` by SVD.
+def rank_decomposition(
+    a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None
+) -> RankDecomposition:
+    """Rank, kernel basis and image basis of ``a`` by SVD, at the package's one rank rule.
 
-    Singular values sigma <= rank_rtol * sigma_max are treated as zero.  The
-    kernel columns are right singular vectors of the discarded values, the
-    image and coimage columns are the left and right singular vectors of the
-    kept ones; all three families are orthonormal.  A zero (or empty) matrix
-    has rank 0 and full kernel.
+    sigma <= rank_rtol * scale is zero, scale = sigma_max unless named: where the
+    operator ``a`` was taken from vanishes, ``a`` is roundoff, and sigma_max would
+    count it.  Kernel columns are the right singular vectors of the discarded values,
+    image and coimage columns the left and right ones of the kept values, all
+    orthonormal.  A zero (or empty) matrix has rank 0 and full kernel.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -156,11 +165,21 @@ def rank_decomposition(a, tol: Tolerance = DEFAULT_TOL) -> RankDecomposition:
         return RankDecomposition(
             0, np.eye(n, dtype=complex), np.zeros((m, 0), complex), np.zeros((n, 0), complex)
         )
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = tol.rank_rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    u, s, vh = np.linalg.svd(a, full_matrices=m < n)  # all of V only when the kernel needs it
+    rank = int(np.sum(s > tol.rank_rtol * (s[0] if scale is None else scale)))
     v = vh.conj().T
     return RankDecomposition(rank, v[:, rank:].copy(), u[:, :rank].copy(), v[:, :rank].copy())
+
+
+def _pinv(
+    a: np.ndarray, tol: Tolerance, scale: float | None = None
+) -> tuple[np.ndarray, RankDecomposition]:
+    """pinv of a checked matrix, ranked at ``scale``, and the one decomposition it is built from."""
+    dec = rank_decomposition(a, tol, scale)
+    if dec.rank == 0:
+        return np.zeros(a.shape[::-1], dtype=complex), dec
+    restricted = dec.image.conj().T @ a @ dec.coimage  # (r, r), invertible
+    return dec.coimage @ np.linalg.solve(restricted, dec.image.conj().T), dec
 
 
 def _unit_scale(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -223,34 +242,20 @@ def solve_least_squares_constrained(
     if t.shape[0] != m_mat.shape[0] or d.shape[0] != c_mat.shape[0]:
         raise ShapeMismatch("right-hand side lengths do not match")
 
-    # Every least-squares subproblem uses the package rank policy as its
-    # singular value cutoff; keeping tiny directions would blow up the
-    # minimal-norm solution along numerically invisible subspaces.
-    if c_mat.shape[0] == 0:
-        x_part = np.zeros(n, dtype=complex)
-        null = np.eye(n, dtype=complex)
-    else:
-        x_part = np.linalg.lstsq(c_mat, d, rcond=tol.rank_rtol)[0]
-        gap = frob(c_mat @ x_part - d)
-        scale = 1.0 + frob(d) + frob(c_mat) * frob(x_part)
-        if gap > tol.residual_tol * scale:
-            raise InconsistentConstraints(
-                f"constraint residual {gap:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}"
-            )
-        null = rank_decomposition(c_mat, tol).kernel
-
-    x = x_part
-    if null.shape[1]:
-        # The reduced rank is decided against |M|_F, not against |M N|: where M
-        # vanishes on ker C, M N holds only roundoff, and a cutoff relative to
-        # it would invert the noise.  The branch is explicit because lstsq
-        # keeps the one singular value of a single column whatever rcond is.
-        mn = m_mat @ null
-        top = np.linalg.norm(mn, 2)
-        cutoff = tol.rank_rtol * frob(m_mat)
-        if top > cutoff:
-            z = np.linalg.lstsq(mn, t - m_mat @ x_part, rcond=cutoff / top)[0]
-            x = x_part + null @ z
+    # One decomposition of C gives the minimal-norm particular solution and
+    # the kernel.  The reduced rank is decided against |M|_F, not against
+    # |M N|: where M vanishes on ker C, M N holds only roundoff, and a cutoff
+    # relative to it would invert the noise.
+    c_plus, dec = _pinv(c_mat, tol)
+    x_part = c_plus @ d
+    gap = frob(c_mat @ x_part - d)
+    scale = 1.0 + frob(d) + frob(c_mat) * frob(x_part)
+    if gap > tol.residual_tol * scale:
+        raise InconsistentConstraints(
+            f"constraint residual {gap:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}"
+        )
+    null = dec.kernel
+    x = x_part + null @ (_pinv(m_mat @ null, tol, frob(m_mat))[0] @ (t - m_mat @ x_part))
 
     # First-order optimality: the gradient of the objective must be
     # orthogonal to the feasible directions.

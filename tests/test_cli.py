@@ -221,15 +221,18 @@ class TestCheckOnce:
 class TestOneDecomposition:
     """A Moore-Penrose construction takes one SVD, and a form's rank is decided once."""
 
-    # before pinv took its coimage from the same SVD: pinv 2, form-pinv 2, homform 7
-    @pytest.mark.parametrize("command, most", [("pinv", 1), ("form-pinv", 1), ("homform", 3)])
+    # before pinv took its coimage from the same SVD: pinv 2, form-pinv 2, homform 7; homform
+    # went 3 -> 4 when classify_orbit ranked its restricted form through rank_decomposition
+    # instead of a bare SVD, so the number of SVDs stayed the same
+    @pytest.mark.parametrize("command, most", [("pinv", 1), ("form-pinv", 1), ("homform", 4)])
     def test_golden_input(self, monkeypatch, command, most):
         counts = count_calls(monkeypatch, {"numcore": ("rank_decomposition",)})
         assert run_job(golden_job(command))[0] == EXIT_OK
         assert 1 <= counts["rank_decomposition"] <= most
 
     def test_homform_b_zero_map(self, monkeypatch, tmp_path):
-        # before F+ and the image basis came from one SVD: 4 (orbit, form rank, F+, image)
+        # before F+ and the image basis came from one SVD: 4 (orbit, form rank, F+, image),
+        # plus the restricted form's rank, then a bare SVD and now a rank_decomposition
         doc = tmp_path / "map.json"
         doc.write_text(json.dumps({"form": {"symmetry": "symmetric", "gram": np.eye(3).tolist()},
                                    "map": [[1, 0], [0, 2], [0, 0]]}))
@@ -237,7 +240,7 @@ class TestOneDecomposition:
                                            "homform": ("classify_orbit",)})
         code, document = run_job(JobSpec("homform", str(doc)))
         assert code == EXIT_OK and document["result"]["orbit"] == {"a": 2, "b": 0}
-        assert counts == {"rank_decomposition": 3, "classify_orbit": 1}
+        assert counts == {"rank_decomposition": 4, "classify_orbit": 1}
 
 
 class TestExceptionFirewall:
@@ -736,6 +739,22 @@ class TestMainEntry:
         doc_a = json.loads(out_a.read_text())
         doc_b = json.loads(out_b.read_text())
         assert doc_a["result"] == doc_b["result"]
+
+
+class TestNotNilpotent:
+    """A generic element is semisimple: each command that needs a nilpotent exits 1."""
+
+    @pytest.mark.parametrize("kind, blocks", [("sl", (6, 6)), ("sl", (8, 8)), ("so", (2, 3, 2)),
+                                              ("sp", (3, 3))])
+    @pytest.mark.parametrize("command, extra", [("orbit-height", {}), ("mp-orbit", {}),
+                                                ("sl2-complete", {"degree": 0})])
+    def test_generic_element_exits_one(self, tmp_path, kind, blocks, command, extra):
+        x = GradedAlgebra(kind, blocks).random_element(None, np.random.default_rng(3))
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"algebra": kind, "blocks": list(blocks),
+                                   "element": encode_complex_matrix(x).tolist(), **extra}))
+        code, document = run_job(JobSpec(command, str(doc)))
+        assert code == EXIT_INPUT and "not nilpotent" in document["error"]
 
 
 class TestScaleFree:

@@ -498,6 +498,53 @@ class TestOrbits:
             assert is_mp_element(alg, u @ e @ u.conj().T, 0)
 
 
+class TestHeightsAreRanks:
+    """orbit_height decides ranks of ad(e) on its nested images, not the decay of its powers:
+    a non-unitary conjugate keeps its height, and a generic element is not nilpotent."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gaussian_conjugates_of_every_partition(self, n):
+        alg = GradedAlgebra("sl", (n,))
+        rng = np.random.default_rng(1300)
+        for part in partitions(n):
+            g = random_complex(rng, n, n)
+            e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
+            assert orbit_height(alg, e) == 2 * (part[0] - 1), part
+
+    # the conjugators of the graded-ladder benchmark's regular nilpotents in sl(8) and sl(10)
+    @pytest.mark.parametrize("n, seed", [(8, 12), (10, 23)])
+    def test_regular_nilpotent_under_gaussian_conjugation(self, n, seed):
+        g = random_complex(np.random.default_rng(seed), n, n)
+        e = g @ jordan_nilpotent((n,)) @ np.linalg.inv(g)
+        assert orbit_height(GradedAlgebra("sl", (n,)), e) == 2 * (n - 1)
+
+    @pytest.mark.parametrize("kind, blocks", [
+        ("so", (1,) * 7), ("so", (1,) * 8), ("sp", (1,) * 6), ("sp", (1,) * 8),
+        ("so", (2, 2, 2, 2)), ("sp", (2, 2, 2)), ("so", (2, 3, 2)), ("sp", (1, 2, 2, 1)),
+    ])
+    def test_group_conjugates_keep_the_unitary_height(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(1310)
+        e = alg.random_element(1, rng)
+        u = compact_group_element(alg, rng)
+        x = alg.random_element(None, rng)
+        g = scipy.linalg.expm(4.0 * x / frob(x))  # condition number 11 to 55
+        assert orbit_height(alg, g @ e @ np.linalg.inv(g)) == orbit_height(alg, u @ e @ u.conj().T)
+
+    # a generic element is semisimple
+    @pytest.mark.parametrize("kind, blocks", [("sl", (6, 6)), ("sl", (8, 8)), ("so", (2, 3, 2)),
+                                              ("sp", (3, 3))])
+    def test_generic_elements_are_not_nilpotent(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        x = alg.random_element(None, np.random.default_rng(3))
+        with pytest.raises(NotNilpotent):
+            orbit_height(alg, x)
+        with pytest.raises(NotNilpotent):
+            is_mp_orbit(alg, x)
+        with pytest.raises(NotNilpotent):
+            minimal_characteristic(alg, x, 0)
+
+
 SCALE_ALGEBRAS = [("sl", (4, 4)), ("sp", (3, 3)), ("so", (1, 6, 1)), ("sl", (3, 3, 3))]
 SCALES = (1e-150, 1e-8, 1e150)
 

@@ -67,6 +67,16 @@ class TestClassifyOrbit:
         label = classify_orbit(SKEW2, np.array([[1.0], [0.0]]))
         assert (label.a, label.b) == (1, 1)
 
+    def test_totally_isotropic_image(self):
+        # columns u_k + i v_k of a real orthogonal matrix are isotropic and orthogonal for
+        # x^T y; the restricted form holds only roundoff, which the form's scale ranks 0
+        q = np.linalg.qr(np.random.default_rng(83).standard_normal((5, 5)))[0]
+        f_mat = q[:, :2] + 1j * q[:, 2:4]
+        image = np.linalg.svd(f_mat, full_matrices=False)[0]
+        assert 0.0 < frob(image.T @ image) < 1e-14
+        label = classify_orbit(standard_form(SYMMETRIC, 5), f_mat)
+        assert (label.a, label.b) == (2, 2)
+
     def test_orthogonal_unit_vector(self):
         label = classify_orbit(SYM3, np.array([[1.0], [0.0], [0.0]]))
         assert (label.a, label.b) == (1, 0)

@@ -17,7 +17,19 @@ from liepinv.numcore import (
     solve_least_squares_constrained,
 )
 
-from helpers import random_complex, random_matrix_with_rank, random_quaternion_matrix
+from helpers import (
+    random_complex,
+    random_matrix_with_rank,
+    random_quaternion_matrix,
+    random_unitary,
+)
+
+
+def vanishing_on_kernel(seed: int):
+    """(m, c): c is one unit row, and m vanishes on the line ker c up to roundoff only."""
+    rng = np.random.default_rng(seed)
+    c = random_unitary(rng, 2)[:, :1].conj().T
+    return random_complex(rng, 3, 1) @ c, c
 
 
 class TestTolerance:
@@ -136,6 +148,14 @@ class TestRankDecomposition:
         assert frob(dec.kernel.conj().T @ dec.coimage) < 1e-13
         assert rank_decomposition(a @ dec.coimage).rank == rank
 
+    def test_named_scale_ranks_roundoff_as_zero(self):
+        # m @ ker(c) is roundoff: at the scale of m it has rank 0, at its own sigma_max rank 1
+        m, c = vanishing_on_kernel(71)
+        product = m @ rank_decomposition(c).kernel
+        assert 0.0 < frob(product) < 1e-14 * frob(m)
+        assert rank_decomposition(product, DEFAULT_TOL, frob(m)).rank == 0
+        assert rank_decomposition(product).rank == 1
+
     def test_coimage_of_empty_input(self):
         assert rank_decomposition(np.zeros((0, 4))).coimage.shape == (4, 0)
         assert rank_decomposition(np.zeros((4, 0))).coimage.shape == (0, 0)
@@ -159,6 +179,14 @@ class TestConstrainedLeastSquares:
             np.eye(2), np.array([3.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0])
         )
         assert frob(x - np.array([1.5, 1.5])) < 1e-12
+
+    def test_objective_vanishing_on_a_one_dimensional_kernel(self):
+        # the reduced problem is one column of roundoff, ranked 0 at |M|_F: x is the
+        # minimal-norm solution of the constraints alone, not roundoff inverted
+        m, c = vanishing_on_kernel(71)
+        t = random_complex(np.random.default_rng(72), 3)
+        x = solve_least_squares_constrained(m, t, c, [2.0])
+        assert frob(x - 2.0 * c.conj().reshape(-1)) < 1e-12
 
     def test_inconsistent_constraints(self):
         with pytest.raises(InconsistentConstraints):
