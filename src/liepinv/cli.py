@@ -361,16 +361,11 @@ def _minimality_margin(
     directions = graded.characteristic_direction_space(alg, res.e, degree, job.tol)
     if directions.shape[0] == 0:
         return None
-    rng = np.random.default_rng(job.seed)
-    base = frob(res.h) ** 2
-    margin = np.inf
-    for _ in range(20):
-        coef = rng.standard_normal(directions.shape[0]) + 1j * rng.standard_normal(
-            directions.shape[0]
-        )
-        delta = np.einsum("k,kab->ab", coef, directions)
-        margin = min(margin, (frob(res.h + delta) ** 2 - base) / frob(delta) ** 2)
-    return float(margin)
+    k = directions.shape[0]
+    draws = np.random.default_rng(job.seed).standard_normal((20, 2, k))  # 20 draws of k + k i
+    deltas = (draws[:, 0] + 1j * draws[:, 1]) @ directions.reshape(k, -1)
+    grown = np.linalg.norm(res.h.reshape(-1) + deltas, axis=1) ** 2
+    return float(np.min((grown - frob(res.h) ** 2) / np.linalg.norm(deltas, axis=1) ** 2))
 
 
 def _characteristic(doc: dict, job: JobSpec):

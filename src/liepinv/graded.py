@@ -14,13 +14,20 @@ traceless diagonal.  Coordinates are gathers, and a bracket with a basis
 element touches one row and one column.
 
 On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
-completion of a homogeneous nilpotent to the norm-minimal sl2-triple (the
-minimal-characteristic engine), Moore-Penrose inverses in short gradings in
-closed form (the classical pseudoinverse of the degree +-1 block, or the
-vector formula of so(1, d, 1); the engine is their certificate in the tests),
-the raising-space criterion for Moore-Penrose orbits (from the kernels of
-h - k, k the integer levels of the n x n characteristic h), nilpotent orbit
-heights, and the per-block multidegree check for parabolics of sl_n.
+completion of a homogeneous nilpotent to the norm-minimal sl2-triple,
+Moore-Penrose inverses in short gradings, the raising-space criterion for
+Moore-Penrose orbits (from the kernels of h - k, k the integer levels of the
+n x n characteristic h), nilpotent orbit heights, and the per-block
+multidegree check for parabolics of sl_n.
+
+Two routes complete e.  In a short grading every nonzero e of degree +-1 has
+its Moore-Penrose inverse in closed form (the classical pseudoinverse of the
+degree +-1 block, or the vector formula of so(1, d, 1)), and its Hermitian
+characteristic is the norm-minimal one; a closed form that fails its triple
+check or is not Hermitian is a numerical failure (ArithmeticError).  Every
+other problem (longer gradings, degree 0, single blocks) goes to the
+minimal-characteristic engine, a constrained least-squares solve; the tests
+certify the closed form with it.
 """
 
 from __future__ import annotations
@@ -560,6 +567,12 @@ def minimal_characteristic(
     quantity is the positive Hermitian energy of the characteristic, which in
     these realizations is a fixed positive multiple of the squared Frobenius
     norm.
+
+    In a short grading, a nonzero e of degree +-1 takes the closed form of
+    :func:`mp_inverse_short`: its Hermitian characteristic is the unique
+    minimal one, and ArithmeticError is raised if that triple fails its check
+    or is not Hermitian.  Every other problem goes to the constrained
+    least-squares engine.  ``hermitian_defect`` is |h - h*|_F at unit scale.
     """
     e, unit, k = alg._unit_member(e, tol)
     return _at_scale(_unit_characteristic(alg, unit, degree, tol), e, k)
@@ -567,16 +580,26 @@ def minimal_characteristic(
 
 def _unit_characteristic(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> CharacteristicResult:
     """minimal_characteristic of a checked member e at unit scale, at that scale."""
+    degree = _checked_degree(alg, e, degree, tol)
+    if degree == 0:
+        _orbit_height(alg, e, tol)  # raises NotNilpotent
+    elif alg.is_short and e.any():
+        triple = _short_triple(alg, e, degree, tol)
+        return CharacteristicResult(triple, frob(triple.h - triple.h.conj().T), True)
+    bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
+    return _minimal_triple(e, *map(alg._index_basis, bases), tol)
+
+
+def _checked_degree(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> int:
+    """The degree of the problem for a checked member e at unit scale: the given degree,
+    checked against that of e, or the degree of e (0 for zero) when none is given."""
     if degree != 0:
         inferred = alg._degree(e, tol)
         if degree is None:
-            degree = inferred or 0
-        elif inferred is not None and inferred != degree:
+            return inferred or 0
+        if inferred is not None and inferred != degree:
             raise ValueError(f"element has degree {inferred}, expected {degree}")
-    if degree == 0:
-        _orbit_height(alg, e, tol)  # raises NotNilpotent
-    bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
-    return _minimal_triple(e, *map(alg._index_basis, bases), tol)
+    return degree
 
 
 def characteristic_direction_space(
@@ -585,22 +608,35 @@ def characteristic_direction_space(
     """Orthonormal basis of the direction space of the characteristic affine set.
 
     The homogeneous characteristics of e form an affine space; its direction
-    space is {[e, y] : y opposite, [[e, y], e] = 0}, computed here from the
-    kernel of the completion constraint.  Returns a (count, n, n) stack;
-    empty when the characteristic is unique.
+    space is {[e, y] : y opposite, [[e, y], e] = 0}.  In a short grading, for
+    nonzero e of degree +-1, that space is the weight-1 part of g_0 under
+    ad(h), with h the closed-form characteristic: ad(e) raises ad(h)-weights by
+    2 and g_1 has no weight 3, so every weight-1 vector is a highest weight,
+    and g_0 has weights -1, 0 and 1 only.  Elsewhere it is computed from the
+    kernel of the completion constraint.  Returns a (count, n, n) stack; empty
+    when the characteristic is unique.
     """
     e = alg._unit_member(e, tol)[1]
-    if degree is None:
-        degree = alg._degree(e, tol) or 0
-    neg = alg._index_basis(-degree if degree != 0 else None)
-    res = alg._index_basis(degree if degree != 0 else None)
+    degree = _checked_degree(alg, e, degree, tol)
+    n = alg.ambient_dim
+    if degree != 0 and alg.is_short and e.any():
+        stack = _positive_part(alg, _short_triple(alg, e, degree, tol).h, tol, weight=1)
+    else:
+        bases = (None, None) if degree == 0 else (-degree, degree)
+        stack = _completion_directions(e, *map(alg._index_basis, bases), tol)
+    # both stacks are at unit scale (pi(v w*) of unit vectors, or [e, y] of a unit-scale e
+    # and orthonormal kernel columns), so the cut is absolute: a direction of norm below
+    # rank_rtol is roundoff, not a direction
+    image = rank_decomposition(stack.reshape(-1, n * n).T, tol, 1.0).image
+    return image.T.reshape(-1, n, n)
+
+
+def _completion_directions(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, tol) -> np.ndarray:
+    """A spanning stack of the direction space: [e, y] for y in the kernel of the completion
+    constraint y -> [[e, y], e], from orthonormal kernel columns."""
     br_e, c_mat = _completion_system(e, neg, res)
     null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
-    deltas = np.einsum("kj,kab->jab", null, br_e).reshape(-1, alg.ambient_dim**2)
-    # e is at unit scale and the kernel columns are orthonormal, so the cut is
-    # absolute: a direction of norm below rank_rtol is roundoff, not a direction
-    image = rank_decomposition(deltas.T, tol, 1.0).image
-    return image.T.reshape(-1, alg.ambient_dim, alg.ambient_dim)
+    return np.einsum("kj,kab->jab", null, br_e)
 
 
 def _as_vector(v) -> np.ndarray:
@@ -655,6 +691,14 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
         return np.zeros_like(e)
     if degree == 0:
         raise ValueError("element must lie in g_{+1} or g_{-1}")
+    return _short_triple(alg, e, degree, tol).f
+
+
+def _short_triple(alg: GradedAlgebra, e: np.ndarray, degree: int, tol: Tolerance) -> Sl2Triple:
+    """The closed-form triple (e, [e, f], f) of a checked member e of degree +-1 at unit scale.
+
+    ArithmeticError unless its residuals pass and its characteristic is Hermitian.
+    """
     i, j = (1, 2) if degree == 1 else (2, 1)
     block = e[alg.block_slice(i), alg.block_slice(j)]
     if len(alg.blocks) == 2:
@@ -676,7 +720,7 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
             f"closed-form characteristic unexpectedly non-Hermitian "
             f"(defect {defect:.3e}) in a short grading"
         )
-    return f
+    return triple
 
 
 def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -702,6 +746,19 @@ def _annihilates_positive_part(
     alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance
 ) -> bool:
     """annihilates_positive_part of checked members e, at unit scale, and h."""
+    x = _positive_part(alg, h, tol)
+    moved = np.linalg.norm(_bracket(e, x), axis=(-2, -1))
+    bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
+    return bool(np.all(moved <= bound))
+
+
+def _positive_part(alg: GradedAlgebra, h: np.ndarray, tol: Tolerance, weight=None) -> np.ndarray:
+    """A spanning stack of the positive ad(h)-part of g_0, or of its part of the given weight.
+
+    The stack is pi(v w*) for v, w in the kernels of h - k and (h - j)* with
+    k > j (k - j = weight), each of norm at most 1; the multiplicity gate of
+    :func:`annihilates_positive_part` raises NotCharacteristic.
+    """
     n, cut = alg.ambient_dim, tol.residual_tol * (1.0 + frob(h))
     levels, counts = np.unique(np.rint(np.linalg.eigvals(h).real), return_counts=True)
     u, sv, vh = np.linalg.svd(h - levels[:, None, None] * np.eye(n))
@@ -711,12 +768,10 @@ def _annihilates_positive_part(
         raise NotCharacteristic(f"h is not of degree 0 and diagonalizable with integer "
                                 f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
     level = np.repeat(levels, counts)
-    a, b = np.nonzero(level[:, None] > level[None, :])
+    rise = level[:, None] - level[None, :]
+    a, b = np.nonzero(rise > 0 if weight is None else rise == weight)
     outer = vh.conj()[kernel][a, :, None] * u.conj().transpose(0, 2, 1)[kernel][b, None, :]
-    x = alg._project(np.where(alg._degree_mask == 0, outer, 0.0))  # pi(v w*)
-    moved = np.linalg.norm(_bracket(e, x), axis=(-2, -1))
-    bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
-    return bool(np.all(moved <= bound))
+    return alg._project(np.where(alg._degree_mask == 0, outer, 0.0))  # pi(v w*)
 
 
 def is_mp_element(
@@ -753,19 +808,28 @@ def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     rank_rtol at the scale |ad(e)|_F, and its decomposition gives the next
     basis.  The height is the number of steps until the rank reaches 0; the
     zero element has height 0.  NotNilpotent is raised as soon as the rank
-    stops falling.
+    stops falling, and ArithmeticError (a numerical failure) when the height
+    would exceed that of the regular nilpotent: 2n - 2 for sl_n and sp_n,
+    2n - 4 for so_n with n odd and 2n - 6 with n even.
     """
     return _orbit_height(alg, alg._unit_member(e, tol)[1], tol)
 
 
 def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
     """orbit_height of a checked member at unit scale."""
+    n = alg.ambient_dim
+    top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent
     on_image = alg.ad(e)  # ad(e) on the image of ad(e)^height
     scale, height = frob(on_image), 0
     while (dec := rank_decomposition(on_image, tol, scale)).rank:
         if dec.rank == on_image.shape[0]:
             raise NotNilpotent(
                 f"e is not nilpotent: ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}"
+            )
+        if height >= top:
+            raise ArithmeticError(
+                f"ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}, but no nilpotent "
+                f"of {alg.kind}_{n} has height above {top}: the ranks are ill-conditioned"
             )
         on_image = dec.image.conj().T @ on_image @ dec.image
         height += 1

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import scipy.linalg
 
+from liepinv import graded
 from liepinv.graded import GradedAlgebra, bracket
 from liepinv.numcore import DEFAULT_TOL, QuaternionMatrix, as_matrix, frob, rank_decomposition
 
@@ -47,6 +48,21 @@ def compact_group_element(alg: GradedAlgebra, rng, scale: float = 0.5) -> np.nda
 def levi_group_element(alg: GradedAlgebra, rng, scale: float = 0.4) -> np.ndarray:
     """exp of a random degree-0 element: grading-preserving, generically non-unitary."""
     return scipy.linalg.expm(alg.project(alg.random_element(0, rng) * scale))
+
+
+def ill_conditioned_sp8_conjugate() -> tuple[GradedAlgebra, np.ndarray]:
+    """A degree-1 element of sp with blocks (1,)*8 under g = exp(6x/|x|_F), cond g = 84.
+
+    The ranks of ad(g e g^-1) have condition number near cond(g)^2: read
+    without a bound, they give height 15, above the 14 that sp_8 allows.
+    """
+    alg = GradedAlgebra("sp", (1,) * 8)
+    rng = np.random.default_rng(1310)
+    e = alg.random_element(1, rng)
+    compact_group_element(alg, rng)  # the draws of TestHeightsAreRanks, which takes u here
+    x = alg.random_element(None, rng)
+    g = scipy.linalg.expm(6.0 * x / frob(x))
+    return alg, g @ e @ np.linalg.inv(g)
 
 
 # The short gradings that carry a Jordan pair, small enough to sweep.
@@ -251,6 +267,30 @@ def jordan_nilpotent(partition) -> np.ndarray:
             e[pos + i, pos + i + 1] = 1.0
         pos += part
     return e
+
+
+def engine_characteristic(alg, e, degree: int, tol=DEFAULT_TOL):
+    """The minimal characteristic from the constrained least-squares engine on g_-degree.
+
+    An independent route to ``graded.minimal_characteristic``, which takes the
+    closed form in short gradings: the engine minimizes |h|_F over the
+    completions of e, as liepinv once did for every grading.
+    """
+    e, unit, k = alg._unit_member(e, tol)
+    bases = map(alg._index_basis, (-degree, degree, 0))
+    return graded._at_scale(graded._minimal_triple(unit, *bases, tol), e, k)
+
+
+def engine_direction_space(alg, e, degree: int, tol=DEFAULT_TOL) -> np.ndarray:
+    """A spanning (count, n, n) stack of the direction space, from the completion kernel.
+
+    An independent route to ``graded.characteristic_direction_space``, which
+    takes the weight-1 part of g_0 in short gradings.  e is taken at unit
+    scale, as there.
+    """
+    unit = alg._unit_member(e, tol)[1]
+    neg, res = alg._index_basis(-degree), alg._index_basis(degree)
+    return graded._completion_directions(unit, neg, res, tol)
 
 
 def centralizer_positive_directions(alg, e, h, degree=None) -> np.ndarray:

@@ -30,7 +30,7 @@ from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import Tolerance, frob
 import regen_goldens
-from helpers import compare_documents, reference_to_json
+from helpers import compare_documents, ill_conditioned_sp8_conjugate, reference_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema.json").read_text())
@@ -131,7 +131,8 @@ class TestVerifyOnce:
 
 
 class TestJordanMpIsClosedForm:
-    """A jordan-mp job takes the closed form; the sl2 engine is not entered."""
+    """jordan-mp, and sl2-complete on a short grading, take the closed form; the sl2
+    engine is entered only outside short gradings."""
 
     ENGINE = {"graded": ("minimal_characteristic",),
               "numcore": ("solve_least_squares_constrained",)}
@@ -153,8 +154,12 @@ class TestJordanMpIsClosedForm:
         assert run_job(JobSpec("jordan-mp", str(path)))[0] == EXIT_OK
         assert counts == {}
 
-    def test_sl2_complete_enters_the_engine(self, counts):
+    def test_sl2_complete_on_a_short_grading(self, counts):  # sl(2,1)
         assert run_job(golden_job("sl2-complete"))[0] == EXIT_OK
+        assert counts == {"minimal_characteristic": 1}
+
+    def test_mp_element_outside_short_gradings_enters_the_engine(self, counts):  # sl(1,1,1)
+        assert run_job(golden_job("mp-element"))[0] == EXIT_OK
         assert counts == {"minimal_characteristic": 1, "solve_least_squares_constrained": 1}
 
 
@@ -755,6 +760,15 @@ class TestNotNilpotent:
                                    "element": encode_complex_matrix(x).tolist(), **extra}))
         code, document = run_job(JobSpec(command, str(doc)))
         assert code == EXIT_INPUT and "not nilpotent" in document["error"]
+
+    @pytest.mark.parametrize("command", ["orbit-height", "mp-orbit"])
+    def test_height_above_the_regular_nilpotent_exits_two(self, tmp_path, command):
+        alg, e = ill_conditioned_sp8_conjugate()
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"algebra": "sp", "blocks": list(alg.blocks),
+                                   "element": encode_complex_matrix(e).tolist()}))
+        code, document = run_job(JobSpec(command, str(doc)))
+        assert code == EXIT_VERIFY and "height above 14" in document["error"]
 
 
 class TestScaleFree:

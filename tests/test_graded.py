@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepinv import classical
+from liepinv import classical, graded
 from liepinv.errors import (
     NotCharacteristic,
     NotInAlgebra,
@@ -36,6 +36,9 @@ from helpers import (
     ALL_PAIRS,
     centralizer_positive_directions,
     compact_group_element,
+    engine_characteristic,
+    engine_direction_space,
+    ill_conditioned_sp8_conjugate,
     jordan_nilpotent,
     killing_ad,
     levi_group_element,
@@ -381,16 +384,53 @@ class TestShortGradingInverse:
             block = low @ alg.block_component(alg.random_element(1, rng), 1, 2) @ low.T
         yield "deficient", alg.element_from_block(1, 2, block)
 
+    @classmethod
+    def cases(cls, alg, rng):
+        """(label, degree, t, t e) for each nonzero element of both degrees at three scales."""
+        for label, plus in cls.degree_one_elements(alg, rng):
+            if not plus.any():  # a deficient block of a 1 x m or skew 2 x 2 grading is zero
+                continue
+            for degree, e in ((1, plus), (-1, plus.conj().T)):
+                for t in (1e-150, 1.0, 1e150):
+                    yield (label, degree, t), degree, t, t * e
+
     @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
     def test_engine_certifies_the_closed_form(self, kind, blocks):
-        rng = np.random.default_rng(32)
         alg = GradedAlgebra(kind, blocks)
-        for label, plus in self.degree_one_elements(alg, rng):
-            for degree, e in ((1, plus), (-1, plus.conj().T)):
-                res = minimal_characteristic(alg, e, degree)
-                assert res.triple.passes() and res.is_hermitian, (label, degree)
-                f = mp_inverse_short(alg, e)
-                assert frob(f - res.f) <= 1e-9 * (1.0 + frob(res.f)), (label, degree)
+        for case, degree, t, e in self.cases(alg, np.random.default_rng(32)):
+            res = minimal_characteristic(alg, e, degree)
+            assert res.triple.passes() and res.is_hermitian, case
+            ref = engine_characteristic(alg, e, degree)
+            assert ref.triple.passes() and ref.is_hermitian, case
+            assert frob(res.h - ref.h) <= 1e-9 * (1.0 + frob(ref.h)), case
+            assert frob(t * (res.f - ref.f)) <= 1e-9 * (1.0 + frob(t * ref.f)), case
+            assert res.hermitian_defect <= 1e-12 * (1.0 + frob(res.h)), case
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_engine_certifies_the_direction_space(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        n = alg.ambient_dim
+        for case, degree, _, e in self.cases(alg, np.random.default_rng(33)):
+            dirs = characteristic_direction_space(alg, e, degree)
+            gram = np.einsum("iab,jab->ij", dirs.conj(), dirs)
+            assert frob(gram - np.eye(len(dirs))) <= 1e-12, case
+            oracle = engine_direction_space(alg, e, degree).reshape(-1, n * n)
+            assert rank_decomposition(oracle.T, scale=1.0).rank == len(dirs), case
+            joint = np.concatenate([dirs.reshape(-1, n * n), oracle])
+            assert rank_decomposition(joint.T, scale=1.0).rank == len(dirs), case
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_g0_has_no_weight_two(self, kind, blocks):
+        # the fact the short-grading direction space rests on: ad(h) has weights -1, 0, 1 on g_0
+        alg = GradedAlgebra(kind, blocks)
+        basis, n = alg.basis(0), alg.ambient_dim
+        for case, degree, _, e in self.cases(alg, np.random.default_rng(34)):
+            h = minimal_characteristic(alg, e, degree).h
+            br_h = np.einsum("ab,kbc->kac", h, basis) - np.einsum("kab,bc->kac", basis, h)
+            weights = np.linalg.eigvals(np.einsum("jab,kab->jk", basis.conj(), br_h))
+            assert np.all(np.abs(weights - np.clip(np.rint(weights.real), -1, 1)) <= 1e-9), case
+            two = graded._positive_part(alg, h, Tolerance(), weight=2).reshape(-1, n * n)
+            assert rank_decomposition(two.T, scale=1.0).rank == 0, case
 
     def test_isotropic_vector(self):
         alg = GradedAlgebra("so", (1, 2, 1))
@@ -530,6 +570,21 @@ class TestHeightsAreRanks:
         x = alg.random_element(None, rng)
         g = scipy.linalg.expm(4.0 * x / frob(x))  # condition number 11 to 55
         assert orbit_height(alg, g @ e @ np.linalg.inv(g)) == orbit_height(alg, u @ e @ u.conj().T)
+
+    @pytest.mark.parametrize("kind, n, top", [("sl", 6, 10), ("sp", 4, 6), ("sp", 8, 14),
+                                              ("so", 5, 6), ("so", 6, 4), ("so", 7, 10),
+                                              ("so", 8, 6)])
+    def test_regular_nilpotents_reach_the_height_bound(self, kind, n, top):
+        # a generic element of g_1 in the finest grading is regular
+        alg = GradedAlgebra(kind, (1,) * n)
+        assert orbit_height(alg, alg.random_element(1, np.random.default_rng(5))) == top
+
+    def test_height_above_the_regular_nilpotent_is_a_numerical_failure(self):
+        alg, e = ill_conditioned_sp8_conjugate()
+        with pytest.raises(ArithmeticError, match="height above 14"):
+            orbit_height(alg, e)
+        with pytest.raises(ArithmeticError, match="height above 14"):
+            is_mp_orbit(alg, e)
 
     # a generic element is semisimple
     @pytest.mark.parametrize("kind, blocks", [("sl", (6, 6)), ("sl", (8, 8)), ("so", (2, 3, 2)),
