@@ -201,19 +201,6 @@ def encode_complex_matrix(m) -> np.ndarray:
     return np.stack([m.real, m.imag], -1)
 
 
-def encode_complex_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.stack([v.real, v.imag], -1)
-
-
-def encode_real_matrix(m) -> np.ndarray:
-    return np.asarray(m, dtype=float)
-
-
-def encode_quaternion_matrix(q: QuaternionMatrix) -> np.ndarray:
-    return q.data
-
-
 # ---------------------------------------------------------------------------
 # job handling
 # ---------------------------------------------------------------------------
@@ -305,8 +292,8 @@ def _field_matrix(doc: dict) -> tuple[str, np.ndarray | QuaternionMatrix]:
 
 def _encode_field_matrix(kind: str, x) -> np.ndarray:
     if kind == "quaternion":
-        return encode_quaternion_matrix(x)
-    return encode_real_matrix(x.real) if kind == "real" else encode_complex_matrix(x)
+        return x.data
+    return np.asarray(x.real, dtype=float) if kind == "real" else encode_complex_matrix(x)
 
 
 def _cmd_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
@@ -332,7 +319,7 @@ def _cmd_form_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 def _cmd_vector_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     v = decode_complex_vector(_field(doc, "vector", list, required=True), "vector")
     w = forms.vector_pinv(v, job.tol)
-    return {"pinv": encode_complex_vector(w)}, forms.verify_vector_pinv(v, w, job.tol)
+    return {"pinv": encode_complex_matrix(w)}, forms.verify_vector_pinv(v, w, job.tol)
 
 
 def _cmd_pseudo_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
@@ -355,10 +342,10 @@ def _cmd_hermitian_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 
 def _minimality_margin(
-    alg: graded.GradedAlgebra, res: graded.CharacteristicResult, degree, job: JobSpec
+    alg: graded.GradedAlgebra, res: graded.CharacteristicResult, job: JobSpec
 ) -> float | None:
     """Smallest relative energy increase over random feasible perturbations."""
-    directions = graded.characteristic_direction_space(alg, res.e, degree, job.tol)
+    directions = graded.characteristic_direction_space(alg, res, job.tol)
     if directions.shape[0] == 0:
         return None
     k = directions.shape[0]
@@ -373,16 +360,16 @@ def _characteristic(doc: dict, job: JobSpec):
     degree = _field(doc, "degree")
     if degree is not None:
         _integer(degree, "degree")
-    return alg, graded.minimal_characteristic(alg, e, degree, job.tol), degree
+    return alg, graded.minimal_characteristic(alg, e, degree, job.tol)
 
 
-def _sl2_report(alg, res: graded.CharacteristicResult, degree, job: JobSpec, **verdicts) -> Report:
+def _sl2_report(alg, res: graded.CharacteristicResult, job: JobSpec, **verdicts) -> Report:
     """Only the triple residuals gate; the Hermitian defect and the margin are findings."""
     residuals = {
         "triple_residuals": list(res.triple.residuals),
         "hermitian_defect": res.hermitian_defect,
     }
-    margin = _minimality_margin(alg, res, degree, job)
+    margin = _minimality_margin(alg, res, job)
     if margin is not None:
         residuals["minimality_margin"] = margin
     residuals.update(verdicts)
@@ -390,25 +377,25 @@ def _sl2_report(alg, res: graded.CharacteristicResult, degree, job: JobSpec, **v
 
 
 def _cmd_sl2_complete(doc: dict, job: JobSpec) -> tuple[dict, Report]:
-    alg, res, degree = _characteristic(doc, job)
+    alg, res = _characteristic(doc, job)
     result = {
         "e": encode_complex_matrix(res.e),
         "h": encode_complex_matrix(res.h),
         "f": encode_complex_matrix(res.f),
         "is_hermitian": res.is_hermitian,
     }
-    return result, _sl2_report(alg, res, degree, job)
+    return result, _sl2_report(alg, res, job)
 
 
 def _cmd_mp_element(doc: dict, job: JobSpec) -> tuple[dict, Report]:
-    alg, res, degree = _characteristic(doc, job)
+    alg, res = _characteristic(doc, job)
     criterion = (
         graded.annihilates_positive_part(alg, res.e, res.h, job.tol)
         if frob(res.e) > 0.0
         else True
     )
     result = {"is_mp_element": res.is_hermitian, "hermitian_defect": res.hermitian_defect}
-    return result, _sl2_report(alg, res, degree, job, orbit_criterion=criterion)
+    return result, _sl2_report(alg, res, job, orbit_criterion=criterion)
 
 
 def _cmd_orbit_height(doc: dict, job: JobSpec) -> tuple[dict, Report]:

@@ -14,11 +14,14 @@ traceless diagonal.  Coordinates are gathers, and a bracket with a basis
 element touches one row and one column.
 
 On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
-completion of a homogeneous nilpotent to the norm-minimal sl2-triple,
-Moore-Penrose inverses in short gradings, the raising-space criterion for
-Moore-Penrose orbits (from the kernels of h - k, k the integer levels of the
-n x n characteristic h), nilpotent orbit heights, and the per-block
-multidegree check for parabolics of sl_n.
+completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
+direction space of its characteristics, Moore-Penrose inverses in short
+gradings, the raising-space criterion for Moore-Penrose orbits, nilpotent
+orbit heights, and the per-block multidegree check for parabolics of sl_n.
+The criterion and the direction space share one positive ad(h)-part of g_0,
+taken one diagonal block of h at a time from the kernels of h - k, k its
+integer levels; the direction space is the kernel of ad(e) on it, for the
+triple that completed e.
 
 Two routes complete e.  In a short grading every nonzero e of degree +-1 has
 its Moore-Penrose inverse in closed form (the classical pseudoinverse of the
@@ -380,11 +383,16 @@ class GradedAlgebra:
         """Matrix of ad(x) on the orthonormal basis of the algebra."""
         return self._index_basis().ad(self._check_ambient(x))
 
-    def killing(self, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
-        """Killing form Tr(ad x . ad y) = c Tr(xy): c = 2n (sl), n - 2 (so), n + 2 (sp)."""
-        x, y = self.require_member(x, tol), self.require_member(y, tol)
+    @property
+    def killing_constant(self) -> int:
+        """c with Killing form c Tr(xy): 2n (sl), n - 2 (so), n + 2 (sp)."""
         n = self.ambient_dim
-        return complex({"sl": 2 * n, "so": n - 2, "sp": n + 2}[self.kind] * np.sum(x * y.T))
+        return {"sl": 2 * n, "so": n - 2, "sp": n + 2}[self.kind]
+
+    def killing(self, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
+        """Killing form Tr(ad x . ad y) = c Tr(xy), c = :attr:`killing_constant`."""
+        x, y = self.require_member(x, tol), self.require_member(y, tol)
+        return complex(self.killing_constant * np.sum(x * y.T))
 
     def element_from_block(self, i: int, j: int, block) -> np.ndarray:
         """The unique algebra element of degree j - i whose (i, j) block is given.
@@ -465,6 +473,7 @@ class CharacteristicResult:
     triple: Sl2Triple
     hermitian_defect: float
     is_hermitian: bool
+    degree: int  # the degree of the problem solved, 0 for the ungraded one
 
     @property
     def e(self) -> np.ndarray:
@@ -498,14 +507,9 @@ def _certificate(e: np.ndarray, f: np.ndarray) -> tuple[Sl2Triple, float]:
     return Sl2Triple(e, h, f, _relations(e, f, h)), frob(h - h.conj().T) / (1.0 + frob(h))
 
 
-def _completion_system(e, neg: _IndexBasis, res: _IndexBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The brackets [e, y_k] and the matrix of y -> [[e, y], e] in res coordinates."""
-    br_e = neg.brackets(e)
-    return br_e, -res.coords(e @ br_e - br_e @ e).T
-
-
 def _minimal_triple(
-    e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis, tol: Tolerance
+    e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis, degree: int,
+    tol: Tolerance,
 ) -> CharacteristicResult:
     """Shared engine: minimize |h|_F over {h = [e, y] : [[e, y], e] = 2e}.
 
@@ -514,15 +518,17 @@ def _minimal_triple(
     so the Frobenius minimizer is the one orthogonal to the direction space.
     The second leg f is recovered from the joint linear system
     [e, f] = h, [h, f] = -2f, which has a unique solution.  e is a checked
-    member at unit scale, and so is the result (see :func:`_at_scale`).
+    member at unit scale, and so is the result (see :func:`_at_scale`);
+    ``degree`` is recorded in it.
     """
     if not e.any():
         zero = np.zeros_like(e)
-        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True)
+        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True, degree)
     if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
-    br_e, c_mat = _completion_system(e, neg, res)
+    br_e = neg.brackets(e)  # [e, y_k]
+    c_mat = -res.coords(e @ br_e - br_e @ e).T  # y -> [[e, y], e]
     m_obj = h_basis.coords(br_e).T
     d = 2.0 * res.coords(e)
     try:
@@ -545,7 +551,7 @@ def _minimal_triple(
     f = neg.combine(fc)
     defect = frob(h - h.conj().T)
     hermitian = defect <= tol.residual_tol * (1.0 + frob(h))
-    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h)), defect, hermitian)
+    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h)), defect, hermitian, degree)
 
 
 def _at_scale(result: CharacteristicResult, e: np.ndarray, k: int) -> CharacteristicResult:
@@ -585,9 +591,9 @@ def _unit_characteristic(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> Char
         _orbit_height(alg, e, tol)  # raises NotNilpotent
     elif alg.is_short and e.any():
         triple = _short_triple(alg, e, degree, tol)
-        return CharacteristicResult(triple, frob(triple.h - triple.h.conj().T), True)
+        return CharacteristicResult(triple, frob(triple.h - triple.h.conj().T), True, degree)
     bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
-    return _minimal_triple(e, *map(alg._index_basis, bases), tol)
+    return _minimal_triple(e, *map(alg._index_basis, bases), degree, tol)
 
 
 def _checked_degree(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> int:
@@ -603,40 +609,30 @@ def _checked_degree(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> int:
 
 
 def characteristic_direction_space(
-    alg: GradedAlgebra, e, degree: int | None = None, tol: Tolerance = DEFAULT_TOL
+    alg: GradedAlgebra, result: CharacteristicResult, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
     """Orthonormal basis of the direction space of the characteristic affine set.
 
-    The homogeneous characteristics of e form an affine space; its direction
-    space is {[e, y] : y opposite, [[e, y], e] = 0}.  In a short grading, for
-    nonzero e of degree +-1, that space is the weight-1 part of g_0 under
-    ad(h), with h the closed-form characteristic: ad(e) raises ad(h)-weights by
-    2 and g_1 has no weight 3, so every weight-1 vector is a highest weight,
-    and g_0 has weights -1, 0 and 1 only.  Elsewhere it is computed from the
-    kernel of the completion constraint.  Returns a (count, n, n) stack; empty
-    when the characteristic is unique.
+    ``result`` is a :func:`minimal_characteristic` of e, checked when it was
+    made.  The characteristics of e in its problem form an affine space, whose
+    direction space is {[e, y] : y opposite, [[e, y], e] = 0}.  With h =
+    ``result.h``, that is ker ad(e) on the positive ad(h)-part of g_0 (of all
+    of g for the ungraded problem, degree 0): a highest-weight vector x of
+    weight k >= 1 is [e, [f, x]] / k, and [e, y] with [[e, y], e] = 0 is a
+    highest weight of positive weight.  The part is the stack of
+    :func:`_positive_part`; its span is taken at the absolute cut rank_rtol
+    (its members have norm at most 1), and the kernel of ad(e) on it at the
+    scale |e|_F, with e at unit scale.  In a short grading ad(e) kills the
+    whole part.  Returns a (count, n, n) stack; empty when the characteristic
+    is unique.
     """
-    e = alg._unit_member(e, tol)[1]
-    degree = _checked_degree(alg, e, degree, tol)
-    n = alg.ambient_dim
-    if degree != 0 and alg.is_short and e.any():
-        stack = _positive_part(alg, _short_triple(alg, e, degree, tol).h, tol, weight=1)
-    else:
-        bases = (None, None) if degree == 0 else (-degree, degree)
-        stack = _completion_directions(e, *map(alg._index_basis, bases), tol)
-    # both stacks are at unit scale (pi(v w*) of unit vectors, or [e, y] of a unit-scale e
-    # and orthonormal kernel columns), so the cut is absolute: a direction of norm below
-    # rank_rtol is roundoff, not a direction
-    image = rank_decomposition(stack.reshape(-1, n * n).T, tol, 1.0).image
-    return image.T.reshape(-1, n, n)
-
-
-def _completion_directions(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, tol) -> np.ndarray:
-    """A spanning stack of the direction space: [e, y] for y in the kernel of the completion
-    constraint y -> [[e, y], e], from orthonormal kernel columns."""
-    br_e, c_mat = _completion_system(e, neg, res)
-    null = rank_decomposition(c_mat, tol).kernel  # directions in y-coordinates
-    return np.einsum("kj,kab->jab", null, br_e)
+    n, e = alg.ambient_dim, _unit_scale(result.e)[0]
+    blocks = (n,) if result.degree == 0 else alg.blocks
+    part = _positive_part(alg, result.h, tol, blocks).reshape(-1, n * n)
+    span = rank_decomposition(part.T, tol, 1.0).image.T.reshape(-1, n, n)
+    moved = _bracket(e, span).reshape(-1, n * n)
+    kernel = rank_decomposition(moved.T, tol, frob(e)).kernel
+    return np.tensordot(kernel.T, span, 1)
 
 
 def _as_vector(v) -> np.ndarray:
@@ -731,12 +727,14 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
 
-    The eigenspaces are taken from h, an n x n matrix: at each integer level k
-    of its rounded eigenvalues, of multiplicity m_k, the last m_k left and right
-    singular vectors of h - k.  Multiplicity gate: those singular values must lie
-    below residual_tol * (1 + |h|), so that the kernels fill C^n, and h must have
-    degree 0; else NotCharacteristic is raised.  The positive part is spanned by
-    pi(v w*), k > j, with pi the orthogonal projection onto g_0.
+    The eigenspaces are taken from h, an n x n matrix of degree 0, one diagonal
+    block b at a time: at each integer level k of the rounded eigenvalues of b,
+    of multiplicity m_k, the last m_k left and right singular vectors of b - k.
+    Multiplicity gate: those singular values must lie below residual_tol *
+    (1 + |h|), so that the kernels fill C^n, and h must have degree 0; else
+    NotCharacteristic is raised.  The positive part is spanned by pi(v w*),
+    v and w of one block at levels k > j, with pi the orthogonal projection
+    onto the algebra.
     """
     e, h = alg._unit_member(e, tol)[1], alg.require_member(h, tol)
     return _annihilates_positive_part(alg, e, h, tol)
@@ -746,32 +744,40 @@ def _annihilates_positive_part(
     alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance
 ) -> bool:
     """annihilates_positive_part of checked members e, at unit scale, and h."""
-    x = _positive_part(alg, h, tol)
+    x = _positive_part(alg, h, tol, alg.blocks)
     moved = np.linalg.norm(_bracket(e, x), axis=(-2, -1))
     bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
     return bool(np.all(moved <= bound))
 
 
-def _positive_part(alg: GradedAlgebra, h: np.ndarray, tol: Tolerance, weight=None) -> np.ndarray:
-    """A spanning stack of the positive ad(h)-part of g_0, or of its part of the given weight.
+def _positive_part(alg: GradedAlgebra, h: np.ndarray, tol: Tolerance, blocks) -> np.ndarray:
+    """A spanning stack of the positive ad(h)-part of g, block diagonal for ``blocks``.
 
-    The stack is pi(v w*) for v, w in the kernels of h - k and (h - j)* with
-    k > j (k - j = weight), each of norm at most 1; the multiplicity gate of
-    :func:`annihilates_positive_part` raises NotCharacteristic.
+    ``blocks`` are the sizes of the diagonal blocks of h: ``alg.blocks`` for
+    g_0, (n,) for all of g.  The stack is pi(v w*) for v, w in the kernels of
+    b - k and (b - j)* of one diagonal block b of h, k > j, each of norm at
+    most 1; the multiplicity gate of :func:`annihilates_positive_part`, taken
+    block by block, raises NotCharacteristic.
     """
     n, cut = alg.ambient_dim, tol.residual_tol * (1.0 + frob(h))
-    levels, counts = np.unique(np.rint(np.linalg.eigvals(h).real), return_counts=True)
-    u, sv, vh = np.linalg.svd(h - levels[:, None, None] * np.eye(n))
-    kernel = np.arange(n) >= (n - counts)[:, None]  # the last m_k singular triplets of h - k
-    gap = max(sv[kernel].max(), frob(h[alg._degree_mask != 0]))
+    off, gap, parts = h.copy(), 0.0, []
+    for start, size in zip(np.cumsum((0, *blocks[:-1])), blocks):
+        s = slice(start, start + size)
+        levels, counts = np.unique(np.rint(np.linalg.eigvals(h[s, s]).real), return_counts=True)
+        u, sv, vh = np.linalg.svd(h[s, s] - levels[:, None, None] * np.eye(size))
+        kernel = np.arange(size) >= (size - counts)[:, None]  # the last m_k singular triplets
+        gap, off[s, s] = max(gap, sv[kernel].max()), 0.0
+        level = np.repeat(levels, counts)
+        a, b = np.nonzero(level[:, None] > level[None, :])
+        outer = np.zeros((a.size, n, n), dtype=complex)
+        right, left = vh.conj()[kernel], u.conj().transpose(0, 2, 1)[kernel]  # v, w*
+        outer[:, s, s] = right[a, :, None] * left[b, None, :]
+        parts.append(outer)
+    gap = max(gap, frob(off))
     if gap > cut:
-        raise NotCharacteristic(f"h is not of degree 0 and diagonalizable with integer "
+        raise NotCharacteristic(f"h is not block diagonal and diagonalizable with integer "
                                 f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
-    level = np.repeat(levels, counts)
-    rise = level[:, None] - level[None, :]
-    a, b = np.nonzero(rise > 0 if weight is None else rise == weight)
-    outer = vh.conj()[kernel][a, :, None] * u.conj().transpose(0, 2, 1)[kernel][b, None, :]
-    return alg._project(np.where(alg._degree_mask == 0, outer, 0.0))  # pi(v w*)
+    return alg._project(np.concatenate(parts))  # pi(v w*)
 
 
 def is_mp_element(
@@ -867,7 +873,7 @@ def multidegree_characteristic(
     # the units of block (j, i), one entry each, in row-major order
     block = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
     neg, res = alg._unit_basis(np.flatnonzero(block)), alg._index_basis(j - i)
-    return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), tol), e, k)
+    return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), j - i, tol), e, k)
 
 
 def mp_check_multidegree(

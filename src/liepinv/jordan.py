@@ -115,14 +115,12 @@ def killing_pairing(pair: JordanPair, x, y, tol: Tolerance = DEFAULT_TOL) -> com
 def pairing_matrix(pair: JordanPair) -> np.ndarray:
     """Matrix K[i, j] = B(b+_i, b-_j) of the Killing pairing in the fixed bases.
 
-    Closed form K[i, j] = Tr(b-_j [P, b+_i]) / 2 with P = sum_k [b+_k, b+_k*],
-    the trace of z -> [[x, y], z] / 2 over the orthonormal basis of V+.
+    Closed form K[i, j] = c Tr(b+_i b-_j) / 4: a short grading has no degree +-2,
+    so B is a quarter of the Killing form c Tr(xy).
     """
-    plus = pair.basis_plus
-    plus_h = plus.conj().transpose(0, 2, 1)
-    p = (plus @ plus_h - plus_h @ plus).sum(axis=0)
     # the basis is real, so Tr(b M) is the coordinate along b of M^T
-    return 0.5 * pair.index_minus.coords(pair.index_plus.brackets(p).transpose(0, 2, 1))
+    c = pair.algebra.killing_constant
+    return c / 4.0 * pair.index_minus.coords(pair.basis_plus.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ quaternion factorization.
 
 One rank rule: every numerical rank of the package is decided by
 :func:`rank_decomposition` at a named scale (sigma <= rank_rtol * scale is
-zero); residual_tol judges residuals, never a rank.
+zero); residual_tol judges residuals, never a rank.  |a|_F <= rank_rtol *
+scale decides rank 0 without an SVD, by the same rule: sigma_max <= |a|_F.
 
 All inputs must be finite; all outputs are fresh arrays.  Every function is
 pure, so concurrent use is safe.
@@ -157,11 +158,12 @@ def rank_decomposition(
     operator ``a`` was taken from vanishes, ``a`` is roundoff, and sigma_max would
     count it.  Kernel columns are the right singular vectors of the discarded values,
     image and coimage columns the left and right ones of the kept values, all
-    orthonormal.  A zero (or empty) matrix has rank 0 and full kernel.
+    orthonormal.  A zero (or empty) matrix has rank 0 and full kernel, and so,
+    without an SVD, has ``a`` with |a|_F <= rank_rtol * a named scale: sigma_max <= |a|_F.
     """
     a = as_matrix(a)
     m, n = a.shape
-    if m == 0 or n == 0:
+    if m == 0 or n == 0 or (scale is not None and frob(a) <= tol.rank_rtol * scale):
         return RankDecomposition(
             0, np.eye(n, dtype=complex), np.zeros((m, 0), complex), np.zeros((n, 0), complex)
         )

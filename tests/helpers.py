@@ -278,19 +278,23 @@ def engine_characteristic(alg, e, degree: int, tol=DEFAULT_TOL):
     """
     e, unit, k = alg._unit_member(e, tol)
     bases = map(alg._index_basis, (-degree, degree, 0))
-    return graded._at_scale(graded._minimal_triple(unit, *bases, tol), e, k)
+    return graded._at_scale(graded._minimal_triple(unit, *bases, degree, tol), e, k)
 
 
 def engine_direction_space(alg, e, degree: int, tol=DEFAULT_TOL) -> np.ndarray:
     """A spanning (count, n, n) stack of the direction space, from the completion kernel.
 
-    An independent route to ``graded.characteristic_direction_space``, which
-    takes the weight-1 part of g_0 in short gradings.  e is taken at unit
-    scale, as there.
+    The direction space is {[e, y] : y in g_-degree, [[e, y], e] = 0} (y in all
+    of g for degree 0), here [e, y] for the orthonormal kernel columns y of the
+    completion constraint, as liepinv once computed it: an independent route to
+    ``graded.characteristic_direction_space``, which takes ker ad(e) on the
+    positive ad(h)-part of g_0.  e is taken at unit scale, as there.
     """
     unit = alg._unit_member(e, tol)[1]
-    neg, res = alg._index_basis(-degree), alg._index_basis(degree)
-    return graded._completion_directions(unit, neg, res, tol)
+    neg, res = (alg._index_basis(m) for m in ((-degree, degree) if degree else (None, None)))
+    br_e = neg.brackets(unit)  # [e, y_k]
+    null = rank_decomposition(res.coords(unit @ br_e - br_e @ unit).T, tol).kernel
+    return np.einsum("kj,kab->jab", null, br_e)
 
 
 def centralizer_positive_directions(alg, e, h, degree=None) -> np.ndarray:

@@ -142,7 +142,7 @@ def test_criterion_04_minimality_of_the_characteristic():
     for alg, degree, fixed in cases:
         e = fixed if fixed is not None else alg.random_element(degree, rng)
         res = minimal_characteristic(alg, e, degree)
-        directions = characteristic_direction_space(alg, e, degree)
+        directions = characteristic_direction_space(alg, res)
         assert directions.shape[0] > 0
         base = frob(res.h) ** 2
         for _ in range(50):

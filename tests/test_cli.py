@@ -162,6 +162,18 @@ class TestJordanMpIsClosedForm:
         assert run_job(golden_job("mp-element"))[0] == EXIT_OK
         assert counts == {"minimal_characteristic": 1, "solve_least_squares_constrained": 1}
 
+    @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
+    def test_short_job_builds_the_triple_once(self, monkeypatch, tmp_path, command):
+        # the direction space reads the triple minimal_characteristic completed
+        counts = count_calls(monkeypatch, {"graded": ("_short_triple",)})
+        alg = GradedAlgebra("sl", (4, 4))
+        e = alg.random_element(1, np.random.default_rng(41))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"algebra": "sl", "blocks": [4, 4],
+                                    "element": encode_complex_matrix(e).tolist()}))
+        assert run_job(JobSpec(command, str(path)))[0] == EXIT_OK
+        assert counts == {"_short_triple": 1}
+
 
 class TestRegenGoldens:
     """tests/regen_goldens.py rewrites only moved files, and nothing past the drift gate."""

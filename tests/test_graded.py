@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepinv import classical, graded
+from liepinv import classical
 from liepinv.errors import (
     NotCharacteristic,
     NotInAlgebra,
@@ -30,6 +30,7 @@ from liepinv.graded import (
     multidegree_characteristic,
     orbit_height,
 )
+from liepinv.homform import embedding_algebra, generic_orbit_map, hom_element
 from liepinv.numcore import Tolerance, frob, rank_decomposition
 
 from helpers import (
@@ -47,6 +48,7 @@ from helpers import (
     random_complex,
     random_matrix_with_rank,
     split_form,
+    standard_form,
     svd_graded_basis,
 )
 
@@ -325,7 +327,7 @@ class TestMinimalCharacteristic:
         alg = GradedAlgebra("sl", (4,))
         e = jordan_nilpotent((3, 1))
         res = minimal_characteristic(alg, e, 0)
-        solver_dirs = characteristic_direction_space(alg, e, 0)
+        solver_dirs = characteristic_direction_space(alg, res)
         oracle_dirs = centralizer_positive_directions(alg, e, res.h, 0)
         assert solver_dirs.shape[0] == oracle_dirs.shape[0] > 0
         # same span
@@ -411,7 +413,7 @@ class TestShortGradingInverse:
         alg = GradedAlgebra(kind, blocks)
         n = alg.ambient_dim
         for case, degree, _, e in self.cases(alg, np.random.default_rng(33)):
-            dirs = characteristic_direction_space(alg, e, degree)
+            dirs = characteristic_direction_space(alg, minimal_characteristic(alg, e, degree))
             gram = np.einsum("iab,jab->ij", dirs.conj(), dirs)
             assert frob(gram - np.eye(len(dirs))) <= 1e-12, case
             oracle = engine_direction_space(alg, e, degree).reshape(-1, n * n)
@@ -421,23 +423,26 @@ class TestShortGradingInverse:
 
     @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
     def test_g0_has_no_weight_two(self, kind, blocks):
-        # the fact the short-grading direction space rests on: ad(h) has weights -1, 0, 1 on g_0
+        # ad(h) has weights -1, 0, 1 on g_0, and ad(e) kills the positive part, so the
+        # direction space is the whole weight-1 part
         alg = GradedAlgebra(kind, blocks)
-        basis, n = alg.basis(0), alg.ambient_dim
+        basis = alg.basis(0)
         for case, degree, _, e in self.cases(alg, np.random.default_rng(34)):
-            h = minimal_characteristic(alg, e, degree).h
+            res = minimal_characteristic(alg, e, degree)
+            h = res.h
             br_h = np.einsum("ab,kbc->kac", h, basis) - np.einsum("kab,bc->kac", basis, h)
             weights = np.linalg.eigvals(np.einsum("jab,kab->jk", basis.conj(), br_h))
             assert np.all(np.abs(weights - np.clip(np.rint(weights.real), -1, 1)) <= 1e-9), case
-            two = graded._positive_part(alg, h, Tolerance(), weight=2).reshape(-1, n * n)
-            assert rank_decomposition(two.T, scale=1.0).rank == 0, case
+            assert annihilates_positive_part(alg, e, h), case
+            dirs = characteristic_direction_space(alg, res)
+            assert len(dirs) == np.sum(np.rint(weights.real) == 1), case
 
     def test_isotropic_vector(self):
         alg = GradedAlgebra("so", (1, 2, 1))
         e = alg.element_from_block(1, 2, np.array([[1.0, 1j]]))
         res = minimal_characteristic(alg, e, 1)
         assert res.triple.max_residual() <= 1e-12 and res.is_hermitian
-        assert characteristic_direction_space(alg, e, 1).shape[0] == 0
+        assert characteristic_direction_space(alg, res).shape[0] == 0
         expected = alg.element_from_block(2, 1, np.array([[0.5], [-0.5j]]))
         assert frob(res.f - expected) <= 1e-12
 
@@ -474,6 +479,83 @@ class TestShortGradingInverse:
         alg = GradedAlgebra("sl", (1, 1, 1))
         with pytest.raises(NotShortGrading):
             mp_inverse_short(alg, alg.random_element(1, np.random.default_rng(0)))
+
+
+class TestDirectionSpaceOracles:
+    """characteristic_direction_space against its two oracles beyond the short gradings."""
+
+    LONG = [("sl", (2, 2, 2)), ("sl", (3, 3, 3)), ("sl", (2, 3, 2)), ("sl", (1, 2, 2, 1)),
+            ("sl", (2, 2, 2, 2)), ("so", (2, 3, 2)), ("so", (1, 2, 2, 1)), ("sp", (2, 2, 2)),
+            ("sp", (1, 2, 1))]
+    # (symmetry, dim V, dim U, a, b): the homform certificates of the graded-ladder
+    # workload, whose embedded minimal characteristic is not Hermitian
+    WITNESSES = [("symmetric", 4, 3, 2, 1), ("symmetric", 6, 4, 3, 1), ("symmetric", 8, 5, 4, 2),
+                 ("skew", 6, 3, 3, 1), ("skew", 8, 5, 4, 2)]
+
+    @staticmethod
+    def assert_oracles_agree(alg, e, degree, case):
+        """Same span as the completion kernel and as the centralizer oracle; orthonormal."""
+        n = alg.ambient_dim
+        res = minimal_characteristic(alg, e, degree)
+        dirs = characteristic_direction_space(alg, res)
+        gram = np.einsum("iab,jab->ij", dirs.conj(), dirs)
+        assert frob(gram - np.eye(len(dirs))) <= 1e-12, case
+        flat = dirs.reshape(-1, n * n)
+        for oracle in (engine_direction_space(alg, e, degree),
+                       centralizer_positive_directions(alg, res.e, res.h, degree)):
+            oracle = oracle.reshape(-1, n * n)
+            assert rank_decomposition(oracle.T, scale=1.0).rank == len(dirs), case
+            joint = np.concatenate([flat, oracle])
+            assert rank_decomposition(joint.T, scale=1.0).rank == len(dirs), case
+        return len(dirs)
+
+    @pytest.mark.parametrize("kind,blocks", LONG)
+    def test_longer_gradings(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(35)
+        found = 0
+        for m in [d for d in alg.degrees if d]:
+            index = alg._index_basis(m)
+            for label in ("generic", "sparse"):
+                v = random_complex(rng, index.count)
+                if label == "sparse":  # a sum of a few basis elements, not generic
+                    v[rng.permutation(index.count)[: index.count // 2 + 1]] = 0.0
+                found += self.assert_oracles_agree(alg, index.combine(v), m, (m, label))
+        assert found > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_non_normal_nilpotents(self, n):
+        alg = GradedAlgebra("sl", (n,))
+        rng = np.random.default_rng(36 + n)
+        found = 0
+        for part in partitions(n):
+            if part[0] == 1:
+                continue
+            for c in (1.0, 4.0):
+                x = random_complex(rng, n, n)
+                g = scipy.linalg.expm(c * x / frob(x))
+                e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
+                found += self.assert_oracles_agree(alg, e, 0, (part, c))
+        assert found > 0
+
+    @pytest.mark.parametrize("kind", ["sl", "so", "sp"])
+    def test_ungraded_problem_on_two_blocks(self, kind):
+        # e = exp(y) x exp(-y), x of degree 1 and y of degree -1: a nilpotent of no degree
+        alg = GradedAlgebra(kind, (2, 2))
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            x, y = alg.random_element(1, rng), alg.random_element(-1, rng)
+            g = scipy.linalg.expm(y)
+            self.assert_oracles_agree(alg, g @ x @ np.linalg.inv(g), 0, kind)
+            self.assert_oracles_agree(alg, x, 0, kind)
+
+    @pytest.mark.parametrize("symmetry,dim_v,dim_u,a,b", WITNESSES)
+    def test_homform_witnesses(self, symmetry, dim_v, dim_u, a, b):
+        form = standard_form(symmetry, dim_v)
+        alg = embedding_algebra(form, dim_u)
+        e = hom_element(alg, generic_orbit_map(form, a, b, dim_u))
+        assert not minimal_characteristic(alg, e, 1).is_hermitian
+        assert self.assert_oracles_agree(alg, e, 1, (symmetry, dim_v, a, b)) > 0
 
 
 class TestOrbits:
@@ -742,7 +824,7 @@ class TestCriterion:
             e = alg.random_element(1, rng)
             res = minimal_characteristic(alg, e, 1)
             first = annihilates_positive_part(alg, e, res.h)
-            directions = characteristic_direction_space(alg, e, 1)
+            directions = characteristic_direction_space(alg, res)
             h_other = res.h
             if directions.shape[0]:
                 coef = random_complex(rng, directions.shape[0])

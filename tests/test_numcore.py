@@ -156,6 +156,20 @@ class TestRankDecomposition:
         assert rank_decomposition(product, DEFAULT_TOL, frob(m)).rank == 0
         assert rank_decomposition(product).rank == 1
 
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 6), (4, 4)])
+    def test_frobenius_shortcut_is_the_rank_rule(self, shape):
+        # |a|_F <= rank_rtol * scale gives rank 0 without an SVD; it is exact, since
+        # sigma_max <= |a|_F, and sigma_max just above the cut still counts
+        rng = np.random.default_rng(sum(shape))
+        a, scale = random_complex(rng, *shape), 3.0
+        cut = DEFAULT_TOL.rank_rtol * scale
+        dec = rank_decomposition(0.999 * cut / frob(a) * a, DEFAULT_TOL, scale)
+        assert dec.rank == 0 and dec.image.shape == (shape[0], 0)
+        assert dec.coimage.shape == (shape[1], 0)
+        assert frob(dec.kernel.conj().T @ dec.kernel - np.eye(shape[1])) < 1e-14
+        top = np.linalg.svd(a, compute_uv=False)[0]
+        assert rank_decomposition(1.001 * cut / top * a, DEFAULT_TOL, scale).rank >= 1
+
     def test_coimage_of_empty_input(self):
         assert rank_decomposition(np.zeros((0, 4))).coimage.shape == (4, 0)
         assert rank_decomposition(np.zeros((4, 0))).coimage.shape == (0, 0)
