@@ -18,10 +18,10 @@ completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
 direction space of its characteristics, Moore-Penrose inverses in short
 gradings, the raising-space criterion for Moore-Penrose orbits, nilpotent
 orbit heights, and the per-block multidegree check for parabolics of sl_n.
-The criterion and the direction space share one positive ad(h)-part of g_0,
-taken one diagonal block of h at a time from the kernels of h - k, k its
-integer levels; the direction space is the kernel of ad(e) on it, for the
-triple that completed e.
+h is split once into its integer levels, one diagonal block at a time, from
+the kernels of h - k.  The criterion and the direction space read the positive
+ad(h)-part of g_0 off that split (the direction space is the kernel of ad(e) on
+it), and the engine reads f off it as a weight part.
 
 Two routes complete e.  In a short grading every nonzero e of degree +-1 has
 its Moore-Penrose inverse in closed form (the classical pseudoinverse of the
@@ -29,8 +29,8 @@ degree +-1 block, or the vector formula of so(1, d, 1)), and its Hermitian
 characteristic is the norm-minimal one; a closed form that fails its triple
 check or is not Hermitian is a numerical failure (ArithmeticError).  Every
 other problem (longer gradings, degree 0, single blocks) goes to the
-minimal-characteristic engine, a constrained least-squares solve; the tests
-certify the closed form with it.
+minimal-characteristic engine: one constrained least-squares solve for y, then
+f as the ad(h)-weight -2 part of y.  The tests certify the closed form with it.
 """
 
 from __future__ import annotations
@@ -473,7 +473,7 @@ class CharacteristicResult:
     triple: Sl2Triple
     hermitian_defect: float
     is_hermitian: bool
-    degree: int  # the degree of the problem solved, 0 for the ungraded one
+    blocks: tuple[int, ...]  # the diagonal blocks h splits on: alg.blocks, (n,) if ungraded
 
     @property
     def e(self) -> np.ndarray:
@@ -507,23 +507,22 @@ def _certificate(e: np.ndarray, f: np.ndarray) -> tuple[Sl2Triple, float]:
     return Sl2Triple(e, h, f, _relations(e, f, h)), frob(h - h.conj().T) / (1.0 + frob(h))
 
 
-def _minimal_triple(
-    e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis, degree: int,
-    tol: Tolerance,
-) -> CharacteristicResult:
+def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis,
+                    blocks, tol: Tolerance) -> CharacteristicResult:
     """Shared engine: minimize |h|_F over {h = [e, y] : [[e, y], e] = 2e}.
 
     Every h in that affine set is a genuine characteristic (completion lemma),
     and for homogeneous e the set is exactly the homogeneous characteristics,
     so the Frobenius minimizer is the one orthogonal to the direction space.
-    The second leg f is recovered from the joint linear system
-    [e, f] = h, [h, f] = -2f, which has a unique solution.  e is a checked
-    member at unit scale, and so is the result (see :func:`_at_scale`);
-    ``degree`` is recorded in it.
+    f is the ad(h)-weight -2 part of the minimizing y, read off the split of h
+    on ``blocks`` (recorded in the result): [e, y_w] has weight w + 2, so
+    [e, y_-2] = h (Kostant).  NoTriple if h fails the multiplicity gate, or if
+    hypot(|[e, f] - h|, |[h, f] + 2f|) > residual_tol (1 + |h| + |e|).  e is a
+    checked member at unit scale, and so is the result (see :func:`_at_scale`).
     """
     if not e.any():
         zero = np.zeros_like(e)
-        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True, degree)
+        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True, blocks)
     if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
@@ -532,26 +531,21 @@ def _minimal_triple(
     m_obj = h_basis.coords(br_e).T
     d = 2.0 * res.coords(e)
     try:
-        y = solve_least_squares_constrained(
-            m_obj, np.zeros(m_obj.shape[0]), c_mat, d, tol
-        )
+        y = solve_least_squares_constrained(m_obj, np.zeros(m_obj.shape[0]), c_mat, d, tol)
     except Exception as exc:  # noqa: BLE001 - re-raise with domain meaning
         raise NoTriple(f"sl2 completion system is inconsistent: {exc}") from exc
 
     h = np.tensordot(y, br_e, 1)
-
-    # recover f: [e, f] = h  and  [h, f] = -2 f, both inside the neg span
-    a_bot = neg.ad(h) + 2.0 * np.eye(neg.count)
-    a_full = np.vstack([m_obj, a_bot])
-    b_full = np.concatenate([h_basis.coords(h), np.zeros(neg.count)])
-    fc = np.linalg.lstsq(a_full, b_full, rcond=tol.rank_rtol)[0]
-    gap = frob(a_full @ fc - b_full)
-    if gap > tol.residual_tol * (1.0 + frob(h) + frob(e)):
-        raise NoTriple(f"f-recovery residual {gap:.3e} above tolerance")
-    f = neg.combine(fc)
+    try:  # a gate failure of the engine's own h is numerical, not an input error
+        f = _weight_part(neg.combine(y), _levels(h, blocks, tol), -2)
+    except (NotCharacteristic, np.linalg.LinAlgError) as exc:
+        raise NoTriple(f"completed characteristic fails its split: {exc}") from exc
+    gap = np.hypot(frob(_bracket(e, f) - h), frob(_bracket(h, f) + 2.0 * f))
+    if not gap <= tol.residual_tol * (1.0 + frob(h) + frob(e)):  # nan fails too
+        raise NoTriple(f"weight -2 part of the completion misses the triple by {gap:.3e}")
     defect = frob(h - h.conj().T)
     hermitian = defect <= tol.residual_tol * (1.0 + frob(h))
-    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h)), defect, hermitian, degree)
+    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h)), defect, hermitian, blocks)
 
 
 def _at_scale(result: CharacteristicResult, e: np.ndarray, k: int) -> CharacteristicResult:
@@ -587,13 +581,14 @@ def minimal_characteristic(
 def _unit_characteristic(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> CharacteristicResult:
     """minimal_characteristic of a checked member e at unit scale, at that scale."""
     degree = _checked_degree(alg, e, degree, tol)
+    blocks = alg.blocks if degree else (alg.ambient_dim,)
     if degree == 0:
         _orbit_height(alg, e, tol)  # raises NotNilpotent
     elif alg.is_short and e.any():
         triple = _short_triple(alg, e, degree, tol)
-        return CharacteristicResult(triple, frob(triple.h - triple.h.conj().T), True, degree)
+        return CharacteristicResult(triple, frob(triple.h - triple.h.conj().T), True, blocks)
     bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
-    return _minimal_triple(e, *map(alg._index_basis, bases), degree, tol)
+    return _minimal_triple(e, *map(alg._index_basis, bases), blocks, tol)
 
 
 def _checked_degree(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> int:
@@ -617,18 +612,17 @@ def characteristic_direction_space(
     made.  The characteristics of e in its problem form an affine space, whose
     direction space is {[e, y] : y opposite, [[e, y], e] = 0}.  With h =
     ``result.h``, that is ker ad(e) on the positive ad(h)-part of g_0 (of all
-    of g for the ungraded problem, degree 0): a highest-weight vector x of
+    of g for the ungraded problem): a highest-weight vector x of
     weight k >= 1 is [e, [f, x]] / k, and [e, y] with [[e, y], e] = 0 is a
     highest weight of positive weight.  The part is the stack of
-    :func:`_positive_part`; its span is taken at the absolute cut rank_rtol
-    (its members have norm at most 1), and the kernel of ad(e) on it at the
-    scale |e|_F, with e at unit scale.  In a short grading ad(e) kills the
-    whole part.  Returns a (count, n, n) stack; empty when the characteristic
-    is unique.
+    :func:`_positive_part`, h split on ``result.blocks``; its span is taken at
+    the absolute cut rank_rtol (its members have norm at most 1), and the kernel
+    of ad(e) on it at the scale |e|_F, with e at unit scale.  In a short grading
+    ad(e) kills the whole part.  Returns a (count, n, n) stack; empty when the
+    characteristic is unique.
     """
     n, e = alg.ambient_dim, _unit_scale(result.e)[0]
-    blocks = (n,) if result.degree == 0 else alg.blocks
-    part = _positive_part(alg, result.h, tol, blocks).reshape(-1, n * n)
+    part = _positive_part(alg, _levels(result.h, result.blocks, tol)).reshape(-1, n * n)
     span = rank_decomposition(part.T, tol, 1.0).image.T.reshape(-1, n, n)
     moved = _bracket(e, span).reshape(-1, n * n)
     kernel = rank_decomposition(moved.T, tol, frob(e)).kernel
@@ -728,56 +722,71 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
 
     The eigenspaces are taken from h, an n x n matrix of degree 0, one diagonal
-    block b at a time: at each integer level k of the rounded eigenvalues of b,
-    of multiplicity m_k, the last m_k left and right singular vectors of b - k.
-    Multiplicity gate: those singular values must lie below residual_tol *
-    (1 + |h|), so that the kernels fill C^n, and h must have degree 0; else
-    NotCharacteristic is raised.  The positive part is spanned by pi(v w*),
-    v and w of one block at levels k > j, with pi the orthogonal projection
-    onto the algebra.
+    block b at a time: the right and left kernels of b - k at each integer
+    level k.  Multiplicity gate: the kernels must fill C^n up to residual_tol *
+    (1 + |h|), and h must have degree 0; else NotCharacteristic is raised.  The
+    positive part is spanned by pi(v w*), v and w of one block at levels k > j,
+    with pi the orthogonal projection onto the algebra.
     """
     e, h = alg._unit_member(e, tol)[1], alg.require_member(h, tol)
-    return _annihilates_positive_part(alg, e, h, tol)
+    return _annihilates_positive_part(alg, e, h, alg.blocks, tol)
 
 
-def _annihilates_positive_part(
-    alg: GradedAlgebra, e: np.ndarray, h: np.ndarray, tol: Tolerance
-) -> bool:
-    """annihilates_positive_part of checked members e, at unit scale, and h."""
-    x = _positive_part(alg, h, tol, alg.blocks)
+def _annihilates_positive_part(alg: GradedAlgebra, e, h, blocks, tol: Tolerance) -> bool:
+    """annihilates_positive_part of checked members e, at unit scale, and h, split on ``blocks``."""
+    x = _positive_part(alg, _levels(h, blocks, tol))
     moved = np.linalg.norm(_bracket(e, x), axis=(-2, -1))
     bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
     return bool(np.all(moved <= bound))
 
 
-def _positive_part(alg: GradedAlgebra, h: np.ndarray, tol: Tolerance, blocks) -> np.ndarray:
-    """A spanning stack of the positive ad(h)-part of g, block diagonal for ``blocks``.
+def _result_criterion(alg: GradedAlgebra, result: CharacteristicResult, tol: Tolerance) -> bool:
+    """annihilates_positive_part of a checked result, with h split on ``result.blocks``."""
+    return _annihilates_positive_part(alg, _unit_scale(result.e)[0], result.h, result.blocks, tol)
 
-    ``blocks`` are the sizes of the diagonal blocks of h: ``alg.blocks`` for
-    g_0, (n,) for all of g.  The stack is pi(v w*) for v, w in the kernels of
-    b - k and (b - j)* of one diagonal block b of h, k > j, each of norm at
-    most 1; the multiplicity gate of :func:`annihilates_positive_part`, taken
-    block by block, raises NotCharacteristic.
+
+def _levels(h: np.ndarray, blocks, tol: Tolerance):
+    """The split of h into integer levels on its diagonal blocks: ``blocks``, (n,) if ungraded.
+
+    Returns (right, left, level, block).  At each integer level k of the rounded
+    eigenvalues of a block b, of multiplicity m_k, the last m_k right and left
+    singular vectors of b - k give the columns v of the block-diagonal ``right``
+    and the rows w* of ``left``; ``level`` and ``block`` name each.  Multiplicity
+    gate: those singular values, and the mass of h off the blocks, must lie below
+    residual_tol (1 + |h|), so that the kernels fill C^n; else NotCharacteristic.
     """
-    n, cut = alg.ambient_dim, tol.residual_tol * (1.0 + frob(h))
-    off, gap, parts = h.copy(), 0.0, []
+    n, cut = h.shape[0], tol.residual_tol * (1.0 + frob(h))
+    off, gap, level = h.copy(), 0.0, []
+    right, left = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for start, size in zip(np.cumsum((0, *blocks[:-1])), blocks):
         s = slice(start, start + size)
         levels, counts = np.unique(np.rint(np.linalg.eigvals(h[s, s]).real), return_counts=True)
         u, sv, vh = np.linalg.svd(h[s, s] - levels[:, None, None] * np.eye(size))
         kernel = np.arange(size) >= (size - counts)[:, None]  # the last m_k singular triplets
         gap, off[s, s] = max(gap, sv[kernel].max()), 0.0
-        level = np.repeat(levels, counts)
-        a, b = np.nonzero(level[:, None] > level[None, :])
-        outer = np.zeros((a.size, n, n), dtype=complex)
-        right, left = vh.conj()[kernel], u.conj().transpose(0, 2, 1)[kernel]  # v, w*
-        outer[:, s, s] = right[a, :, None] * left[b, None, :]
-        parts.append(outer)
+        right[s, s], left[s, s] = vh.conj()[kernel].T, u.conj().transpose(0, 2, 1)[kernel]
+        level.append(np.repeat(levels, counts))
     gap = max(gap, frob(off))
     if gap > cut:
         raise NotCharacteristic(f"h is not block diagonal and diagonalizable with integer "
                                 f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
-    return alg._project(np.concatenate(parts))  # pi(v w*)
+    return right, left, np.concatenate(level), np.repeat(np.arange(len(blocks)), blocks)
+
+
+def _positive_part(alg: GradedAlgebra, levels) -> np.ndarray:
+    """The positive ad(h)-part of g as a stack pi(v w*), each of norm at most 1: v and w*
+    a column and a row of one block of the split ``levels`` of h, v at the higher level."""
+    right, left, level, block = levels
+    a, b = np.nonzero((level[:, None] > level[None, :]) & (block[:, None] == block[None, :]))
+    return alg._project(right.T[a, :, None] * left[b, None, :])  # pi(v w*)
+
+
+def _weight_part(x: np.ndarray, levels, w: int) -> np.ndarray:
+    """The ad(h)-weight-w part of x, for the split ``levels`` of h: in the eigenbasis V
+    of h, entry (i, j) of V^-1 x V has weight level_i - level_j."""
+    right, _, level, _ = levels
+    inv = np.linalg.inv(right)
+    return right @ np.where(level[:, None] - level[None, :] == w, inv @ x @ right, 0.0) @ inv
 
 
 def is_mp_element(
@@ -798,7 +807,7 @@ def is_mp_element(
     """
     e = alg._unit_member(e, tol)[1]
     result = _unit_characteristic(alg, e, degree, tol)  # the zero element is Hermitian
-    if not result.is_hermitian and _annihilates_positive_part(alg, e, result.h, tol):
+    if not result.is_hermitian and _result_criterion(alg, result, tol):
         raise ArithmeticError(
             f"raising-space criterion holds but the minimal characteristic "
             f"has Hermitian defect {result.hermitian_defect:.3e}"
@@ -873,7 +882,7 @@ def multidegree_characteristic(
     # the units of block (j, i), one entry each, in row-major order
     block = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
     neg, res = alg._unit_basis(np.flatnonzero(block)), alg._index_basis(j - i)
-    return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), j - i, tol), e, k)
+    return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), alg.blocks, tol), e, k)
 
 
 def mp_check_multidegree(

@@ -14,7 +14,15 @@ import scipy.linalg
 
 from liepinv import graded
 from liepinv.graded import GradedAlgebra, bracket
-from liepinv.numcore import DEFAULT_TOL, QuaternionMatrix, as_matrix, frob, rank_decomposition
+from liepinv.numcore import (
+    DEFAULT_TOL,
+    QuaternionMatrix,
+    _ldexp,
+    _unit_scale,
+    as_matrix,
+    frob,
+    rank_decomposition,
+)
 
 
 def random_complex(rng, *shape) -> np.ndarray:
@@ -278,7 +286,26 @@ def engine_characteristic(alg, e, degree: int, tol=DEFAULT_TOL):
     """
     e, unit, k = alg._unit_member(e, tol)
     bases = map(alg._index_basis, (-degree, degree, 0))
-    return graded._at_scale(graded._minimal_triple(unit, *bases, degree, tol), e, k)
+    return graded._at_scale(graded._minimal_triple(unit, *bases, alg.blocks, tol), e, k)
+
+
+def lstsq_f(result, neg, h_basis, tol=DEFAULT_TOL):
+    """f from the joint linear system [e, f] = h, [h, f] = -2f on the span of ``neg``.
+
+    liepinv once recovered f this way, by lstsq at rcond rank_rtol; an
+    independent route to the ad(h)-weight -2 part of y that
+    ``graded._minimal_triple`` takes.  ``h_basis`` spans where [e, f] lies.  The
+    system is solved for e at unit scale.  Returns that f, scaled back to the
+    scale of ``result.e``, and whether the system's own gap passed
+    residual_tol (1 + |h| + |e|).
+    """
+    e, k = _unit_scale(result.e)
+    h = result.h
+    a_full = np.vstack([h_basis.coords(neg.brackets(e)).T, neg.ad(h) + 2.0 * np.eye(neg.count)])
+    b_full = np.concatenate([h_basis.coords(h), np.zeros(neg.count)])
+    fc = np.linalg.lstsq(a_full, b_full, rcond=tol.rank_rtol)[0]
+    gap = frob(a_full @ fc - b_full)
+    return _ldexp(neg.combine(fc), -k), gap <= tol.residual_tol * (1.0 + frob(h) + frob(e))
 
 
 def engine_direction_space(alg, e, degree: int, tol=DEFAULT_TOL) -> np.ndarray:

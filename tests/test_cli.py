@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -27,7 +28,7 @@ from liepinv.cli import (
 )
 from liepinv import classical
 from liepinv.classical import verify_penrose
-from liepinv.graded import GradedAlgebra
+from liepinv.graded import GradedAlgebra, orbit_height
 from liepinv.numcore import Tolerance, frob
 import regen_goldens
 from helpers import compare_documents, ill_conditioned_sp8_conjugate, reference_to_json
@@ -923,17 +924,26 @@ class TestIllConditionedBlock:
     numerical failure (NoTriple included) exits 2."""
 
     @staticmethod
-    def element(kind, cond, seed) -> np.ndarray:
-        rng = np.random.default_rng(seed)
+    def block(kind, cond, rng) -> np.ndarray:
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         if kind == "so":  # skew block with singular values 1, 1, 1/cond, 1/cond
             core = np.zeros((4, 4))
             core[0, 1], core[2, 3] = 1.0, 1.0 / cond
-            block = q @ (core - core.T) @ q.T
-        else:  # sp: symmetric block with singular values from 1 down to 1/cond; sl: any block
-            right = q.T if kind == "sp" else np.linalg.qr(rng.standard_normal((4, 4)))[0]
-            block = q @ np.diag(np.logspace(0, -np.log10(cond), 4)) @ right
-        return GradedAlgebra(kind, (4, 4)).element_from_block(1, 2, block)
+            return q @ (core - core.T) @ q.T
+        # sp: symmetric block with singular values from 1 down to 1/cond; sl: any block
+        right = q.T if kind == "sp" else np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        return q @ np.diag(np.logspace(0, -np.log10(cond), 4)) @ right
+
+    @classmethod
+    def element(cls, kind, cond, seed, blocks=(4, 4)) -> np.ndarray:
+        """Degree 1 on the grading ``blocks``: blocks (1, 2) and, on three blocks, (2, 3)
+        of condition ``cond`` (for so/sp the form makes (2, 3) the partner of (1, 2))."""
+        rng = np.random.default_rng(seed)
+        alg = GradedAlgebra(kind, blocks)
+        e = alg.element_from_block(1, 2, cls.block(kind, cond, rng))
+        if kind == "sl" and len(blocks) == 3:
+            e = e + alg.element_from_block(2, 3, cls.block(kind, cond, rng))
+        return e
 
     @pytest.mark.parametrize("kind", ["so", "sp"])
     @pytest.mark.parametrize("cond", [1e8, 1e10])
@@ -951,6 +961,57 @@ class TestIllConditionedBlock:
         element = self.element(kind, cond, seed)
         code, document = TestScaleFree.run_scaled(tmp_path, command, kind, (4, 4), element, 1.0)
         assert code in (EXIT_OK, EXIT_VERIFY), document
+
+    @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
+    @pytest.mark.parametrize("kind", ["sl", "so", "sp"])
+    @pytest.mark.parametrize("cond", [1e3, 1e4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_engine_on_three_blocks_is_not_an_input_error(self, tmp_path, command, kind, cond,
+                                                          seed):
+        # (4, 4) takes the closed form; a three-block grading reaches the engine
+        element = self.element(kind, cond, seed, (4, 4, 4))
+        code, document = TestScaleFree.run_scaled(tmp_path, command, kind, (4, 4, 4), element, 1.0)
+        assert code in (EXIT_OK, EXIT_VERIFY), document
+
+
+class TestUngradedProblemOnGradedAlgebras:
+    """``"degree": 0`` asks for the ungraded problem on any grading: a valid nilpotent exits 0."""
+
+    @staticmethod
+    def run(tmp_path, command, kind, blocks, element):
+        doc = tmp_path / f"{command}-{kind}{len(blocks)}.json"
+        doc.write_text(json.dumps({"algebra": kind, "blocks": list(blocks), "degree": 0,
+                                   "element": encode_complex_matrix(element).tolist()}))
+        return run_job(JobSpec(command, str(doc)))
+
+    @pytest.mark.parametrize("blocks", [(2, 2), (1, 2, 1)])
+    def test_sl_verdicts_are_those_of_the_ungraded_algebra(self, tmp_path, blocks):
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+        e = q @ np.diag(np.ones(3), 1) @ q.T  # the regular nilpotent of sl(4), rotated
+        _, want = self.run(tmp_path, "mp-element", "sl", (4,), e)
+        code, got = self.run(tmp_path, "mp-element", "sl", blocks, e)
+        assert code == EXIT_OK, got
+        # the same problem; the bases of the two algebras differ in order, so roundoff does too
+        assert got["result"]["is_mp_element"] == want["result"]["is_mp_element"]
+        assert got["result"]["hermitian_defect"] <= 1e-12
+        assert got["verification"]["orbit_criterion"] == want["verification"]["orbit_criterion"]
+        assert self.run(tmp_path, "sl2-complete", "sl", blocks, e)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("kind,blocks,m,height", [
+        ("so", (2, 2), 1, 2), ("so", (2, 3, 2), 1, 4), ("so", (2, 3, 2), 2, 2),
+        ("so", (1, 2, 2, 1), 1, 4), ("sp", (2, 2), 1, 2), ("sp", (1, 2, 1), 1, 2),
+    ])
+    def test_so_sp_criterion_is_the_height_criterion(self, tmp_path, kind, blocks, m, height):
+        # GradedAlgebra(kind, (n,)) realizes so/sp with another form, so e is compared with
+        # its orbit height: on all of g, ad(e) kills the positive part exactly at height 2
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(37)
+        x, y = alg.random_element(m, rng), alg.random_element(-1, rng)
+        e = scipy.linalg.expm(y) @ x @ scipy.linalg.expm(-y)  # a nilpotent of no degree
+        assert orbit_height(alg, e) == height
+        code, document = self.run(tmp_path, "mp-element", kind, blocks, e)
+        assert code == EXIT_OK, document
+        assert document["verification"]["orbit_criterion"] == (height == 2)
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,

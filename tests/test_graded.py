@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepinv import classical
+from liepinv import classical, graded
 from liepinv.errors import (
     NotCharacteristic,
     NotInAlgebra,
@@ -31,7 +31,7 @@ from liepinv.graded import (
     orbit_height,
 )
 from liepinv.homform import embedding_algebra, generic_orbit_map, hom_element
-from liepinv.numcore import Tolerance, frob, rank_decomposition
+from liepinv.numcore import DEFAULT_TOL, Tolerance, frob, rank_decomposition
 
 from helpers import (
     ALL_PAIRS,
@@ -43,6 +43,7 @@ from helpers import (
     jordan_nilpotent,
     killing_ad,
     levi_group_element,
+    lstsq_f,
     partitions,
     positive_part_annihilated_eig,
     random_complex,
@@ -482,7 +483,8 @@ class TestShortGradingInverse:
 
 
 class TestDirectionSpaceOracles:
-    """characteristic_direction_space against its two oracles beyond the short gradings."""
+    """characteristic_direction_space against its two oracles beyond the short gradings,
+    and the engine's f against the joint lstsq f-recovery."""
 
     LONG = [("sl", (2, 2, 2)), ("sl", (3, 3, 3)), ("sl", (2, 3, 2)), ("sl", (1, 2, 2, 1)),
             ("sl", (2, 2, 2, 2)), ("so", (2, 3, 2)), ("so", (1, 2, 2, 1)), ("sp", (2, 2, 2)),
@@ -497,6 +499,8 @@ class TestDirectionSpaceOracles:
         """Same span as the completion kernel and as the centralizer oracle; orthonormal."""
         n = alg.ambient_dim
         res = minimal_characteristic(alg, e, degree)
+        TestDirectionSpaceOracles.assert_f_agrees(res, alg._index_basis(-degree or None),
+                                                  alg._index_basis(0 if degree else None), case)
         dirs = characteristic_direction_space(alg, res)
         gram = np.einsum("iab,jab->ij", dirs.conj(), dirs)
         assert frob(gram - np.eye(len(dirs))) <= 1e-12, case
@@ -508,6 +512,14 @@ class TestDirectionSpaceOracles:
             joint = np.concatenate([flat, oracle])
             assert rank_decomposition(joint.T, scale=1.0).rank == len(dirs), case
         return len(dirs)
+
+    @staticmethod
+    def assert_f_agrees(res, neg, h_basis, case):
+        """f lies in the span of ``neg`` and equals the lstsq f, whose own gap passes here."""
+        assert frob(res.f - neg.combine(neg.coords(res.f))) <= 1e-12 * frob(res.f), case
+        want, passed = lstsq_f(res, neg, h_basis)
+        assert passed, case  # every element these tests draw is well conditioned
+        assert frob(res.f - want) <= 1e-10 * frob(want), case
 
     @pytest.mark.parametrize("kind,blocks", LONG)
     def test_longer_gradings(self, kind, blocks):
@@ -871,6 +883,18 @@ class TestMultidegree:
         alg = GradedAlgebra("sl", (2, 1))
         assert mp_check_multidegree(alg, 1, 2, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("blocks", [b for k, b in TestDirectionSpaceOracles.LONG if k == "sl"])
+    def test_f_agrees_with_the_lstsq_oracle(self, blocks):
+        alg = GradedAlgebra("sl", blocks)
+        rng = np.random.default_rng(62)
+        for i in range(1, len(blocks) + 1):
+            for j in [j for j in range(1, len(blocks) + 1) if j != i]:
+                block = random_complex(rng, blocks[i - 1], blocks[j - 1])
+                res = multidegree_characteristic(alg, i, j, alg.element_from_block(i, j, block))
+                opposite = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
+                neg = alg._unit_basis(np.flatnonzero(opposite))
+                TestDirectionSpaceOracles.assert_f_agrees(res, neg, alg._index_basis(0), (i, j))
+
     def test_unsupported_block(self):
         alg = GradedAlgebra("sl", (1, 1, 1))
         e = np.zeros((3, 3), dtype=complex)
@@ -878,6 +902,42 @@ class TestMultidegree:
         e[1, 2] = 1.0
         with pytest.raises(UnsupportedBlock):
             mp_check_multidegree(alg, 1, 2, e)
+
+
+class TestWeightPart:
+    @staticmethod
+    def conditioned(rng, d, cond):
+        """A complex d x d matrix with singular values from 1 down to 1/cond (1 at d = 1)."""
+        q1, q2 = (np.linalg.qr(random_complex(rng, d, d))[0] for _ in range(2))
+        return q1 @ np.diag(np.logspace(0, -np.log10(cond), d)) @ q2
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(blocks=st.sampled_from([(5,), (2, 3), (3, 1, 2), (2, 2, 2, 2)]),
+           seed=st.integers(0, 2**16))
+    def test_parts_sum_to_x_and_carry_their_weight(self, blocks, seed):
+        # a non-normal, block-diagonal h = V diag(levels) V^-1 with cond V = 1e2
+        rng = np.random.default_rng(seed)
+        v = scipy.linalg.block_diag(*(self.conditioned(rng, d, 1e2) for d in blocks))
+        h = v @ np.diag(rng.integers(-3, 4, v.shape[0]).astype(float)) @ np.linalg.inv(v)
+        split = graded._levels(h, blocks, DEFAULT_TOL)
+        x = random_complex(rng, *h.shape)
+        parts = {w: graded._weight_part(x, split, w) for w in range(-6, 7)}
+        assert frob(sum(parts.values()) - x) <= 1e-12 * frob(x)
+        for w, part in parts.items():
+            assert frob(bracket(h, part) - w * part) <= 1e-12 * frob(h) * frob(x), w
+
+
+class TestUngradedProblemOnGradedAlgebras:
+    """Degree 0 asks for the ungraded problem: h is split on all of g, whatever the grading."""
+
+    @pytest.mark.parametrize("blocks", [(3,), (1, 2), (1, 1, 1)])
+    def test_is_mp_element_takes_the_ungraded_verdict(self, blocks):
+        # a non-normal regular nilpotent, whose h is not block diagonal on (1, 2) or (1, 1, 1)
+        u = scipy.linalg.expm(jordan_nilpotent((2, 1)))  # expm(E_12)
+        e = u @ jordan_nilpotent((3,)) @ np.linalg.inv(u)
+        alg = GradedAlgebra("sl", blocks)
+        assert minimal_characteristic(alg, e, 0).blocks == (3,)
+        assert not is_mp_element(alg, e, 0)
 
 
 class TestSl2TripleType:
