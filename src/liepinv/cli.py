@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -92,11 +93,14 @@ def to_json(value, indent: int = 0) -> str:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating, np.ndarray)):
-        a = np.asarray(value)
-        if not np.isfinite(a).all():
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
             raise ValueError("cannot serialize non-finite number")
-        return _array_template(a.shape, indent) % tuple((a + 0.0).ravel().tolist())
+        return "%.17g" % (value + 0.0)
+    if isinstance(value, np.ndarray):
+        if not np.isfinite(value).all():
+            raise ValueError("cannot serialize non-finite number")
+        return _array_template(value.shape, indent) % tuple((value + 0.0).ravel().tolist())
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -405,9 +409,9 @@ def _cmd_orbit_height(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     alg, e = _graded_element(doc, job)
-    height = graded.orbit_height(alg, e, job.tol)
-    if frob(e) == 0.0:
+    if not alg._check_ambient(e).any():
         raise ZeroElement("the zero element does not generate a nilpotent orbit")
+    height = graded.orbit_height(alg, e, job.tol)
     return {"is_mp_orbit": height == 2, "height": height}, Report({}, passed=True)
 
 

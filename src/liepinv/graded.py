@@ -178,6 +178,11 @@ class GradedAlgebra:
     unit map tau(E_ab) = -J^-1 E_ba J fixes, and (E_ab + tau(E_ab)) / sqrt(2)
     for each other tau-pair; for sl the off-diagonal units of degree m and, at
     m = 0, the n - 1 Helmert rows of the traceless diagonal.
+
+    Construction takes the dimension of every degree from one count of the
+    unit table; the basis of a degree (or of the whole algebra) is built on
+    first use and kept on the instance.  Threads sharing one algebra may
+    build a basis twice; the two copies are identical arrays.
     """
 
     def __init__(self, kind: str, blocks):
@@ -239,10 +244,11 @@ class GradedAlgebra:
         a, b = np.divmod(unit, n)
         degree = self._block_of[b] - self._block_of[a]
         self._degree_mask = degree.reshape(n, n)  # block degree of entry (a, b)
+        self._entry_degree = degree + (k - 1)  # its index among the degrees -(k-1)..k-1
         if self.kind == "sl":
             self._partner, sign, keep = unit, np.zeros(n * n), a != b
             i, j = np.arange(1, n)[:, None], np.arange(n)
-            helmert = ((j < i) - i * (j == i)) / np.sqrt(i * (i + 1.0))
+            self._helmert = ((j < i) - i * (j == i)) / np.sqrt(i * (i + 1.0))
         else:
             perm, form_sign = self._split_form()
             # tau(E_ab) = -sign_a sign_b E_{perm b, perm a}
@@ -250,16 +256,19 @@ class GradedAlgebra:
             self._tau_sign = -form_sign[a] * form_sign[b]
             keep = (unit < self._partner) | ((unit == self._partner) & (self._tau_sign > 0))
             sign = np.where(unit == self._partner, 0.0, self._tau_sign)
-            helmert = None
+            self._helmert = np.zeros((0, n))
         self._weight = np.where(sign != 0.0, np.sqrt(0.5), 1.0)
         self._pweight = sign * self._weight
         units = np.flatnonzero(keep)
-        units = units[np.argsort(degree[units], kind="stable")]
-        self._bases = {
-            m: self._unit_basis(units[degree[units] == m], helmert if m == 0 else None)
-            for m in range(-(k - 1), k)
-        }
-        self._bases[None] = self._unit_basis(units, helmert)
+        self._units = units[np.argsort(degree[units], kind="stable")]
+        # the units of each degree are a run of _units; g_0 also holds the Helmert rows
+        count = np.bincount(self._entry_degree[self._units], minlength=2 * k - 1)
+        stop = np.cumsum(count)
+        self._runs = {m: slice(stop[i] - count[i], stop[i]) for i, m in enumerate(range(1 - k, k))}
+        self._runs[None] = slice(None)
+        count[k - 1] += self._helmert.shape[0]
+        self._dims = {m: int(c) for m, c in zip(range(1 - k, k), count)}
+        self._bases: dict[int | None, _IndexBasis] = {}
         expected = {"sl": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[self.kind]
         if self.dim != expected:
             raise AssertionError(f"basis construction produced dim {self.dim}, expected {expected}")
@@ -270,26 +279,33 @@ class GradedAlgebra:
                            self._pweight[units], cartan)
 
     def _index_basis(self, m: int | None = None) -> _IndexBasis:
-        """The index-array basis of g_m, or of the whole algebra for m=None."""
-        return self._bases.get(m) or self._unit_basis(np.zeros(0, dtype=np.intp))
+        """The index-array basis of g_m, or of the whole algebra for m=None, built on first use."""
+        basis = self._bases.get(m)
+        if basis is None:
+            run = self._runs.get(m)
+            if run is None:  # no such degree
+                return self._unit_basis(self._units[:0])
+            cartan = self._helmert if m in (None, 0) else None
+            basis = self._bases[m] = self._unit_basis(self._units[run], cartan)
+        return basis
 
     # -- structure -----------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self._index_basis().count
+        return sum(self._dims.values())
 
     @property
     def degrees(self) -> list[int]:
         """Degrees m with nonzero component g_m, ascending."""
-        return [m for m, basis in self._bases.items() if m is not None and basis.count]
+        return [m for m, count in self._dims.items() if count]
 
     @property
     def is_short(self) -> bool:
         return all(abs(m) <= 1 for m in self.degrees)
 
     def degree_dimension(self, m: int) -> int:
-        return self._index_basis(m).count
+        return self._dims.get(m, 0)
 
     def basis(self, m: int | None = None) -> np.ndarray:
         """Orthonormal homogeneous basis matrices, all or of a single degree."""
@@ -367,12 +383,17 @@ class GradedAlgebra:
         return self._degree(self._unit_member(x, tol)[1], tol)
 
     def _degree(self, x: np.ndarray, tol: Tolerance) -> int | None:
-        """homogeneous_degree of a checked member at unit scale."""
-        scale = frob(x)
+        """homogeneous_degree of a checked member at unit scale.
+
+        The mass |x_m|^2 of every degree m comes from one pass over the entries: at
+        unit scale no square overflows, and one that underflows lies far below the cut.
+        """
+        mass = np.bincount(self._entry_degree, (x.real**2 + x.imag**2).ravel(), len(self._dims))
+        scale = np.sqrt(mass.sum())
         if scale == 0.0:
             return None
-        cut = tol.residual_tol * scale
-        present = [m for m in self.degrees if frob(x[self._degree_mask == m]) > cut]
+        norm, cut = dict(zip(self._dims, np.sqrt(mass))), tol.residual_tol * scale
+        present = [m for m in self.degrees if norm[m] > cut]
         if len(present) != 1:
             raise ValueError(f"element is not homogeneous; degrees with mass: {present}")
         return present[0]
@@ -488,11 +509,12 @@ class CharacteristicResult:
         return self.triple.f
 
 
-def _relations(e: np.ndarray, f: np.ndarray, h: np.ndarray) -> tuple[float, float, float]:
-    """The residuals of Sl2Triple for a checked pair (e, f) at unit scale and h."""
+def _relations(e: np.ndarray, f: np.ndarray, h: np.ndarray, ef=None) -> tuple[float, float, float]:
+    """The residuals of Sl2Triple for a checked pair (e, f) at unit scale and h; ``ef`` is
+    [e, f] when the caller has formed it."""
     scale = 1.0 + frob(e) + frob(h) + frob(f)
     return (
-        frob(_bracket(e, f) - h) / scale,
+        frob((_bracket(e, f) if ef is None else ef) - h) / scale,
         frob(_bracket(h, e) - 2.0 * e) / scale,
         frob(_bracket(h, f) + 2.0 * f) / scale,
     )
@@ -504,7 +526,7 @@ def _certificate(e: np.ndarray, f: np.ndarray) -> tuple[Sl2Triple, float]:
     f is the Moore-Penrose inverse of e when the residuals and the defect are small.
     """
     h = _bracket(e, f)
-    return Sl2Triple(e, h, f, _relations(e, f, h)), frob(h - h.conj().T) / (1.0 + frob(h))
+    return Sl2Triple(e, h, f, _relations(e, f, h, h)), frob(h - h.conj().T) / (1.0 + frob(h))
 
 
 def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis,
@@ -540,12 +562,13 @@ def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: 
         f = _weight_part(neg.combine(y), _levels(h, blocks, tol), -2)
     except (NotCharacteristic, np.linalg.LinAlgError) as exc:
         raise NoTriple(f"completed characteristic fails its split: {exc}") from exc
-    gap = np.hypot(frob(_bracket(e, f) - h), frob(_bracket(h, f) + 2.0 * f))
+    ef = _bracket(e, f)
+    gap = np.hypot(frob(ef - h), frob(_bracket(h, f) + 2.0 * f))
     if not gap <= tol.residual_tol * (1.0 + frob(h) + frob(e)):  # nan fails too
         raise NoTriple(f"weight -2 part of the completion misses the triple by {gap:.3e}")
     defect = frob(h - h.conj().T)
     hermitian = defect <= tol.residual_tol * (1.0 + frob(h))
-    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h)), defect, hermitian, blocks)
+    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h, ef)), defect, hermitian, blocks)
 
 
 def _at_scale(result: CharacteristicResult, e: np.ndarray, k: int) -> CharacteristicResult:

@@ -106,9 +106,9 @@ def killing_pairing(pair: JordanPair, x, y, tol: Tolerance = DEFAULT_TOL) -> com
     """B(x, y) = Tr of z -> {x, y, z} on the component of x."""
     (x, ux, _), (y, uy, _) = (pair.algebra._unit_member(m, tol) for m in (x, y))
     sign = pair._component(ux, tol)
+    pair._component(uy, tol, -sign)  # y lies in V+ or V- even when x = 0
     if sign == 0:
         return 0.0 + 0.0j
-    pair._component(uy, tol, -sign)
     return complex(np.trace(pair._operator(_bracket(x, y), sign)))
 
 

@@ -254,6 +254,32 @@ def svd_graded_basis(alg: GradedAlgebra, cutoff: float = 1e-12) -> dict[int, np.
     return bases
 
 
+def eager_index_bases(alg: GradedAlgebra) -> dict:
+    """Every index basis of ``alg``, all built at once as ``GradedAlgebra`` once did at
+    construction: the units of degree m picked out of the degree-sorted unit table by
+    a mask, the Helmert rows (sl only) in g_0 and in the whole algebra (key None)."""
+    k = len(alg.blocks)
+    degree = alg._degree_mask.reshape(-1)[alg._units]
+    cartan = alg._helmert if alg.kind == "sl" else None
+    bases = {m: alg._unit_basis(alg._units[degree == m], cartan if m == 0 else None)
+             for m in range(1 - k, k)}
+    bases[None] = alg._unit_basis(alg._units, cartan)
+    return bases
+
+
+def masked_degree(alg: GradedAlgebra, x: np.ndarray, tol=DEFAULT_TOL) -> int | None:
+    """The homogeneous degree of a member x at unit scale by one masked Frobenius norm
+    per degree: the rule ``GradedAlgebra`` once used, an oracle for its one-pass test."""
+    scale = frob(x)
+    if scale == 0.0:
+        return None
+    cut = tol.residual_tol * scale
+    present = [m for m in alg.degrees if frob(x[alg._degree_mask == m]) > cut]
+    if len(present) != 1:
+        raise ValueError(f"element is not homogeneous; degrees with mass: {present}")
+    return present[0]
+
+
 def partitions(n: int):
     """All partitions of n as weakly decreasing tuples."""
     if n == 0:

@@ -26,12 +26,17 @@ from liepinv.cli import (
     run_job,
     to_json,
 )
-from liepinv import classical
+from liepinv import classical, graded
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra, orbit_height
 from liepinv.numcore import Tolerance, frob
 import regen_goldens
-from helpers import compare_documents, ill_conditioned_sp8_conjugate, reference_to_json
+from helpers import (
+    compare_documents,
+    ill_conditioned_sp8_conjugate,
+    reference_format_float,
+    reference_to_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads((Path(__file__).parents[1] / "docs" / "schema.json").read_text())
@@ -554,6 +559,17 @@ class TestErrorPaths:
         assert code == EXIT_INPUT
         assert "zero element" in document["error"]
 
+    def test_mp_orbit_rejects_zero_before_its_height(self, tmp_path, monkeypatch):
+        def no_height(*args, **kwargs):
+            raise AssertionError("orbit_height ran on the zero element")
+
+        monkeypatch.setattr(graded, "orbit_height", no_height)
+        doc = tmp_path / "zero.json"
+        doc.write_text(json.dumps({"algebra": "sl", "blocks": [1, 2], "element": [[0] * 3] * 3}))
+        code, document = run_job(JobSpec("mp-orbit", str(doc)))
+        assert code == EXIT_INPUT
+        assert document["error"] == "the zero element does not generate a nilpotent orbit"
+
     def test_chain_sizes_must_be_integers(self, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"sizes": [[1], 2], "maps": [[[1, 0]]]}))
@@ -1035,6 +1051,20 @@ class TestArrayWriter:
     def test_matches_reference_byte_for_byte(self, a, indent):
         expected = reference_to_json(a.tolist() if a.ndim else float(a), indent)
         assert to_json(a, indent) == expected
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(x=FLOATS, kind=st.sampled_from([float, np.float64]))
+    def test_scalar_matches_reference(self, x, kind):
+        assert to_json(kind(x)) == reference_format_float(x)
+
+    @pytest.mark.parametrize("x", [np.float32(0.1), np.float32(-0.0), np.float16(3.5)])
+    def test_narrow_float_scalar_matches_reference(self, x):
+        assert to_json(x) == reference_format_float(x) == to_json(np.asarray(x))
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float32(np.inf)])
+    def test_non_finite_scalar_raises(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_json({"residual": x})
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(a=hnp.arrays(float, SHAPES.filter(len), elements=FLOATS))

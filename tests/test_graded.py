@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepinv import classical, graded
+from liepinv import classical, complexes, forms, graded
 from liepinv.errors import (
     NotCharacteristic,
     NotInAlgebra,
@@ -31,12 +31,20 @@ from liepinv.graded import (
     orbit_height,
 )
 from liepinv.homform import embedding_algebra, generic_orbit_map, hom_element
-from liepinv.numcore import DEFAULT_TOL, Tolerance, frob, rank_decomposition
+from liepinv.numcore import (
+    DEFAULT_TOL,
+    Tolerance,
+    _unit_pair,
+    _unit_scale,
+    frob,
+    rank_decomposition,
+)
 
 from helpers import (
     ALL_PAIRS,
     centralizer_positive_directions,
     compact_group_element,
+    eager_index_bases,
     engine_characteristic,
     engine_direction_space,
     ill_conditioned_sp8_conjugate,
@@ -44,9 +52,11 @@ from helpers import (
     killing_ad,
     levi_group_element,
     lstsq_f,
+    masked_degree,
     partitions,
     positive_part_annihilated_eig,
     random_complex,
+    random_exact_complex,
     random_matrix_with_rank,
     split_form,
     standard_form,
@@ -138,6 +148,144 @@ class TestIndexBasis:
         assert frob(alg.ad(x) - dense_ad) < 1e-12 * frob(dense_ad)
         assert frob(alg.coordinates(x) - np.einsum("kab,ab->k", basis.conj(), x)) < 1e-12
         assert frob(alg.from_coordinates(v) - np.einsum("k,kab->ab", v, basis)) < 1e-12
+
+
+    @pytest.mark.parametrize("order", ["whole first", "one degree first", "plus-minus one only"])
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
+    def test_bases_built_on_first_use_match_eager_construction(self, kind, blocks, order):
+        alg, k = GradedAlgebra(kind, blocks), len(blocks)
+        asked = {"whole first": [None, *range(1 - k, k)],
+                 "one degree first": [k - 1, None, *range(1 - k, k - 1)],
+                 "plus-minus one only": [1, -1]}[order]
+        got = {m: alg._index_basis(m) for m in asked}
+        assert set(alg._bases) == {m for m in asked if m is None or abs(m) < k}
+        for m, want in eager_index_bases(GradedAlgebra(kind, blocks)).items():
+            if m not in got:
+                continue
+            assert alg._index_basis(m) is got[m]
+            for name in ("pos", "partner", "weight", "pweight", "cartan"):
+                a, b = getattr(got[m], name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (m, name)
+            assert (got[m].n, got[m].units, got[m].count, got[m].paired) == (
+                want.n, want.units, want.count, want.paired)
+
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
+    def test_structure_is_read_without_building_a_basis(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        oracle = svd_graded_basis(alg)
+        degrees = [m for m, b in sorted(oracle.items()) if b.shape[0]]
+        assert alg.degrees == degrees
+        assert alg.dim == sum(b.shape[0] for b in oracle.values())
+        assert all(alg.degree_dimension(m) == b.shape[0] for m, b in oracle.items())
+        assert alg.degree_dimension(len(blocks)) == 0
+        assert alg.is_short == all(abs(m) <= 1 for m in degrees)
+        assert alg._bases == {}
+
+
+DEGREE_GRADINGS = [("sl", (2, 3)), ("sl", (1, 2, 1)), ("sl", (3,)), ("so", (1, 3, 1)),
+                   ("so", (1, 1, 1, 1)), ("sp", (2, 2)), ("sp", (2, 2, 2))]
+
+
+def _degree_outcome(decide, x):
+    """decide(x), or the message of the ValueError it raises."""
+    try:
+        return decide(x)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDegreeTest:
+    """The one-pass degree test against the masked-norm rule it replaced."""
+
+    @staticmethod
+    def _agree(alg, x):
+        x = _unit_scale(x)[0]
+        got = _degree_outcome(lambda u: alg._degree(u, DEFAULT_TOL), x)
+        assert got == _degree_outcome(lambda u: masked_degree(alg, u), x)
+        return got
+
+    @pytest.mark.parametrize("kind,blocks", DEGREE_GRADINGS)
+    def test_homogeneous_and_zero(self, kind, blocks):
+        alg, rng = GradedAlgebra(kind, blocks), np.random.default_rng(17)
+        assert self._agree(alg, np.zeros((alg.ambient_dim,) * 2, dtype=complex)) is None
+        for m in alg.degrees:
+            assert self._agree(alg, 1e3 * alg.random_element(m, rng)) == m
+
+    @pytest.mark.parametrize("kind,blocks", DEGREE_GRADINGS)
+    def test_mixed_names_the_degrees_with_mass(self, kind, blocks):
+        alg, rng = GradedAlgebra(kind, blocks), np.random.default_rng(18)
+        degrees = alg.degrees
+        for m, other in zip(degrees, degrees[1:]):
+            x = alg.random_element(m, rng) + alg.random_element(other, rng)
+            assert self._agree(alg, x) == f"element is not homogeneous; degrees with mass: {[m, other]}"
+        if len(degrees) > 2:
+            x = sum(alg.random_element(m, rng) for m in degrees)
+            assert self._agree(alg, x) == f"element is not homogeneous; degrees with mass: {degrees}"
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("kind,blocks", DEGREE_GRADINGS)
+    def test_off_degree_mass_at_the_cut(self, kind, blocks, factor):
+        alg, rng = GradedAlgebra(kind, blocks), np.random.default_rng(19)
+        for m in alg.degrees:
+            for other in alg.degrees:
+                if other == m:
+                    continue
+                e, y = alg.random_element(m, rng), alg.random_element(other, rng)
+                x = e + factor * DEFAULT_TOL.residual_tol * frob(e) / frob(y) * y
+                got = self._agree(alg, x)
+                expect = sorted((m, other), key=alg.degrees.index)
+                assert got == (m if factor < 1 else
+                               f"element is not homogeneous; degrees with mass: {expect}")
+
+
+def _short_pairs():
+    """(e, f) at unit scale on the short routes: a closed-form inverse and a perturbed one."""
+    rng = np.random.default_rng(23)
+    for kind, blocks in [("sl", (2, 3)), ("sp", (2, 2)), ("so", (3, 3)), ("so", (1, 3, 1))]:
+        alg = GradedAlgebra(kind, blocks)
+        e = _unit_scale(alg.random_element(1, rng))[0]
+        f = mp_inverse_short(alg, e)
+        yield f"{kind}{blocks}", e, f
+        yield f"{kind}{blocks} perturbed", e, f + 1e-3 * alg.random_element(-1, rng)
+
+
+def _form_and_complex_pairs():
+    """(e, f) of the forms and complexes certificates, as their verifiers build them."""
+    rng = np.random.default_rng(29)
+    v = random_complex(rng, 5)
+    e, _, f = forms.vector_triple(v, forms.vector_pinv(v))
+    yield "vector", *_unit_pair(e, f)
+    space = forms.PseudoEuclideanSpace(3, 2)
+    v = rng.standard_normal(5)
+    e, _, f = forms.pseudo_euclidean_triple(space, v, forms.pseudo_euclidean_pinv(space, v))
+    yield "pseudo", *_unit_pair(e, f)
+    t = complexes.ChainTuple((3, 4, 2), tuple(random_exact_complex(rng, (3, 4, 2), [2, 1])))
+    out, _ = complexes.complex_pinv(t)
+    yield "complex", *_unit_pair(complexes.assemble_raising(t),
+                                 complexes.assemble_lowering(t, out.maps[::-1]))
+
+
+class TestCertificate:
+    """The certificate forms [e, f] once; its residuals are those of the full relations."""
+
+    @pytest.mark.parametrize("name,e,f", [*_short_pairs(), *_form_and_complex_pairs()],
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_residuals_equal_the_relations_bit_for_bit(self, name, e, f):
+        triple, defect = graded._certificate(e, f)
+        h = bracket(e, f)
+        assert np.array_equal(triple.h, h)
+        assert np.array(triple.residuals).tobytes() == np.array(graded._relations(e, f, h)).tobytes()
+        assert defect == frob(h - h.conj().T) / (1.0 + frob(h))
+
+    def test_overflowing_bracket_keeps_its_nan_residual(self):
+        e = np.array([[0.0, 1.5], [0.0, 0.0]], dtype=complex)
+        f = np.array([[0.0, 0.0], [1.5e308, 0.0]], dtype=complex)  # [e, f] = diag(inf, -inf)
+        with np.errstate(all="ignore"):
+            triple = graded._certificate(e, f)[0]
+            want = graded._relations(e, f, bracket(e, f))
+        assert np.isnan(triple.residuals[0])
+        np.testing.assert_array_equal(triple.residuals, want)
+        assert not triple.passes()
 
 
 class TestGradedAlgebraStructure:

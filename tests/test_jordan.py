@@ -339,6 +339,17 @@ class TestBoundaryChecks:
         with pytest.raises(WrongComponent):
             verify_jordan_mp(pair, standard_cartan_involution(pair), a, x)
 
+    def test_pairing_with_zero_x_still_needs_y_in_a_component(self):
+        pair = matrix_pair(2, 2)
+        y = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)  # degree 0
+        zero = np.zeros_like(y)
+        with pytest.raises(WrongComponent):
+            triple_product(pair, zero, y, zero)
+        with pytest.raises(WrongComponent):
+            killing_pairing(pair, zero, y)
+        minus = pair.algebra.random_element(-1, np.random.default_rng(11))
+        assert killing_pairing(pair, zero, minus) == 0j
+
     def test_verify_with_zero_a_takes_the_component_of_x(self):
         alg = GradedAlgebra("sl", (2, 3))
         pair = JordanPair(alg)
