@@ -7,12 +7,13 @@ with 17 significant digits; complex scalars are two-element arrays [re, im]
 and quaternions four-element arrays [a, b, c, d]; matrices are row-major
 nested arrays.
 
-Each input matrix is read with one ``np.array`` call; a field that is not a
-regular nest of numbers is walked entry by entry, and a bad entry is reported
-as ``field[row][col]``.  ``run_job`` returns result matrices as float
-ndarrays: complex ones with a trailing [re, im] axis, quaternion ones with a
-trailing axis of 4.  ``to_json`` writes each such array in one pass, so
-``json.loads(to_json(document))`` gives plain JSON lists.
+Each input matrix is read with one ``np.array`` call and one finiteness check;
+a field that is not a regular nest of finite numbers is walked entry by entry,
+and a bad entry (a bool, a string, a non-finite number or an integer outside
+the float range) is reported as ``field[row][col]``.  ``run_job`` returns
+result matrices as float ndarrays: complex ones with a trailing [re, im] axis,
+quaternion ones with a trailing axis of 4.  ``to_json`` writes each such array
+in one pass, so ``json.loads(to_json(document))`` gives plain JSON lists.
 
 Exit codes: 0 success, 1 input error, 2 verification or numerical failure
 (also when a result is not finite and cannot be written, and on any other
@@ -27,6 +28,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +113,10 @@ def to_json(value, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 #
 # A matrix decoder reads the whole field with one ``np.array`` call when it is
-# a regular nest of numbers of the expected shape.  Anything else (numbers
-# mixed with [re, im] pairs, ragged rows, wrong types) is walked entry by
-# entry, which builds the same matrix or names the first bad entry.
+# a regular nest of finite numbers of the expected shape.  Anything else
+# (numbers mixed with [re, im] pairs, ragged rows, wrong types, bools,
+# non-finite numbers, integers past the float range) is walked entry by entry,
+# which builds the same matrix or names the first bad entry.
 
 
 def _field(doc: dict, name: str, kind=None, default=None, required: bool = False):
@@ -128,24 +131,43 @@ def _field(doc: dict, name: str, kind=None, default=None, required: bool = False
 
 
 def _numeric(data) -> np.ndarray | None:
-    """The list ``data`` as one array of numbers, or None if it is not one."""
+    """The list ``data`` as one array of finite numbers, or None if it is not one."""
     if not isinstance(data, list):
         return None
     try:
         arr = np.array(data)
     except (ValueError, TypeError, OverflowError):
         return None
-    return arr if arr.dtype.kind in "biuf" else None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        return None
+    # numpy reads a bool among numbers as 0 or 1; only then are the entry types looked at
+    if ((arr == 0) | (arr == 1)).any():
+        entries = data
+        for _ in range(arr.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if bool in set(map(type, entries)):
+            return None
+    return arr
+
+
+def _number(value, where: str, expected: str = "a number") -> float:
+    """A JSON number as a finite float; a bool, a non-finite number or an integer past
+    the float range is an InputError that names ``where``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"{where}: expected {expected}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InputError(f"{where}: number outside the float range") from None
+    if not math.isfinite(number):
+        raise InputError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _decode_scalar(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(v, (int, float)) for v in entry
-    ):
-        return complex(entry[0], entry[1])
-    raise InputError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_number(entry[0], f"{where}[0]"), _number(entry[1], f"{where}[1]"))
+    return complex(_number(entry, where, "a number or [re, im] pair"))
 
 
 def _rows(data, where: str) -> int:
@@ -182,9 +204,9 @@ def decode_complex_vector(data, where: str) -> np.ndarray:
 
 
 def decode_real_vector(data, where: str) -> np.ndarray:
-    if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
+    if not isinstance(data, list):
         raise InputError(f"{where}: expected an array of real numbers")
-    return np.array(data, dtype=float)
+    return np.array([_number(v, f"{where}[{i}]", "a real number") for i, v in enumerate(data)])
 
 
 def decode_quaternion_matrix(data, where: str) -> QuaternionMatrix:
@@ -194,9 +216,10 @@ def decode_quaternion_matrix(data, where: str) -> QuaternionMatrix:
     width = _rows(data, where)
     for i, row in enumerate(data):
         for j, q in enumerate(row):
-            if not (isinstance(q, list) and len(q) == 4
-                    and all(isinstance(c, (int, float)) for c in q)):
+            if not (isinstance(q, list) and len(q) == 4):
                 raise InputError(f"{where}[{i}][{j}]: expected [a, b, c, d], got {q!r}")
+            for c, v in enumerate(q):
+                _number(v, f"{where}[{i}][{j}][{c}]")
     return QuaternionMatrix(np.array(data, dtype=float).reshape(len(data), width, 4))
 
 
@@ -393,11 +416,10 @@ def _cmd_sl2_complete(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 def _cmd_mp_element(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     alg, res = _characteristic(doc, job)
-    # degree 0 splits h on all of g, in this algebra: so/sp on blocks (n,) use another form
-    criterion = (
-        graded.annihilates_positive_part(alg, res.e, res.h, job.tol) if res.blocks == alg.blocks
-        else graded._result_criterion(alg, res, job.tol)
-    )
+    if res.levels.blocks == alg.blocks:
+        criterion = graded.annihilates_positive_part(alg, res.e, res.h, job.tol)
+    else:  # degree 0 splits h on all of g, in this algebra: so/sp on blocks (n,) use another form
+        criterion = graded._annihilates_positive_part(alg, res.e, res.levels, job.tol)
     result = {"is_mp_element": res.is_hermitian, "hermitian_defect": res.hermitian_defect}
     return result, _sl2_report(alg, res, job, orbit_criterion=criterion)
 

@@ -18,10 +18,10 @@ completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
 direction space of its characteristics, Moore-Penrose inverses in short
 gradings, the raising-space criterion for Moore-Penrose orbits, nilpotent
 orbit heights, and the per-block multidegree check for parabolics of sl_n.
-h is split once into its integer levels, one diagonal block at a time, from
-the kernels of h - k.  The criterion and the direction space read the positive
-ad(h)-part of g_0 off that split (the direction space is the kernel of ad(e) on
-it), and the engine reads f off it as a weight part.
+h is split once into its integer levels, where it is made, one diagonal block at
+a time, from the kernels of h - k, and the result carries that split.  The engine
+reads f off it as a weight part, and the criterion and the direction space read
+the positive ad(h)-part of g_0 off it (the direction space is ker ad(e) on it).
 
 Two routes complete e.  In a short grading every nonzero e of degree +-1 has
 its Moore-Penrose inverse in closed form (the classical pseudoinverse of the
@@ -35,6 +35,7 @@ f as the ad(h)-weight -2 part of y.  The tests certify the closed form with it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -487,14 +488,23 @@ class Sl2Triple:
         return self.max_residual() <= tol.residual_tol
 
 
+# the split of h by _levels: eigenvectors (columns, rows), their levels, the blocks split on
+Levels = namedtuple("Levels", "right left level blocks")
+
+
 @dataclass(frozen=True)
 class CharacteristicResult:
-    """Norm-minimal characteristic of a nilpotent element with its completion."""
+    """Norm-minimal characteristic of a nilpotent element with its completion.
+
+    ``levels`` is the split of h into its integer levels (:func:`_levels`), made
+    once, where h was made, with the tol of that call; every consumer of h reads
+    it.  Its blocks are alg.blocks, or (n,) for the ungraded problem (degree 0).
+    """
 
     triple: Sl2Triple
     hermitian_defect: float
     is_hermitian: bool
-    blocks: tuple[int, ...]  # the diagonal blocks h splits on: alg.blocks, (n,) if ungraded
+    levels: Levels
 
     @property
     def e(self) -> np.ndarray:
@@ -537,14 +547,14 @@ def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: 
     and for homogeneous e the set is exactly the homogeneous characteristics,
     so the Frobenius minimizer is the one orthogonal to the direction space.
     f is the ad(h)-weight -2 part of the minimizing y, read off the split of h
-    on ``blocks`` (recorded in the result): [e, y_w] has weight w + 2, so
+    on ``blocks``, which the result carries: [e, y_w] has weight w + 2, so
     [e, y_-2] = h (Kostant).  NoTriple if h fails the multiplicity gate, or if
     hypot(|[e, f] - h|, |[h, f] + 2f|) > residual_tol (1 + |h| + |e|).  e is a
     checked member at unit scale, and so is the result (see :func:`_at_scale`).
     """
     if not e.any():
-        zero = np.zeros_like(e)
-        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True, blocks)
+        zero, levels = np.zeros_like(e), _levels(e, blocks, tol)
+        return CharacteristicResult(Sl2Triple(zero, zero, zero, (0.0, 0.0, 0.0)), 0.0, True, levels)
     if neg.count == 0:
         raise NoTriple("search space for the opposite leg is empty")
 
@@ -559,7 +569,8 @@ def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: 
 
     h = np.tensordot(y, br_e, 1)
     try:  # a gate failure of the engine's own h is numerical, not an input error
-        f = _weight_part(neg.combine(y), _levels(h, blocks, tol), -2)
+        levels = _levels(h, blocks, tol)
+        f = _weight_part(neg.combine(y), levels, -2)
     except (NotCharacteristic, np.linalg.LinAlgError) as exc:
         raise NoTriple(f"completed characteristic fails its split: {exc}") from exc
     ef = _bracket(e, f)
@@ -568,11 +579,11 @@ def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: 
         raise NoTriple(f"weight -2 part of the completion misses the triple by {gap:.3e}")
     defect = frob(h - h.conj().T)
     hermitian = defect <= tol.residual_tol * (1.0 + frob(h))
-    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h, ef)), defect, hermitian, blocks)
+    return CharacteristicResult(Sl2Triple(e, h, f, _relations(e, f, h, ef)), defect, hermitian, levels)
 
 
 def _at_scale(result: CharacteristicResult, e: np.ndarray, k: int) -> CharacteristicResult:
-    """The engine's result on e / 2**k, carried to e: f takes the factor 2**-k exactly."""
+    """The engine's result on e / 2**k, carried to e: f takes 2**-k exactly; h keeps its split."""
     return replace(result, triple=replace(result.triple, e=e, f=_ldexp(result.f, -k)))
 
 
@@ -609,7 +620,8 @@ def _unit_characteristic(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> Char
         _orbit_height(alg, e, tol)  # raises NotNilpotent
     elif alg.is_short and e.any():
         triple = _short_triple(alg, e, degree, tol)
-        return CharacteristicResult(triple, frob(triple.h - triple.h.conj().T), True, blocks)
+        defect = frob(triple.h - triple.h.conj().T)
+        return CharacteristicResult(triple, defect, True, _levels(triple.h, blocks, tol))
     bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
     return _minimal_triple(e, *map(alg._index_basis, bases), blocks, tol)
 
@@ -637,15 +649,15 @@ def characteristic_direction_space(
     ``result.h``, that is ker ad(e) on the positive ad(h)-part of g_0 (of all
     of g for the ungraded problem): a highest-weight vector x of
     weight k >= 1 is [e, [f, x]] / k, and [e, y] with [[e, y], e] = 0 is a
-    highest weight of positive weight.  The part is the stack of
-    :func:`_positive_part`, h split on ``result.blocks``; its span is taken at
-    the absolute cut rank_rtol (its members have norm at most 1), and the kernel
-    of ad(e) on it at the scale |e|_F, with e at unit scale.  In a short grading
-    ad(e) kills the whole part.  Returns a (count, n, n) stack; empty when the
-    characteristic is unique.
+    highest weight of positive weight.  The part is :func:`_positive_part` on
+    ``result.levels``, split with the tol given to minimal_characteristic; ``tol``
+    decides only the two rank cuts here: the span at the absolute cut rank_rtol
+    (the members of the part have norm at most 1), and the kernel of ad(e) on it
+    at the scale |e|_F, with e at unit scale.  In a short grading ad(e) kills the
+    whole part.  Returns a (count, n, n) stack; empty when h is unique.
     """
     n, e = alg.ambient_dim, _unit_scale(result.e)[0]
-    part = _positive_part(alg, _levels(result.h, result.blocks, tol)).reshape(-1, n * n)
+    part = _positive_part(alg, result.levels).reshape(-1, n * n)
     span = rank_decomposition(part.T, tol, 1.0).image.T.reshape(-1, n, n)
     moved = _bracket(e, span).reshape(-1, n * n)
     kernel = rank_decomposition(moved.T, tol, frob(e)).kernel
@@ -744,39 +756,32 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
 
-    The eigenspaces are taken from h, an n x n matrix of degree 0, one diagonal
-    block b at a time: the right and left kernels of b - k at each integer
-    level k.  Multiplicity gate: the kernels must fill C^n up to residual_tol *
-    (1 + |h|), and h must have degree 0; else NotCharacteristic is raised.  The
-    positive part is spanned by pi(v w*), v and w of one block at levels k > j,
-    with pi the orthogonal projection onto the algebra.
+    The bare h is split here, as minimal_characteristic splits the h it makes: one
+    diagonal block b at a time, into the right and left kernels of b - k at each
+    integer level k.  NotCharacteristic unless they fill C^n up to residual_tol *
+    (1 + |h|) and h has degree 0.  The positive part is spanned by pi(v w*), v and
+    w of one block at levels k > j, pi the orthogonal projection onto the algebra.
     """
-    e, h = alg._unit_member(e, tol)[1], alg.require_member(h, tol)
-    return _annihilates_positive_part(alg, e, h, alg.blocks, tol)
+    e, h = alg.require_member(e, tol), alg.require_member(h, tol)
+    return _annihilates_positive_part(alg, e, _levels(h, alg.blocks, tol), tol)
 
 
-def _annihilates_positive_part(alg: GradedAlgebra, e, h, blocks, tol: Tolerance) -> bool:
-    """annihilates_positive_part of checked members e, at unit scale, and h, split on ``blocks``."""
-    x = _positive_part(alg, _levels(h, blocks, tol))
+def _annihilates_positive_part(alg: GradedAlgebra, e, levels: Levels, tol: Tolerance) -> bool:
+    """annihilates_positive_part of a checked member e, with h given by its split ``levels``."""
+    e, x = _unit_scale(e)[0], _positive_part(alg, levels)
     moved = np.linalg.norm(_bracket(e, x), axis=(-2, -1))
     bound = tol.residual_tol * (1.0 + frob(e)) * (1.0 + np.linalg.norm(x, axis=(-2, -1)))
     return bool(np.all(moved <= bound))
 
 
-def _result_criterion(alg: GradedAlgebra, result: CharacteristicResult, tol: Tolerance) -> bool:
-    """annihilates_positive_part of a checked result, with h split on ``result.blocks``."""
-    return _annihilates_positive_part(alg, _unit_scale(result.e)[0], result.h, result.blocks, tol)
-
-
-def _levels(h: np.ndarray, blocks, tol: Tolerance):
+def _levels(h: np.ndarray, blocks, tol: Tolerance) -> Levels:
     """The split of h into integer levels on its diagonal blocks: ``blocks``, (n,) if ungraded.
 
-    Returns (right, left, level, block).  At each integer level k of the rounded
-    eigenvalues of a block b, of multiplicity m_k, the last m_k right and left
-    singular vectors of b - k give the columns v of the block-diagonal ``right``
-    and the rows w* of ``left``; ``level`` and ``block`` name each.  Multiplicity
-    gate: those singular values, and the mass of h off the blocks, must lie below
-    residual_tol (1 + |h|), so that the kernels fill C^n; else NotCharacteristic.
+    At each integer level k of the rounded eigenvalues of a block b, of multiplicity
+    m_k, the last m_k right and left singular vectors of b - k give the columns v of
+    the block-diagonal ``right`` and the rows w* of ``left``, at ``level`` k.
+    Multiplicity gate: those singular values, and the mass of h off the blocks, must
+    lie below residual_tol (1 + |h|), so that the kernels fill C^n; else NotCharacteristic.
     """
     n, cut = h.shape[0], tol.residual_tol * (1.0 + frob(h))
     off, gap, level = h.copy(), 0.0, []
@@ -793,18 +798,19 @@ def _levels(h: np.ndarray, blocks, tol: Tolerance):
     if gap > cut:
         raise NotCharacteristic(f"h is not block diagonal and diagonalizable with integer "
                                 f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
-    return right, left, np.concatenate(level), np.repeat(np.arange(len(blocks)), blocks)
+    return Levels(right, left, np.concatenate(level), tuple(blocks))
 
 
-def _positive_part(alg: GradedAlgebra, levels) -> np.ndarray:
+def _positive_part(alg: GradedAlgebra, levels: Levels) -> np.ndarray:
     """The positive ad(h)-part of g as a stack pi(v w*), each of norm at most 1: v and w*
     a column and a row of one block of the split ``levels`` of h, v at the higher level."""
-    right, left, level, block = levels
+    right, left, level, blocks = levels
+    block = np.repeat(np.arange(len(blocks)), blocks)
     a, b = np.nonzero((level[:, None] > level[None, :]) & (block[:, None] == block[None, :]))
     return alg._project(right.T[a, :, None] * left[b, None, :])  # pi(v w*)
 
 
-def _weight_part(x: np.ndarray, levels, w: int) -> np.ndarray:
+def _weight_part(x: np.ndarray, levels: Levels, w: int) -> np.ndarray:
     """The ad(h)-weight-w part of x, for the split ``levels`` of h: in the eigenbasis V
     of h, entry (i, j) of V^-1 x V has weight level_i - level_j."""
     right, _, level, _ = levels
@@ -830,7 +836,7 @@ def is_mp_element(
     """
     e = alg._unit_member(e, tol)[1]
     result = _unit_characteristic(alg, e, degree, tol)  # the zero element is Hermitian
-    if not result.is_hermitian and _result_criterion(alg, result, tol):
+    if not result.is_hermitian and _annihilates_positive_part(alg, e, result.levels, tol):
         raise ArithmeticError(
             f"raising-space criterion holds but the minimal characteristic "
             f"has Hermitian defect {result.hermitian_defect:.3e}"
@@ -846,7 +852,8 @@ def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     rank_rtol at the scale |ad(e)|_F, and its decomposition gives the next
     basis.  The height is the number of steps until the rank reaches 0; the
     zero element has height 0.  NotNilpotent is raised as soon as the rank
-    stops falling, and ArithmeticError (a numerical failure) when the height
+    stops falling, or when ad(e) = 0 but e != 0 (so(2) is abelian; every other
+    algebra here has zero center), and ArithmeticError (a numerical failure) when the height
     would exceed that of the regular nilpotent: 2n - 2 for sl_n and sp_n,
     2n - 4 for so_n with n odd and 2n - 6 with n even.
     """
@@ -871,6 +878,8 @@ def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
             )
         on_image = dec.image.conj().T @ on_image @ dec.image
         height += 1
+    if height == 0 and e.any():
+        raise NotNilpotent(f"e is not nilpotent: it is nonzero and central in {alg.kind}_{n}")
     return height
 
 

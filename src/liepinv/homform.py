@@ -59,7 +59,9 @@ class OrbitLabel:
 def sharp(form: BilinearForm, a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Adjoint with respect to the form: omega(Ax, y) = omega(x, A# y).
 
-    Computed as gram^{-1} A^T gram; the form must be nondegenerate.
+    Computed as gram^{-1} A^T gram with gram and A each at unit scale, so that
+    nothing overflows or underflows; A's power of two is put back exactly.  The
+    form must be nondegenerate.
     """
     a = as_matrix(a)
     w = form.gram
@@ -67,7 +69,8 @@ def sharp(form: BilinearForm, a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ShapeMismatch(f"operator must be {w.shape}, got {a.shape}")
     if not form.is_nondegenerate(tol):
         raise DegenerateForm("sharp adjoint requires a nondegenerate form")
-    return np.linalg.solve(w, a.T @ w)
+    (a, k), w = _unit_scale(a), _unit_scale(w)[0]
+    return _ldexp(np.linalg.solve(w, a.T @ w), k)
 
 
 def classify_orbit(form: BilinearForm, f_mat, tol: Tolerance = DEFAULT_TOL) -> OrbitLabel:

@@ -7,6 +7,7 @@ rank of its input.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -348,6 +349,20 @@ def engine_direction_space(alg, e, degree: int, tol=DEFAULT_TOL) -> np.ndarray:
     br_e = neg.brackets(unit)  # [e, y_k]
     null = rank_decomposition(res.coords(unit @ br_e - br_e @ unit).T, tol).kernel
     return np.einsum("kj,kab->jab", null, br_e)
+
+
+def resplit(result, blocks, tol=DEFAULT_TOL):
+    """``result`` with its h split afresh by ``graded._levels`` on ``blocks``: the oracle for
+    the split the result carries, and for all that is read off it."""
+    return dataclasses.replace(result, levels=graded._levels(result.h, blocks, tol))
+
+
+def is_mp_element_resplit(alg, e, degree, blocks, tol=DEFAULT_TOL) -> bool:
+    """``graded.is_mp_element`` with its raising-space cross-check read off a fresh split of h."""
+    result = resplit(graded.minimal_characteristic(alg, e, degree, tol), blocks, tol)
+    if not result.is_hermitian and graded._annihilates_positive_part(alg, e, result.levels, tol):
+        raise ArithmeticError("the raising-space criterion holds, but h is not Hermitian")
+    return result.is_hermitian
 
 
 def centralizer_positive_directions(alg, e, h, degree=None) -> np.ndarray:

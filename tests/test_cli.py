@@ -181,6 +181,42 @@ class TestJordanMpIsClosedForm:
         assert counts == {"_short_triple": 1}
 
 
+class TestOneSplitPerJob:
+    """h is split into its levels once, where it is made: sl2-complete splits it once, and
+    mp-element a second time only in the public criterion, which a graded job calls."""
+
+    @staticmethod
+    def element(kind, blocks):
+        """A nilpotent: a random element of degree 1, or a non-normal regular one of sl_n."""
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(42)
+        if len(blocks) > 1:
+            return alg.random_element(1, rng)
+        g = scipy.linalg.expm(0.5 * alg.random_element(None, rng))
+        return g @ np.diag(np.ones(alg.ambient_dim - 1), 1) @ np.linalg.inv(g)
+
+    @pytest.mark.parametrize("kind, blocks, degree, splits", [
+        ("sl", (4, 4), None, {"sl2-complete": 1, "mp-element": 2}),  # the closed form
+        ("sl", (4, 4, 4), None, {"sl2-complete": 1, "mp-element": 2}),  # the engine
+        ("sp", (2, 2, 2), None, {"sl2-complete": 1, "mp-element": 2}),
+        ("sl", (6,), None, {"sl2-complete": 1, "mp-element": 2}),
+        ("sl", (3, 3), 0, {"sl2-complete": 1, "mp-element": 1}),  # the ungraded problem
+    ], ids=["sl44-short", "sl444", "sp222", "sl6-ungraded", "sl33-degree-0"])
+    @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
+    def test_levels_calls_per_job(self, monkeypatch, tmp_path, kind, blocks, degree, splits,
+                                  command):
+        doc = {"algebra": kind, "blocks": list(blocks),
+               "element": encode_complex_matrix(self.element(kind, blocks)).tolist()}
+        if degree is not None:
+            doc["degree"] = degree
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        counts = count_calls(monkeypatch, {"graded": ("_levels",)})
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_OK, document
+        assert counts == {"_levels": splits[command]}
+
+
 class TestRegenGoldens:
     """tests/regen_goldens.py rewrites only moved files, and nothing past the drift gate."""
 
@@ -619,6 +655,62 @@ class TestErrorPaths:
         assert code == EXIT_INPUT
         assert f"field {where!r}" in document["error"]
 
+    BIG = int("1" + "0" * 400)  # past the float range
+
+    @pytest.mark.parametrize("command, doc, where", [
+        ("pinv", {"matrix": [[True]]}, "matrix[0][0]"),
+        ("pinv", {"matrix": [[True, 1]]}, "matrix[0][0]"),
+        ("pinv", {"matrix": [[2.5, False]]}, "matrix[0][1]"),
+        ("pinv", {"matrix": [[[1, 0], [0, True]]]}, "matrix[0][1][1]"),
+        ("pinv", {"field": "quaternion", "matrix": [[[1, 0, True, 0]]]}, "matrix[0][0][2]"),
+        ("vector-pinv", {"vector": [True, 1]}, "vector[0]"),
+        ("form-pinv", {"symmetry": "symmetric", "gram": [[True]]}, "gram[0][0]"),
+        ("pseudo-pinv", {"signature": [1, 0], "vector": [True]}, "vector[0]"),
+    ], ids=["matrix", "matrix-int", "matrix-float", "pair", "quaternion", "vector", "gram",
+            "pseudo-vector"])
+    def test_bools_are_not_numbers(self, tmp_path, command, doc, where):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_INPUT
+        assert document["error"].startswith(f"{where}: expected a "), document["error"]
+
+    @pytest.mark.parametrize("command, doc, where", [
+        ("pinv", {"matrix": [[BIG]]}, "matrix[0][0]"),
+        ("pinv", {"matrix": [[1.5, BIG]]}, "matrix[0][1]"),
+        ("pinv", {"matrix": [[[1, BIG]]]}, "matrix[0][0][1]"),
+        ("pinv", {"field": "quaternion", "matrix": [[[BIG, 0, 0, 0]]]}, "matrix[0][0][0]"),
+        ("vector-pinv", {"vector": [1, BIG]}, "vector[1]"),
+        ("pseudo-pinv", {"signature": [2, 0], "vector": [1, -BIG]}, "vector[1]"),
+        ("complex-pinv", {"sizes": [1, 1], "maps": [[[BIG]]]}, "maps[0][0][0]"),
+    ], ids=["matrix", "matrix-float", "pair", "quaternion", "vector", "pseudo-vector", "chain"])
+    def test_integers_past_the_float_range_are_input_errors(self, tmp_path, command, doc, where):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_INPUT
+        assert document["error"] == f"{where}: number outside the float range"
+
+    @pytest.mark.parametrize("command, text, where", [
+        ("pinv", '{"matrix": [[NaN]]}', "matrix[0][0]"),
+        ("pinv", '{"matrix": [[1, 1e999]]}', "matrix[0][1]"),
+        ("pinv", '{"field": "quaternion", "matrix": [[[1, 0, NaN, 0]]]}', "matrix[0][0][2]"),
+        ("sl2-complete",
+         '{"algebra": "sl", "blocks": [1, 1], "element": [[0, Infinity], [0, 0]]}', "element[0][1]"),
+        ("form-pinv", '{"symmetry": "symmetric", "gram": [[-Infinity]]}', "gram[0][0]"),
+        ("homform", '{"form": {"symmetry": "symmetric", "gram": [[1, 0], [0, NaN]]}, '
+                    '"map": [[1], [0]]}', "form.gram[1][1]"),
+        ("vector-pinv", '{"vector": [[1, NaN]]}', "vector[0][1]"),
+        ("pseudo-pinv", '{"signature": [1, 0], "vector": [Infinity]}', "vector[0]"),
+    ], ids=["matrix", "matrix-1e999", "quaternion", "element", "gram", "form-gram", "vector",
+            "pseudo-vector"])
+    def test_non_finite_literals_name_the_field(self, tmp_path, command, text, where):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, document = run_job(JobSpec(command, str(path)))
+        assert code == EXIT_INPUT
+        assert document["error"].startswith(f"{where}: expected a finite number, got ")
+
     def test_hermitian_real_checks_realness_before_solving(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"field": "real", "matrix": [[1, [0, 1]], [2, 3]]}))
@@ -787,6 +879,16 @@ class TestNotNilpotent:
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"algebra": kind, "blocks": list(blocks),
                                    "element": encode_complex_matrix(x).tolist(), **extra}))
+        code, document = run_job(JobSpec(command, str(doc)))
+        assert code == EXIT_INPUT and "not nilpotent" in document["error"]
+
+    @pytest.mark.parametrize("blocks, element", [([2], [[0, 1], [-1, 0]]),
+                                                 ([1, 1], [[1, 0], [0, -1]])])
+    @pytest.mark.parametrize("command", ["orbit-height", "mp-orbit", "sl2-complete"])
+    def test_central_element_of_so2_exits_one(self, tmp_path, command, blocks, element):
+        # so(2) is abelian: ad(e) = 0, yet no nonzero element is nilpotent
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"algebra": "so", "blocks": blocks, "element": element}))
         code, document = run_job(JobSpec(command, str(doc)))
         assert code == EXIT_INPUT and "not nilpotent" in document["error"]
 

@@ -48,6 +48,7 @@ from helpers import (
     engine_characteristic,
     engine_direction_space,
     ill_conditioned_sp8_conjugate,
+    is_mp_element_resplit,
     jordan_nilpotent,
     killing_ad,
     levi_group_element,
@@ -58,6 +59,7 @@ from helpers import (
     random_complex,
     random_exact_complex,
     random_matrix_with_rank,
+    resplit,
     split_form,
     standard_form,
     svd_graded_basis,
@@ -718,6 +720,64 @@ class TestDirectionSpaceOracles:
         assert self.assert_oracles_agree(alg, e, 1, (symmetry, dim_v, a, b)) > 0
 
 
+class TestOneSplit:
+    """A result carries the one split of its h, made where h was made: the split, the
+    direction space and the verdicts read off it are, bit for bit, those of a fresh
+    _levels call on the same h, and the direction space spans what its oracles span."""
+
+    @staticmethod
+    def assert_one_split(alg, e, degree, case):
+        n, blocks = alg.ambient_dim, alg.blocks if degree else (alg.ambient_dim,)
+        res = minimal_characteristic(alg, e, degree)
+        fresh = resplit(res, blocks)
+        assert res.levels.blocks == blocks, case
+        for carried, want in zip(res.levels[:3], fresh.levels[:3]):
+            assert np.array_equal(carried, want), case
+        dirs = characteristic_direction_space(alg, res)
+        assert np.array_equal(dirs, characteristic_direction_space(alg, fresh)), case
+        verdict = graded._annihilates_positive_part(alg, e, res.levels, DEFAULT_TOL)
+        assert verdict == graded._annihilates_positive_part(alg, e, fresh.levels, DEFAULT_TOL)
+        assert is_mp_element(alg, e, degree) == is_mp_element_resplit(alg, e, degree, blocks)
+        for oracle in (engine_direction_space(alg, e, degree),
+                       centralizer_positive_directions(alg, res.e, res.h, degree)):
+            oracle = oracle.reshape(-1, n * n)
+            joint = np.concatenate([dirs.reshape(-1, n * n), oracle])
+            assert rank_decomposition(oracle.T, scale=1.0).rank == len(dirs), case
+            assert rank_decomposition(joint.T, scale=1.0).rank == len(dirs), case
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_short_gradings(self, kind, blocks):
+        # at three scales of e: h, and so its split, is the same at each
+        alg = GradedAlgebra(kind, blocks)
+        for case, degree, _, e in TestShortGradingInverse.cases(alg, np.random.default_rng(38)):
+            self.assert_one_split(alg, e, degree, case)
+
+    @pytest.mark.parametrize("kind,blocks", TestDirectionSpaceOracles.LONG)
+    def test_longer_gradings(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(39)
+        for m in [d for d in alg.degrees if d]:
+            self.assert_one_split(alg, alg.random_element(m, rng), m, m)
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (2, 2)), ("so", (2, 2)), ("sp", (2, 2)),
+                                             ("sl", (1, 3))])
+    def test_ungraded_problems_on_two_blocks(self, kind, blocks):
+        # e = exp(y) x exp(-y), x of degree 1 and y of degree -1: a nilpotent of no degree
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(40)
+        x, y = alg.random_element(1, rng), alg.random_element(-1, rng)
+        g = scipy.linalg.expm(y)
+        for case, e in (("conjugate", g @ x @ np.linalg.inv(g)), ("plain", x), ("zero", 0 * x)):
+            self.assert_one_split(alg, e, 0, case)
+
+    @pytest.mark.parametrize("part", [(4,), (3, 1), (2, 2), (2, 1, 1)])
+    def test_non_normal_nilpotents(self, part):
+        x = random_complex(np.random.default_rng(41), 4, 4)
+        g = scipy.linalg.expm(2.0 * x / frob(x))
+        e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
+        self.assert_one_split(GradedAlgebra("sl", (4,)), e, 0, part)
+
+
 class TestOrbits:
     def test_height_examples(self):
         alg = GradedAlgebra("sl", (3,))
@@ -729,6 +789,15 @@ class TestOrbits:
         alg = GradedAlgebra("sl", (2,))
         with pytest.raises(NotNilpotent):
             orbit_height(alg, H2)
+
+    @pytest.mark.parametrize("blocks, e", [((2,), [[0, 1], [-1, 0]]), ((1, 1), H2)])
+    def test_so2_has_no_nonzero_nilpotent(self, blocks, e):
+        # so(2) is abelian: ad(e) = 0 for every e, and only e = 0 is nilpotent
+        alg = GradedAlgebra("so", blocks)
+        for call in (orbit_height, is_mp_orbit, lambda a, x: minimal_characteristic(a, x, 0)):
+            with pytest.raises(NotNilpotent):
+                call(alg, np.array(e, dtype=complex))
+        assert orbit_height(alg, np.zeros((2, 2))) == 0
 
     def test_zero_element_rejected(self):
         with pytest.raises(ZeroElement):
@@ -1084,7 +1153,7 @@ class TestUngradedProblemOnGradedAlgebras:
         u = scipy.linalg.expm(jordan_nilpotent((2, 1)))  # expm(E_12)
         e = u @ jordan_nilpotent((3,)) @ np.linalg.inv(u)
         alg = GradedAlgebra("sl", blocks)
-        assert minimal_characteristic(alg, e, 0).blocks == (3,)
+        assert minimal_characteristic(alg, e, 0).levels.blocks == (3,)
         assert not is_mp_element(alg, e, 0)
 
 

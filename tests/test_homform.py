@@ -57,6 +57,25 @@ class TestSharp:
         with pytest.raises(DegenerateForm):
             sharp(BilinearForm(SYMMETRIC, np.diag([1.0, 0.0])), np.eye(2))
 
+    @pytest.mark.parametrize("t", [1e-200, 1e200])
+    def test_scaled_identity_form(self, t):
+        a = random_complex(np.random.default_rng(82), 4, 4)
+        out = sharp(BilinearForm(SYMMETRIC, t * np.eye(4)), t * a)
+        assert frob(out - t * a.T) <= 1e-15 * frob(t * a)
+
+    @pytest.mark.parametrize("symmetry", [SYMMETRIC, SKEW])
+    @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_scale_free(self, symmetry, s, t):
+        # sharp(sW, tA) = t sharp(W, A): W and A are each taken at unit scale
+        rng = np.random.default_rng(83)
+        w = random_complex(rng, 4, 4)
+        w = w + w.T if symmetry == SYMMETRIC else w - w.T
+        a = random_complex(rng, 4, 4)
+        want = sharp(BilinearForm(symmetry, w), a)
+        out = sharp(BilinearForm(symmetry, s * w), t * a)
+        assert frob(out / t - want) <= 1e-13 * frob(want)
+
 
 class TestClassifyOrbit:
     def test_zero_map(self):
