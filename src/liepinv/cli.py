@@ -595,6 +595,16 @@ def _render(code: int, document: dict) -> tuple[int, dict, str]:
         return EXIT_VERIFY, envelope, to_json(envelope) + "\n"
 
 
+def _write(path: Path, text: str) -> int:
+    """Write an output document: EXIT_OK, or EXIT_INPUT after saying on stderr why not."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     inputs: list[str | None] = list(args.inputs) or [None]
@@ -611,7 +621,7 @@ def main(argv=None) -> int:
     if len(jobs) == 1:
         code, document, text = _render(*run_job(jobs[0]))
         if args.output:
-            Path(args.output).write_text(text)
+            code = max(code, _write(Path(args.output), text))
         else:
             sys.stdout.write(text)
         if code != EXIT_OK and "error" in document:
@@ -620,17 +630,20 @@ def main(argv=None) -> int:
 
     # batch mode: each input gets <stem>.out.json
     out_dir = Path(args.output) if args.output else None
+    worst = EXIT_OK
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # each write below then fails and says so too
+            print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
+            worst = EXIT_INPUT
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(run_job, jobs))
-    worst = EXIT_OK
     for job, result in zip(jobs, results):
         code, document, text = _render(*result)
         stem = Path(job.input_path).stem if job.input_path else job.command
         target = (out_dir or Path(job.input_path).parent) / f"{stem}.out.json"
-        target.write_text(text)
-        worst = max(worst, code)
+        worst = max(worst, code, _write(target, text))
         if code != EXIT_OK and "error" in document:
             print(f"{job.input_path}: {document['error']}", file=sys.stderr)
     return worst

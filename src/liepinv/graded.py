@@ -19,9 +19,10 @@ direction space of its characteristics, Moore-Penrose inverses in short
 gradings, the raising-space criterion for Moore-Penrose orbits, nilpotent
 orbit heights, and the per-block multidegree check for parabolics of sl_n.
 h is split once into its integer levels, where it is made, one diagonal block at
-a time, from the kernels of h - k, and the result carries that split.  The engine
-reads f off it as a weight part, and the criterion and the direction space read
-the positive ad(h)-part of g_0 off it (the direction space is ker ad(e) on it).
+a time: by one eigh when h is Hermitian within the cut, else from the kernels of
+h - k.  The result carries that split.  The engine reads f off it as a weight part,
+and the criterion and the direction space read the positive ad(h)-part of g_0 off
+it (the direction space is ker ad(e) on it).
 
 Two routes complete e.  In a short grading every nonzero e of degree +-1 has
 its Moore-Penrose inverse in closed form (the classical pseudoinverse of the
@@ -756,11 +757,12 @@ def annihilates_positive_part(alg: GradedAlgebra, e, h, tol: Tolerance = DEFAULT
     graded by the integer eigenvalues of ad(h); the orbit of e is
     Moore-Penrose exactly when ad(e) annihilates every positive eigenspace.
 
-    The bare h is split here, as minimal_characteristic splits the h it makes: one
-    diagonal block b at a time, into the right and left kernels of b - k at each
-    integer level k.  NotCharacteristic unless they fill C^n up to residual_tol *
-    (1 + |h|) and h has degree 0.  The positive part is spanned by pi(v w*), v and
-    w of one block at levels k > j, pi the orthogonal projection onto the algebra.
+    The bare h is split here by :func:`_levels`, as minimal_characteristic splits the
+    h it makes, one diagonal block b at a time: by one eigh of the Hermitian part of b
+    when h is Hermitian within residual_tol * (1 + |h|), else into the right and left
+    kernels of b - k at each integer level k.  NotCharacteristic unless the split fills
+    C^n up to that cut and h has degree 0.  The positive part is spanned by pi(v w*), v
+    and w of one block at levels k > j, pi the orthogonal projection onto the algebra.
     """
     e, h = alg.require_member(e, tol), alg.require_member(h, tol)
     return _annihilates_positive_part(alg, e, _levels(h, alg.blocks, tol), tol)
@@ -777,14 +779,28 @@ def _annihilates_positive_part(alg: GradedAlgebra, e, levels: Levels, tol: Toler
 def _levels(h: np.ndarray, blocks, tol: Tolerance) -> Levels:
     """The split of h into integer levels on its diagonal blocks: ``blocks``, (n,) if ungraded.
 
-    At each integer level k of the rounded eigenvalues of a block b, of multiplicity
-    m_k, the last m_k right and left singular vectors of b - k give the columns v of
-    the block-diagonal ``right`` and the rows w* of ``left``, at ``level`` k.
-    Multiplicity gate: those singular values, and the mass of h off the blocks, must
-    lie below residual_tol (1 + |h|), so that the kernels fill C^n; else NotCharacteristic.
+    An h that is Hermitian within the cut, |h - h*| <= cut = residual_tol (1 + |h|), is
+    split by :func:`_eigh_split`, any other h by :func:`_svd_split`.  Multiplicity gate:
+    NotCharacteristic unless the split's gate value lies below the cut, so that the split
+    fills C^n.  The eigh gate bounds the SVD gate from above: it passes no h that fails that.
     """
-    n, cut = h.shape[0], tol.residual_tol * (1.0 + frob(h))
-    off, gap, level = h.copy(), 0.0, []
+    cut, defect = tol.residual_tol * (1.0 + frob(h)), frob(h - h.conj().T)
+    levels, gap = _eigh_split(h, blocks, defect / 2.0) if defect <= cut else _svd_split(h, blocks)
+    if gap > cut:
+        raise NotCharacteristic(f"h is not block diagonal and diagonalizable with integer "
+                                f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
+    return levels
+
+
+def _svd_split(h: np.ndarray, blocks) -> tuple[Levels, float]:
+    """The split of any h on ``blocks`` from the kernels of b - k, with its gate value.
+
+    At each integer level k of the rounded eigenvalues of a block b, of multiplicity m_k,
+    the last m_k right and left singular vectors of b - k give the columns v of the
+    block-diagonal ``right`` and the rows w* of ``left``, at ``level`` k.  The gate value is
+    the largest of those singular values and of the mass of h off the blocks.
+    """
+    n, off, gap, level = h.shape[0], h.copy(), 0.0, []
     right, left = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for start, size in zip(np.cumsum((0, *blocks[:-1])), blocks):
         s = slice(start, start + size)
@@ -794,11 +810,28 @@ def _levels(h: np.ndarray, blocks, tol: Tolerance) -> Levels:
         gap, off[s, s] = max(gap, sv[kernel].max()), 0.0
         right[s, s], left[s, s] = vh.conj()[kernel].T, u.conj().transpose(0, 2, 1)[kernel]
         level.append(np.repeat(levels, counts))
-    gap = max(gap, frob(off))
-    if gap > cut:
-        raise NotCharacteristic(f"h is not block diagonal and diagonalizable with integer "
-                                f"eigenvalues: defect {gap:.3e} above {cut:.3e}")
-    return Levels(right, left, np.concatenate(level), tuple(blocks))
+    return Levels(right, left, np.concatenate(level), tuple(blocks)), max(gap, frob(off))
+
+
+def _eigh_split(h: np.ndarray, blocks, skew: float) -> tuple[Levels, float]:
+    """The split of h on ``blocks`` by one eigh per block, with its gate value; ``skew`` is
+    |h - h*| / 2.
+
+    The eigenvectors V of the Hermitian part of each block b give ``right`` = V and ``left``
+    = V*, at ``level`` rint(w) of their eigenvalues w.  Gate value: the largest of
+    max|w - rint(w)| + skew and the mass of h off the blocks.  By Weyl's inequality each
+    singular value of b - k lies within skew of that of the Hermitian part of b, so a gate
+    value below 1/2 bounds that of :func:`_svd_split` from above.
+    """
+    n, herm, off = h.shape[0], (h + h.conj().T) / 2.0, h.copy()
+    right, w = np.zeros((n, n), dtype=complex), np.empty(n)
+    for start, size in zip(np.cumsum((0, *blocks[:-1])), blocks):
+        s = slice(start, start + size)
+        w[s], right[s, s] = np.linalg.eigh(herm[s, s])
+        off[s, s] = 0.0
+    level = np.rint(w)
+    gap = max(np.abs(w - level).max() + skew, frob(off))
+    return Levels(right, right.conj().T, level, tuple(blocks)), gap
 
 
 def _positive_part(alg: GradedAlgebra, levels: Levels) -> np.ndarray:

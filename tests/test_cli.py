@@ -342,6 +342,53 @@ class TestExceptionFirewall:
         assert (out_dir / "good.out.json").read_text() == want
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written exits at least 1 and says why on stderr, as an
+    unreadable input does; a batch goes on and writes every other output."""
+
+    def test_single_job_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        assert main(["pinv", str(GOLDEN / "pinv.in.json"), "-o", str(target)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"cannot write {target}: ")
+        assert not target.exists()
+
+    def test_single_job_keeps_a_worse_code(self, tmp_path, capsys):
+        # an orbit with no Moore-Penrose inverse exits 3, written or not
+        doc = tmp_path / "doc.json"
+        gram = [[[1, 0] if i == j else [0, 0] for j in range(3)] for i in range(3)]
+        doc.write_text(json.dumps({
+            "form": {"symmetry": "symmetric", "gram": gram},
+            "map": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]}))
+        target = tmp_path / "missing" / "out.json"
+        assert main(["homform", str(doc), "-o", str(target)]) == EXIT_NO_INVERSE
+        assert capsys.readouterr().err.startswith(f"cannot write {target}: ")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_with_a_directory_in_the_way(self, tmp_path, capsys, jobs):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            shutil.copy(GOLDEN / "pinv.in.json", path)
+        out_dir = tmp_path / "out"
+        (out_dir / "a.out.json").mkdir(parents=True)
+        code = main(["pinv", *map(str, paths), "--jobs", str(jobs), "-o", str(out_dir)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"cannot write {out_dir / 'a.out.json'}: ")
+        assert (out_dir / "b.out.json").read_text() == (GOLDEN / "pinv.out.json").read_text()
+
+    def test_batch_into_a_file(self, tmp_path, capsys):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            shutil.copy(GOLDEN / "pinv.in.json", path)
+        out_dir = tmp_path / "out"
+        out_dir.write_text("not a directory")
+        assert main(["pinv", *map(str, paths), "-o", str(out_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err] == [
+            f"cannot write {out_dir}", f"cannot write {out_dir / 'a.out.json'}",
+            f"cannot write {out_dir / 'b.out.json'}"]
+        assert out_dir.read_text() == "not a directory"
+
+
 def command_ids(cases) -> list[str]:
     """Each case named by its command; from a command's second case on, with a counter."""
     commands = [command for command, _ in cases]

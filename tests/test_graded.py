@@ -1144,6 +1144,155 @@ class TestWeightPart:
             assert frob(bracket(h, part) - w * part) <= 1e-12 * frob(h) * frob(x), w
 
 
+class TestTwoSplitRoutes:
+    """_levels splits an h that is Hermitian within the cut with one eigh per block, and any
+    other h by the per-block SVD route, graded._svd_split(h, blocks), the oracle here.  Where
+    both apply, they give the same levels and spectral projectors, the eigh gate is never
+    below the SVD gate, and NotCharacteristic fires on the same inputs."""
+
+    @staticmethod
+    def sweep():
+        """(case, h, blocks) for the characteristics of the one-split sweep and the zero element."""
+        for kind, blocks in ALL_PAIRS:
+            alg = GradedAlgebra(kind, blocks)
+            for case, degree, _, e in TestShortGradingInverse.cases(alg, np.random.default_rng(38)):
+                for res in (minimal_characteristic(alg, e, degree),
+                            engine_characteristic(alg, e, degree)):
+                    yield (kind, blocks, case), res.h, res.levels.blocks
+        rng = np.random.default_rng(39)
+        for kind, blocks in TestDirectionSpaceOracles.LONG:
+            alg = GradedAlgebra(kind, blocks)
+            for m in [d for d in alg.degrees if d]:
+                res = minimal_characteristic(alg, alg.random_element(m, rng), m)
+                yield (kind, blocks, m), res.h, blocks
+        rng = np.random.default_rng(40)
+        for kind, blocks in [("sl", (2, 2)), ("so", (2, 2)), ("sp", (2, 2)), ("sl", (1, 3))]:
+            alg = GradedAlgebra(kind, blocks)
+            x, y = alg.random_element(1, rng), alg.random_element(-1, rng)
+            g = scipy.linalg.expm(y)
+            for case, e in (("conjugate", g @ x @ np.linalg.inv(g)), ("plain", x), ("zero", 0 * x)):
+                res = minimal_characteristic(alg, e, 0)
+                yield (kind, blocks, case), res.h, res.levels.blocks
+        x = random_complex(np.random.default_rng(41), 4, 4)
+        g = scipy.linalg.expm(2.0 * x / frob(x))
+        for part in [(4,), (3, 1), (2, 2), (2, 1, 1)]:
+            e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
+            yield part, minimal_characteristic(GradedAlgebra("sl", (4,)), e, 0).h, (4,)
+
+    @staticmethod
+    def near_integer(rng, blocks, offset, skew):
+        """A block-diagonal h = H + S: H exactly Hermitian, its eigenvalues integers moved by
+        ``offset`` x cut, and S anti-Hermitian of norm ``skew`` x cut, cut that of the
+        integer spectrum.  Returns (h, cut)."""
+        n = sum(blocks)
+        levels = rng.integers(-3, 4, n).astype(float)
+        cut = DEFAULT_TOL.residual_tol * (1.0 + np.linalg.norm(levels))
+        w = levels + offset * cut * rng.choice([-1.0, 1.0], n)
+        q = scipy.linalg.block_diag(*(np.linalg.qr(random_complex(rng, d, d))[0] for d in blocks))
+        h = q @ np.diag(w) @ q.conj().T
+        h = (h + h.conj().T) / 2.0  # exactly Hermitian: h == h* bit for bit
+        s = scipy.linalg.block_diag(*(random_complex(rng, d, d) for d in blocks))
+        s -= s.conj().T
+        return h + skew * cut / frob(s) * s, cut
+
+    @classmethod
+    def random_cases(cls):
+        rng = np.random.default_rng(42)
+        for blocks in [(1,), (5,), (2, 3), (3, 1, 2), (4, 4), (2, 2, 2, 2)]:
+            for offset in (0.0, 1e-12, 0.5, 2.0):
+                for skew in (0.0, 0.2, 0.45):  # a defect |h - h*| of 0, 0.4 and 0.9 cut
+                    for _ in range(3):
+                        h, cut = cls.near_integer(rng, blocks, offset, skew)
+                        yield (blocks, offset, skew), h, cut, blocks
+
+    @staticmethod
+    def projectors(split):
+        """The spectral projector V (W* V)^-1 W* of each (block, level) of a split."""
+        right, left, level, blocks = split
+        block = np.repeat(np.arange(len(blocks)), blocks)
+        out = {}
+        for key in sorted(set(zip(block, level))):
+            at = (block == key[0]) & (level == key[1])
+            v, w = right[:, at], left[at, :]
+            out[key] = v @ np.linalg.solve(w @ v, w)
+        return out
+
+    def assert_routes_agree(self, case, h, blocks, cut):
+        """Check the two routes on h; return (whether h took the eigh route, whether it raised)."""
+        defect = frob(h - h.conj().T)
+        old, old_gap = graded._svd_split(h, blocks)
+        try:
+            got = graded._levels(h, blocks, DEFAULT_TOL)
+        except NotCharacteristic:
+            got = None
+        assert (got is None) == (old_gap > cut), case
+        if defect > cut:  # the SVD route splits h in _levels
+            return False, got is None
+        new, new_gap = graded._eigh_split(h, blocks, defect / 2.0)
+        if got is not None:
+            for a, b in zip(got[:3], new[:3]):
+                assert np.array_equal(a, b), case
+        assert new.blocks == old.blocks == tuple(blocks), case
+        assert np.array_equal(new.level, old.level), case
+        assert new_gap >= old_gap - 1e-15 * (1.0 + frob(h)), case
+        if not defect:
+            assert new_gap - old_gap <= 1e-12 * (1.0 + frob(h)), case
+        if got is not None and defect <= 1e-12 * (1.0 + frob(h)):
+            want = self.projectors(old)
+            for key, p in self.projectors(new).items():
+                assert frob(p - want[key]) <= 1e-12, (case, key)
+        return True, got is None
+
+    def test_sweep(self):
+        routes = [self.assert_routes_agree(case, h, blocks,
+                                           DEFAULT_TOL.residual_tol * (1.0 + frob(h)))
+                  for case, h, blocks in self.sweep()]
+        assert not any(raised for _, raised in routes)
+        hermitian = sum(route for route, _ in routes)
+        assert hermitian >= 300 and len(routes) - hermitian >= 2  # two non-normal h
+
+    def test_near_integer_hermitian(self):
+        for case, h, cut, blocks in self.random_cases():
+            assert self.assert_routes_agree(case, h, blocks, cut) == (True, case[1] == 2.0), case
+
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called on an h that is not Hermitian")
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    @pytest.mark.parametrize("symmetry,dim_v,dim_u,a,b", TestDirectionSpaceOracles.WITNESSES)
+    def test_homform_certificate_takes_the_svd_route(self, no_eigh, symmetry, dim_v, dim_u, a, b):
+        form = standard_form(symmetry, dim_v)
+        alg = embedding_algebra(form, dim_u)
+        res = minimal_characteristic(alg, hom_element(alg, generic_orbit_map(form, a, b, dim_u)), 1)
+        assert not res.is_hermitian
+        split = graded._levels(res.h, alg.blocks, DEFAULT_TOL)
+        for got, want in zip(split, res.levels):
+            assert np.array_equal(got, want)
+
+    def test_non_normal_block_takes_the_svd_route(self, no_eigh):
+        # h = V diag(levels) V^-1 with cond V = 1e2: an integer spectrum, far from Hermitian
+        rng = np.random.default_rng(43)
+        v = scipy.linalg.block_diag(*(TestWeightPart.conditioned(rng, d, 1e2) for d in (3, 4)))
+        h = v @ np.diag([2.0, 0.0, 0.0, -1.0, 1.0, 1.0, -2.0]) @ np.linalg.inv(v)
+        assert np.array_equal(graded._levels(h, (3, 4), DEFAULT_TOL).level,
+                              [0.0, 0.0, 2.0, -2.0, -1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("skew", [0.55, 1.0, 2.5])  # a defect of 1.1, 2 and 5 cut
+    def test_just_outside_the_cut_takes_the_svd_route(self, no_eigh, skew):
+        for blocks in [(5,), (2, 3), (4, 4)]:
+            h = self.near_integer(np.random.default_rng(44), blocks, 0.0, skew)[0]
+            cut = DEFAULT_TOL.residual_tol * (1.0 + frob(h))
+            assert frob(h - h.conj().T) > cut
+            old, gap = graded._svd_split(h, blocks)
+            if gap > cut:
+                with pytest.raises(NotCharacteristic):
+                    graded._levels(h, blocks, DEFAULT_TOL)
+            else:
+                assert np.array_equal(graded._levels(h, blocks, DEFAULT_TOL).level, old.level)
+
+
 class TestUngradedProblemOnGradedAlgebras:
     """Degree 0 asks for the ungraded problem: h is split on all of g, whatever the grading."""
 
