@@ -55,7 +55,6 @@ from .graded import (
     Sl2Triple,
     annihilates_positive_part,
     bracket,
-    compact_conjugation,
     is_mp_element,
     is_mp_orbit,
     minimal_characteristic,
@@ -86,7 +85,6 @@ from .numcore import (
     QuaternionMatrix,
     Report,
     Tolerance,
-    adjoint,
     rank_decomposition,
     solve_least_squares_constrained,
 )
@@ -96,14 +94,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # numcore
-    "Tolerance", "DEFAULT_TOL", "Report", "adjoint", "rank_decomposition",
+    "Tolerance", "DEFAULT_TOL", "Report", "rank_decomposition",
     "solve_least_squares_constrained", "Quaternion", "QuaternionMatrix",
     # classical
     "pinv", "verify_penrose",
     "pinv_real", "pinv_quaternion",
     # graded
     "GradedAlgebra", "Sl2Triple", "CharacteristicResult", "bracket",
-    "compact_conjugation", "minimal_characteristic",
+    "minimal_characteristic",
     "mp_inverse_short", "annihilates_positive_part", "is_mp_element",
     "orbit_height", "is_mp_orbit", "multidegree_characteristic",
     "mp_check_multidegree",

@@ -3,12 +3,15 @@
 :func:`pinv` restricts the map to its coimage (the Hermitian orthocomplement
 of its kernel), inverts that bijection onto the image, and extends by zero on
 the orthocomplement of the image; one SVD gives the rank and all three bases.
-It is the package's only Moore-Penrose construction: the real and quaternion
-variants, the inverse form of ``forms.form_pinv`` and the Hom(U, V) inverse of
-``homform`` are built on it.  Independent routes (a QR rank factorization, the
-kernel/annihilator construction of the inverse form, and the basis solve of
-the Hom(U, V) inverse) live with the tests, where their agreement turns the
-uniqueness of each inverse into a test instead of an assumption.
+It is one of the package's two Moore-Penrose constructions, the one for
+matrices: the real and quaternion variants, the inverse form of
+``forms.form_pinv`` and the Hom(U, V) inverse of ``homform`` are built on it.
+The other is ``graded._vector_pinv`` for the vectors of so(1, d, 1), which
+also gives the pseudo-Euclidean inverse of ``forms``.  Independent routes (a
+QR rank factorization, the kernel/annihilator construction of the inverse
+form, and the basis solve of the Hom(U, V) inverse) live with the tests, where
+their agreement turns the uniqueness of each inverse into a test instead of
+an assumption.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ result matrices as float ndarrays: complex ones with a trailing [re, im] axis,
 quaternion ones with a trailing axis of 4.  ``to_json`` writes each such array
 in one pass, so ``json.loads(to_json(document))`` gives plain JSON lists.
 
-Exit codes: 0 success, 1 input error, 2 verification or numerical failure
+Exit codes: 0 success, 1 input error (a usage error included, such as an
+unknown option or an option value out of range), 2 verification or numerical failure
 (also when a result is not finite and cannot be written, and on any other
 exception, named by its type), 3 orbit without a Moore-Penrose inverse.
 """
@@ -241,9 +242,6 @@ class JobSpec:
     input_path: str | None = None
     tol: Tolerance = field(default_factory=Tolerance)
     seed: int = 0
-    algebra: str | None = None
-    blocks: tuple[int, ...] | None = None
-    form_symmetry: str | None = None
 
 
 def _load_document(job: JobSpec) -> dict:
@@ -277,20 +275,18 @@ def _integer(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
-def _symmetry(doc: dict, job: JobSpec, where: str) -> str:
-    symmetry = _field(doc, "symmetry", str, default=job.form_symmetry)
+def _symmetry(doc: dict, where: str) -> str:
+    symmetry = _field(doc, "symmetry", str)
     if symmetry is None:
-        raise InputError(f"field {where!r} is required (or pass --form)")
+        raise InputError(f"field {where!r} is required")
     if symmetry not in (forms.SYMMETRIC, forms.SKEW):
         raise InputError(f"field {where!r} must be 'symmetric' or 'skew', got {symmetry!r}")
     return symmetry
 
 
-def _algebra_from(doc: dict, job: JobSpec) -> graded.GradedAlgebra:
-    kind = _field(doc, "algebra", str, default=job.algebra)
-    blocks = _field(doc, "blocks", list, default=list(job.blocks) if job.blocks else None)
-    if kind is None or blocks is None:
-        raise InputError("fields 'algebra' and 'blocks' are required (or pass --algebra/--blocks)")
+def _algebra_from(doc: dict) -> graded.GradedAlgebra:
+    kind = _field(doc, "algebra", str, required=True)
+    blocks = _field(doc, "blocks", list, required=True)
     blocks = [_integer(d, f"blocks[{i}]", 1) for i, d in enumerate(blocks)]
     try:
         return graded.GradedAlgebra(kind, blocks)
@@ -299,7 +295,7 @@ def _algebra_from(doc: dict, job: JobSpec) -> graded.GradedAlgebra:
 
 
 def _graded_element(doc: dict, job: JobSpec) -> tuple[graded.GradedAlgebra, np.ndarray]:
-    alg = _algebra_from(doc, job)
+    alg = _algebra_from(doc)
     return alg, decode_complex_matrix(_field(doc, "element", list, required=True), "element")
 
 
@@ -335,7 +331,7 @@ def _cmd_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 
 def _cmd_form_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
-    symmetry = _symmetry(doc, job, "symmetry")
+    symmetry = _symmetry(doc, "symmetry")
     gram = decode_complex_matrix(_field(doc, "gram", list, required=True), "gram")
     form = forms.BilinearForm(symmetry, gram)
     out = forms.form_pinv(form, job.tol)
@@ -439,7 +435,7 @@ def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     form_doc = _field(doc, "form", dict, required=True)
-    symmetry = _symmetry(form_doc, job, "form.symmetry")
+    symmetry = _symmetry(form_doc, "form.symmetry")
     gram = decode_complex_matrix(_field(form_doc, "gram", list, required=True), "form.gram")
     form = forms.BilinearForm(symmetry, gram)
     f_mat = decode_complex_matrix(_field(doc, "map", list, required=True), "map")
@@ -531,58 +527,60 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
     return EXIT_OK if report.passed else EXIT_VERIFY, envelope
 
 
-def _parse_blocks(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid block list {text!r}") from exc
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError (exit 1), not exit 2."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _tolerance_flag(name: str):
+    """argparse type of a Tolerance field: a float that Tolerance accepts as ``name``."""
+    def parse(text: str) -> float:
+        try:
+            return getattr(Tolerance(**{name: float(text)}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
+def _integer_flag(minimum: int):
+    """argparse type of an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liepinv",
         description="Generalized Moore-Penrose inverses in graded classical Lie algebras",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("inputs", nargs="*", help="input JSON document(s)")
-    parser.add_argument("--tol-rank", type=float, default=Tolerance().rank_rtol,
+    parser.add_argument("--tol-rank", type=_tolerance_flag("rank_rtol"),
+                        default=Tolerance().rank_rtol,
                         help="relative singular value cutoff of every rank decision, "
                              "orbit heights included (default 1e-10)")
-    parser.add_argument("--tol-residual", type=float, default=Tolerance().residual_tol,
+    parser.add_argument("--tol-residual", type=_tolerance_flag("residual_tol"),
+                        default=Tolerance().residual_tol,
                         help="relative residual acceptance (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_integer_flag(0), default=0,
                         help="seed for auxiliary randomized verification checks")
-    parser.add_argument("--algebra", choices=["sl", "so", "sp"],
-                        help="default algebra kind when the document omits it")
-    parser.add_argument("--blocks", type=_parse_blocks,
-                        help="default block sizes, comma separated (e.g. 2,3,2)")
-    parser.add_argument("--form", choices=[forms.SYMMETRIC, forms.SKEW],
-                        dest="form_symmetry",
-                        help="default form symmetry when the document omits it")
     parser.add_argument("--output", "-o",
                         help="output file (single input) or directory (batch)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_integer_flag(1), default=1,
                         help="run this many inputs concurrently in batch mode")
     return parser
 
 
 _PARSER = build_parser()  # once per process: its setup is a measurable share of a small job
-
-
-def _job_from_args(args, input_path: str | None) -> JobSpec:
-    try:
-        tol = Tolerance(args.tol_rank, args.tol_residual)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return JobSpec(
-        command=args.command,
-        input_path=input_path,
-        tol=tol,
-        seed=args.seed,
-        algebra=args.algebra,
-        blocks=args.blocks,
-        form_symmetry=args.form_symmetry,
-    )
 
 
 def _render(code: int, document: dict) -> tuple[int, dict, str]:
@@ -606,17 +604,21 @@ def _write(path: Path, text: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run the command line ``argv`` (default sys.argv[1:]) and return its exit code."""
+    try:
+        args = _PARSER.parse_args(argv)
+    except InputError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except SystemExit as exc:  # --help, after printing it
+        return exc.code
     inputs: list[str | None] = list(args.inputs) or [None]
     if inputs == [None] and args.command != "report-table":
         print(f"{args.command}: an input document is required", file=sys.stderr)
         return EXIT_INPUT
 
-    try:
-        jobs = [_job_from_args(args, path) for path in inputs]
-    except InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
+    tol = Tolerance(args.tol_rank, args.tol_residual)
+    jobs = [JobSpec(args.command, path, tol, args.seed) for path in inputs]
 
     if len(jobs) == 1:
         code, document, text = _render(*run_job(jobs[0]))
@@ -637,7 +639,7 @@ def main(argv=None) -> int:
         except OSError as exc:  # each write below then fails and says so too
             print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
             worst = EXIT_INPUT
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(run_job, jobs))
     for job, result in zip(jobs, results):
         code, document, text = _render(*result)

@@ -3,9 +3,10 @@
 Covers the intrinsic constructions that accompany the short gradings of the
 orthogonal and symplectic algebras: symmetric/skew bilinear forms, vectors in
 a space with a bilinear scalar product, vectors in a real pseudo-Euclidean
-space, and (skew-)Hermitian matrices over R, C and H.  Each inverse comes
-with a verifier that evaluates its defining conditions, most of them through
-an explicit sl2-triple in the matching block realization.
+space (the same vectors in the coordinates (x, i y)), and (skew-)Hermitian
+matrices over R, C and H.  Each inverse is built on ``numcore._pinv`` or on
+``graded._vector_pinv``, and comes with a verifier that evaluates its defining
+conditions, most of them through an explicit sl2-triple.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import classical
 from .errors import ShapeMismatch, SymmetryViolation
-from .graded import _as_vector, _bracket, _certificate, vector_pinv
+from .graded import _as_vector, _bracket, _certificate, _vector_pinv, vector_pinv
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
@@ -122,16 +123,23 @@ def verify_form_pinv(
 
 
 def _vector_legs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e_v and f_w of checked vectors of one shape in the short grading of so_{d+2}."""
+    """e_v and f_w, of the dtype of v and w, in the short grading of so_{d+2}."""
     # blocks (1, 2) and (2, 1) with their partners under the split form
     n = v.size + 2
-    e = np.zeros((n, n), dtype=complex)
+    e = np.zeros((n, n), dtype=np.result_type(v, w))
     e[0, 1:-1] = v
     e[1:-1, -1] = -v
     f = np.zeros_like(e)
     f[1:-1, 0] = w
     f[-1, 1:-1] = -w
     return e, f
+
+
+def _legs_report(e: np.ndarray, f: np.ndarray, tol: Tolerance) -> Report:
+    """Certificate of the legs e, f: triple residual and characteristic defect, gated."""
+    triple, defect = _certificate(*_unit_pair(e, f))
+    residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
+    return Report.gated(residuals, tol)
 
 
 def _vector_pair(v, w, empty_ok: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +158,7 @@ def vector_triple(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def verify_vector_pinv(v, w, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Check that w inverts v: homogeneous sl2-triple with Hermitian h (empty vectors pass)."""
-    triple, defect = _certificate(*_unit_pair(*_vector_legs(*_vector_pair(v, w, empty_ok=True))))
-    residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
-    return Report.gated(residuals, tol)
+    return _legs_report(*_vector_legs(*_vector_pair(v, w, empty_ok=True)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +168,11 @@ def verify_vector_pinv(v, w, tol: Tolerance = DEFAULT_TOL) -> Report:
 
 @dataclass(frozen=True)
 class PseudoEuclideanSpace:
-    """R^{n+m} with the product {u, v} = (u, I v), I = diag(Id_n, -Id_m)."""
+    """R^{n+m} with the product {u, v} = (u, I v), I = diag(Id_n, -Id_m).
+
+    D = diag(Id_n, i Id_m) squares to I, so {u, v} = (Du) . (Dv): in the
+    coordinates (x, i y) the space is the vector pair of so(1, n+m, 1).
+    """
 
     n: int
     m: int
@@ -174,10 +184,6 @@ class PseudoEuclideanSpace:
     @property
     def dim(self) -> int:
         return self.n + self.m
-
-    @property
-    def signature_matrix(self) -> np.ndarray:
-        return np.diag(np.concatenate([np.ones(self.n), -np.ones(self.m)]))
 
 
 def _as_real_vector(space: PseudoEuclideanSpace, v) -> np.ndarray:
@@ -192,21 +198,26 @@ def _as_real_vector(space: PseudoEuclideanSpace, v) -> np.ndarray:
 def pseudo_euclidean_pinv(
     space: PseudoEuclideanSpace, v, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:
-    """Three-case inverse for pseudo-Euclidean vectors.
+    """Inverse of a pseudo-Euclidean vector: Re(-conj(D) vector_pinv(D v) / 2).
 
-    -v/{v,v} off the null cone; -Iv/(2(v,v)) for nonzero null vectors; zero
-    at zero.  Signs follow the source convention for this grading; see
-    :func:`pseudo_euclidean_triple` for the normalization that realizes them
-    as an sl2-triple.
+    That is -v/{v,v} off the null cone, -Iv/(2(v,v)) for nonzero null vectors
+    and zero at zero; the cone test |{v,v}| <= residual_tol (v,v) is the
+    isotropy test of :func:`vector_pinv`.  Multiplying by +-i is exact, so the
+    imaginary part dropped is exactly zero.  Signs follow the source convention
+    for this grading; see :func:`pseudo_euclidean_triple` for the normalization
+    that realizes them as an sl2-triple.
     """
     v, exp = _unit_scale(_as_real_vector(space, v))
-    euclid = float(v @ v)
-    if euclid == 0.0:
-        return np.zeros_like(v)
-    ivector = space.signature_matrix @ v
-    pseudo = float(v @ ivector)
-    w = -v / pseudo if abs(pseudo) > tol.residual_tol * euclid else -ivector / (2.0 * euclid)
-    return _ldexp(w, -exp)
+    d = np.repeat([1.0, 1j], [space.n, space.m])
+    return _ldexp(-0.5 * (d.conj() * _vector_pinv(d * v, tol)).real, -exp)
+
+
+def _pseudo_legs(space: PseudoEuclideanSpace, v: np.ndarray, w: np.ndarray):
+    """e and f of :func:`pseudo_euclidean_triple` for checked vectors: S e(v) and
+    f(-2 s w) S, where S = diag(1, s, 1), s = (1_n, -1_m), and e, f are the vector legs."""
+    s = np.repeat([1.0, 1.0, -1.0, 1.0], [1, space.n, space.m, 1])
+    e, f = _vector_legs(v, -2.0 * s[1:-1] * w)
+    return s[:, None] * e, f * s
 
 
 def pseudo_euclidean_triple(
@@ -224,29 +235,12 @@ def pseudo_euclidean_triple(
     return e, _bracket(e, f), f
 
 
-def _pseudo_legs(space, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e and f of :func:`pseudo_euclidean_triple` for checked vectors."""
-    d = space.dim
-    ivec = space.signature_matrix
-    e = np.zeros((d + 2, d + 2))
-    e[0, 1 : d + 1] = v
-    e[1 : d + 1, d + 1] = -ivec @ v
-    p = -2.0 * (ivec @ w)
-    f = np.zeros((d + 2, d + 2))
-    f[1 : d + 1, 0] = p
-    f[d + 1, 1 : d + 1] = -(ivec @ p)
-    return e, f
-
-
 def verify_pseudo_euclidean_pinv(
     space: PseudoEuclideanSpace, v, w, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
     """Check the defining conditions: sl2 relations with real symmetric h."""
-    v = _as_real_vector(space, v)
-    w = _as_real_vector(space, w)
-    triple, defect = _certificate(*_unit_pair(*_pseudo_legs(space, v, w)))
-    residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
-    return Report.gated(residuals, tol)
+    v, w = _as_real_vector(space, v), _as_real_vector(space, w)
+    return _legs_report(*_pseudo_legs(space, v, w), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ __all__ = [
     "Sl2Triple",
     "CharacteristicResult",
     "bracket",
-    "compact_conjugation",
     "minimal_characteristic",
     "mp_inverse_short",
     "vector_pinv",
@@ -97,11 +96,6 @@ def _bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _square_pair(x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise ShapeMismatch(f"bracket needs equal square shapes, got {x.shape}, {y.shape}")
-
-
-def compact_conjugation(x) -> np.ndarray:
-    """Conjugation theta(X) = -X* fixing the compact real form."""
-    return -as_matrix(x).conj().T
 
 
 class _IndexBasis:
@@ -245,8 +239,7 @@ class GradedAlgebra:
         unit = np.arange(n * n)
         a, b = np.divmod(unit, n)
         degree = self._block_of[b] - self._block_of[a]
-        self._degree_mask = degree.reshape(n, n)  # block degree of entry (a, b)
-        self._entry_degree = degree + (k - 1)  # its index among the degrees -(k-1)..k-1
+        self._entry_degree = degree + (k - 1)  # index of entry (a, b) among degrees -(k-1)..k-1
         if self.kind == "sl":
             self._partner, sign, keep = unit, np.zeros(n * n), a != b
             i, j = np.arange(1, n)[:, None], np.arange(n)
@@ -378,7 +371,7 @@ class GradedAlgebra:
 
     def degree_component(self, x, m: int) -> np.ndarray:
         x = self._check_ambient(x)
-        return np.where(self._degree_mask == m, x, 0.0)
+        return np.where(self._entry_degree.reshape(x.shape) == m + len(self.blocks) - 1, x, 0.0)
 
     def homogeneous_degree(self, x, tol: Tolerance = DEFAULT_TOL) -> int | None:
         """Degree of a homogeneous element, None for zero; errors if mixed."""

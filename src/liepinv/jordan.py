@@ -153,7 +153,7 @@ def _involution_from_map(pair: JordanPair, apply) -> CartanInvolution:
 
 
 def standard_cartan_involution(pair: JordanPair) -> CartanInvolution:
-    """The involution induced by the compact conjugation: omega(x) = adjoint(x)."""
+    """The involution induced by the compact conjugation: omega(x) = x*, the adjoint."""
     return _involution_from_map(pair, lambda x: x.conj().swapaxes(-1, -2))
 
 

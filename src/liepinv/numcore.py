@@ -2,7 +2,7 @@
 
 Everything here is a thin, tolerance-aware layer over LAPACK (through
 numpy): numerical ranks, orthonormal kernel/image/coimage bases, the
-pseudoinverse built on them, adjoints, exact power-of-two unit scaling, and
+pseudoinverse built on them, exact power-of-two unit scaling, and
 equality-constrained least squares.  Quaternion matrices are supported
 through their standard complex embedding; there is deliberately no native
 quaternion factorization.
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Report",
     "as_matrix",
-    "adjoint",
     "frob",
     "RankDecomposition",
     "rank_decomposition",
@@ -116,11 +115,6 @@ def as_matrix(a, dtype=complex) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def frob(a) -> float:
@@ -365,9 +359,6 @@ class QuaternionMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[0], self.data.shape[1]
-
-    def entry(self, i: int, j: int) -> Quaternion:
-        return Quaternion(*self.data[i, j])
 
     def conjugate_transpose(self) -> "QuaternionMatrix":
         out = np.transpose(self.data, (1, 0, 2)).copy()

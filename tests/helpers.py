@@ -18,7 +18,9 @@ from liepinv.graded import GradedAlgebra, bracket
 from liepinv.numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
+    Report,
     _ldexp,
+    _unit_pair,
     _unit_scale,
     as_matrix,
     frob,
@@ -260,7 +262,7 @@ def eager_index_bases(alg: GradedAlgebra) -> dict:
     construction: the units of degree m picked out of the degree-sorted unit table by
     a mask, the Helmert rows (sl only) in g_0 and in the whole algebra (key None)."""
     k = len(alg.blocks)
-    degree = alg._degree_mask.reshape(-1)[alg._units]
+    degree = alg._entry_degree[alg._units] - (k - 1)
     cartan = alg._helmert if alg.kind == "sl" else None
     bases = {m: alg._unit_basis(alg._units[degree == m], cartan if m == 0 else None)
              for m in range(1 - k, k)}
@@ -275,10 +277,51 @@ def masked_degree(alg: GradedAlgebra, x: np.ndarray, tol=DEFAULT_TOL) -> int | N
     if scale == 0.0:
         return None
     cut = tol.residual_tol * scale
-    present = [m for m in alg.degrees if frob(x[alg._degree_mask == m]) > cut]
+    entry_degree = alg._entry_degree.reshape(x.shape) - (len(alg.blocks) - 1)
+    present = [m for m in alg.degrees if frob(x[entry_degree == m]) > cut]
     if len(present) != 1:
         raise ValueError(f"element is not homogeneous; degrees with mass: {present}")
     return present[0]
+
+
+
+def signature_matrix(space) -> np.ndarray:
+    """The dense I = diag(Id_n, -Id_m) of a pseudo-Euclidean space."""
+    return np.diag(np.concatenate([np.ones(space.n), -np.ones(space.m)]))
+
+
+def pseudo_euclidean_pinv_formula(space, v, tol=DEFAULT_TOL) -> np.ndarray:
+    """The three-case formula ``forms.pseudo_euclidean_pinv`` once had, an oracle for the
+    vector route: -v/{v,v} off the null cone, -Iv/(2(v,v)) on it, zero at zero."""
+    v, exp = _unit_scale(np.asarray(v, dtype=float).reshape(-1))
+    euclid = float(v @ v)
+    if euclid == 0.0:
+        return np.zeros_like(v)
+    ivector = signature_matrix(space) @ v
+    pseudo = float(v @ ivector)
+    w = -v / pseudo if abs(pseudo) > tol.residual_tol * euclid else -ivector / (2.0 * euclid)
+    return _ldexp(w, -exp)
+
+
+def pseudo_legs_by_hand(space, v, w) -> tuple[np.ndarray, np.ndarray]:
+    """The legs e, f of the so(n+1, m+1) layout written out entry by entry, as
+    ``forms`` once built them: e = (row v, column -Iv), f = (column p, row -Ip), p = -2Iw."""
+    d, ivec = space.dim, signature_matrix(space)
+    e = np.zeros((d + 2, d + 2))
+    e[0, 1 : d + 1] = v
+    e[1 : d + 1, d + 1] = -ivec @ v
+    p = -2.0 * (ivec @ w)
+    f = np.zeros((d + 2, d + 2))
+    f[1 : d + 1, 0] = p
+    f[d + 1, 1 : d + 1] = -(ivec @ p)
+    return e, f
+
+
+def pseudo_report_by_hand(space, v, w, tol=DEFAULT_TOL) -> Report:
+    """The certificate of ``pseudo_legs_by_hand``, as verify_pseudo_euclidean_pinv once took it."""
+    triple, defect = graded._certificate(*_unit_pair(*pseudo_legs_by_hand(space, v, w)))
+    residuals = {"triple_residual": triple.max_residual(), "characteristic_defect": defect}
+    return Report.gated(residuals, tol)
 
 
 def partitions(n: int):

@@ -8,7 +8,7 @@ from liepinv.classical import (
     verify_penrose,
 )
 from liepinv.errors import ShapeMismatch
-from liepinv.numcore import Quaternion, QuaternionMatrix, adjoint, frob, rank_decomposition
+from liepinv.numcore import Quaternion, QuaternionMatrix, frob, rank_decomposition
 
 from helpers import (
     pinv_factorization,
@@ -65,7 +65,7 @@ class TestVerifyPenrose:
 
     def test_adjoint_is_not_an_inverse(self):
         a = np.array([[2.0]])
-        report = verify_penrose(a, adjoint(a))
+        report = verify_penrose(a, a.conj().T)
         assert not report.passed
         assert report.residuals["recover_a"] > 0.1  # 2*2*2 = 8 != 2
 
@@ -107,13 +107,13 @@ class TestPinvProperties:
             a = random_matrix_with_rank(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
             u = random_unitary(rng, m)
             v = random_unitary(rng, n)
-            lhs = pinv(u @ a @ adjoint(v))
-            rhs = v @ pinv(a) @ adjoint(u)
+            lhs = pinv(u @ a @ v.conj().T)
+            rhs = v @ pinv(a) @ u.conj().T
             assert frob(lhs - rhs) <= 1e-8 * (1.0 + frob(rhs))
 
     def test_adjoint_commutes(self):
         for rng, a, _ in self.shapes():
-            assert frob(pinv(adjoint(a)) - adjoint(pinv(a))) < 1e-10 * (1.0 + frob(a))
+            assert frob(pinv(a.conj().T) - pinv(a).conj().T) < 1e-10 * (1.0 + frob(a))
 
     def test_rank_preserved(self):
         for rng, a, r in self.shapes():

@@ -800,19 +800,41 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert target.read_text() == (GOLDEN / "pinv.out.json").read_text()
 
-    def test_flag_defaults_feed_the_document(self, tmp_path):
+    PINV = str(GOLDEN / "pinv.in.json")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["bogus", PINV], "argument command"),
+        (["pinv", PINV, "--frob"], "unrecognized arguments: --frob"),
+        (["pinv", PINV, "--tol-rank", "abc"], "argument --tol-rank"),
+        (["pinv", PINV, "--tol-rank", "0.5"], "argument --tol-rank"),
+        (["pinv", PINV, "--tol-residual", "nan"], "argument --tol-residual"),
+        (["pinv", PINV, PINV, "--jobs", "0"], "argument --jobs"),
+        (["pinv", PINV, PINV, "--jobs", "-3"], "argument --jobs"),
+        (["pinv", PINV, "--jobs", "two"], "argument --jobs"),
+        (["pinv", PINV, "--seed", "-1"], "argument --seed"),
+        (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--seed", "-1"],
+         "argument --seed"),
+        (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--algebra", "sl"],
+         "unrecognized arguments: --algebra"),
+    ], ids=["command", "flag", "tol-rank-text", "tol-rank-range", "tol-residual-nan",
+            "jobs-zero", "jobs-negative", "jobs-text", "seed-pinv", "seed-sl2", "removed-flag"])
+    def test_usage_errors_exit_one_and_name_the_flag(self, capsys, argv, named):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "--tol-rank" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("missing", ["algebra", "blocks"])
+    def test_graded_fields_are_required(self, tmp_path, missing):
+        fields = {"algebra": "sl", "blocks": [1, 1], "element": [[[0, 0], [1, 0]], [[0, 0]] * 2]}
+        del fields[missing]
         doc = tmp_path / "elem.json"
-        doc.write_text(
-            json.dumps({"element": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]})
-        )
-        out = tmp_path / "o.json"
-        code = main(
-            ["sl2-complete", str(doc), "--algebra", "sl", "--blocks", "1,1",
-             "--output", str(out)]
-        )
-        assert code == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["result"]["is_hermitian"] is True
+        doc.write_text(json.dumps(fields))
+        code, document = run_job(JobSpec("sl2-complete", str(doc)))
+        assert code == EXIT_INPUT and document["error"] == f"missing required field {missing!r}"
 
     @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
     def test_tolerance_flags_reach_the_minimality_margin(self, tmp_path, command):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from liepinv.errors import ShapeMismatch, SymmetryViolation
+from liepinv import forms
 from liepinv.forms import (
     SKEW,
     SYMMETRIC,
@@ -23,6 +24,9 @@ from liepinv.numcore import QuaternionMatrix, frob, rank_decomposition
 
 from helpers import (
     form_pinv_annihilator,
+    pseudo_euclidean_pinv_formula,
+    pseudo_legs_by_hand,
+    pseudo_report_by_hand,
     random_complex,
     random_matrix_with_rank,
     random_quaternion_matrix,
@@ -181,6 +185,76 @@ class TestPseudoEuclidean:
         assert frob(h.imag) == 0.0
         assert frob(h - h.T) < 1e-12
         assert Sl2Triple.from_elements(e, h, f).passes()
+
+
+EPS = np.finfo(float).eps
+SIGNATURES = [(4, 0), (0, 3), (1, 1), (3, 2), (6, 4), (30, 20)]
+
+
+def pseudo_cases(space, rng):
+    """(v, kind) at unit scale: generic, near the null cone, null and zero vectors.
+
+    A near-cone v has |{v,v}| / |v|^2 about delta, from 1e-4 down to 1e-8.
+    """
+    n, m = space.n, space.m
+    yield rng.standard_normal(n + m), "off"
+    yield rng.standard_normal(n + m) * np.repeat([1.0, 1e-3], [n, m]), "off"
+    if n and m:
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        for delta in (1e-4, 1e-6, 1e-8):
+            yield np.concatenate([x, y * np.sqrt(1.0 - delta)]), "off"
+        yield np.concatenate([x, y]), "null"
+        yield np.concatenate([[1.0], np.zeros(n - 1), [1.0], np.zeros(m - 1)]), "null"
+    yield np.zeros(n + m), "zero"
+
+
+class TestPseudoEuclideanIsTheVectorRoute:
+    """pseudo_euclidean_pinv is Re(-conj(D) vector_pinv(D v) / 2), and its legs are the
+    vector legs times S = diag(1, s, 1): both checked against the three-case formula and
+    the so(n+1, m+1) legs written out by hand."""
+
+    @pytest.mark.parametrize("n, m", SIGNATURES)
+    @pytest.mark.parametrize("scale", [1e-250, 1.0, 1e250])
+    def test_inverse_matches_the_three_case_formula(self, n, m, scale):
+        space = PseudoEuclideanSpace(n, m)
+        for v, kind in pseudo_cases(space, np.random.default_rng(n + 10 * m)):
+            v = v * scale
+            got, want = pseudo_euclidean_pinv(space, v), pseudo_euclidean_pinv_formula(space, v)
+            assert got.dtype == np.float64
+            if kind == "zero":
+                assert np.array_equal(got, want) and not got.any()
+                continue
+            if kind == "null":
+                # -Iv / (2 (v, v)) is perfectly conditioned: the two routes differ by the
+                # order |v|^2 is summed in and by a division taken through its reciprocal
+                bound = 8.0 * EPS
+            else:
+                unit = v / np.abs(v).max()
+                bound = 8.0 * EPS * (unit @ unit) / abs(unit[:n] @ unit[:n] - unit[n:] @ unit[n:])
+            assert frob(got - want) <= bound * frob(want), (kind, v)
+
+    @pytest.mark.parametrize("n, m", SIGNATURES)
+    def test_legs_and_reports_are_bit_identical(self, n, m):
+        space = PseudoEuclideanSpace(n, m)
+        rng = np.random.default_rng(100 + n + 10 * m)
+        for v, _ in pseudo_cases(space, rng):
+            for w in (pseudo_euclidean_pinv(space, v), pseudo_euclidean_pinv_formula(space, v),
+                      rng.standard_normal(n + m)):
+                for got, want in zip(forms._pseudo_legs(space, v, w),
+                                     pseudo_legs_by_hand(space, v, w)):
+                    assert got.dtype == np.float64 and np.array_equal(got, want)
+                report = verify_pseudo_euclidean_pinv(space, v, w)
+                assert report == pseudo_report_by_hand(space, v, w)
+
+    @pytest.mark.parametrize("n, m", SIGNATURES)
+    def test_triple_is_real_with_symmetric_h(self, n, m):
+        space = PseudoEuclideanSpace(n, m)
+        for v, _ in pseudo_cases(space, np.random.default_rng(200 + n + 10 * m)):
+            e, h, f = pseudo_euclidean_triple(space, v, pseudo_euclidean_pinv(space, v))
+            assert all(x.dtype == np.float64 for x in (e, h, f))
+            # h = ef - fe is symmetric up to the roundoff of its products
+            assert frob(h - h.T) <= 1e-12 * frob(e) * frob(f)
 
 
 class TestHermitianPinv:

@@ -10,7 +10,6 @@ from liepinv.numcore import (
     QuaternionMatrix,
     Report,
     Tolerance,
-    adjoint,
     as_matrix,
     frob,
     rank_decomposition,
@@ -77,26 +76,7 @@ class TestReport:
             assert np.isnan(report.max_residual())
 
 
-class TestAdjoint:
-    def test_single_imaginary_entry(self):
-        assert adjoint([[1j]])[0, 0] == -1j
-
-    def test_identity_self_adjoint(self):
-        assert np.array_equal(adjoint(np.eye(3)), np.eye(3))
-
-    def test_row_becomes_conjugated_column(self):
-        out = adjoint([[1, 2j]])
-        assert out.shape == (2, 1)
-        assert out[0, 0] == 1 and out[1, 0] == -2j
-
-    def test_involution_and_antimultiplicative(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            a = random_complex(rng, 4, 3)
-            b = random_complex(rng, 3, 5)
-            assert frob(adjoint(adjoint(a)) - a) < 1e-14
-            assert frob(adjoint(a @ b) - adjoint(b) @ adjoint(a)) < 1e-13
-
+class TestAsMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             as_matrix([[np.nan, 1.0]])
@@ -265,7 +245,7 @@ class TestQuaternions:
         rng = np.random.default_rng(13)
         for _ in range(5):
             p = random_quaternion_matrix(rng, 3, 4)
-            assert frob(p.conjugate_transpose().embed() - adjoint(p.embed())) < 1e-13
+            assert frob(p.conjugate_transpose().embed() - p.embed().conj().T) < 1e-13
 
     def test_embedding_roundtrip(self):
         rng = np.random.default_rng(14)
