@@ -120,14 +120,16 @@ def to_json(value, indent: int = 0) -> str:
 # which builds the same matrix or names the first bad entry.
 
 
-def _field(doc: dict, name: str, kind=None, default=None, required: bool = False):
+def _field(doc: dict, path: str, kind=None, default=None, required: bool = False):
+    """The field of ``doc`` named by the last part of the dotted ``path``; errors name the path."""
+    name = path.rpartition(".")[2]
     if name not in doc:
         if required:
-            raise InputError(f"missing required field {name!r}")
+            raise InputError(f"missing required field {path!r}")
         return default
     value = doc[name]
     if kind is not None and not isinstance(value, kind):
-        raise InputError(f"field {name!r} has wrong type {type(value).__name__}")
+        raise InputError(f"field {path!r} has wrong type {type(value).__name__}")
     return value
 
 
@@ -241,7 +243,6 @@ class JobSpec:
     command: str
     input_path: str | None = None
     tol: Tolerance = field(default_factory=Tolerance)
-    seed: int = 0
 
 
 def _load_document(job: JobSpec) -> dict:
@@ -276,9 +277,7 @@ def _integer(value, where: str, minimum: int | None = None) -> int:
 
 
 def _symmetry(doc: dict, where: str) -> str:
-    symmetry = _field(doc, "symmetry", str)
-    if symmetry is None:
-        raise InputError(f"field {where!r} is required")
+    symmetry = _field(doc, where, str, required=True)
     if symmetry not in (forms.SYMMETRIC, forms.SKEW):
         raise InputError(f"field {where!r} must be 'symmetric' or 'skew', got {symmetry!r}")
     return symmetry
@@ -364,18 +363,16 @@ def _cmd_hermitian_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     return {"pinv": _encode_field_matrix(kind, x)}, forms.verify_hermitian_pinv(a, x, job.tol)
 
 
-def _minimality_margin(
-    alg: graded.GradedAlgebra, res: graded.CharacteristicResult, job: JobSpec
+def _minimality_defect(
+    alg: graded.GradedAlgebra, res: graded.CharacteristicResult, tol: Tolerance
 ) -> float | None:
-    """Smallest relative energy increase over random feasible perturbations."""
-    directions = graded.characteristic_direction_space(alg, res, job.tol)
+    """|D^H h| / (1 + |h|_F), D an orthonormal basis of the direction space of the
+    characteristics: zero exactly when h is the norm-minimal one; None when h is unique."""
+    directions = graded.characteristic_direction_space(alg, res, tol)
     if directions.shape[0] == 0:
         return None
-    k = directions.shape[0]
-    draws = np.random.default_rng(job.seed).standard_normal((20, 2, k))  # 20 draws of k + k i
-    deltas = (draws[:, 0] + 1j * draws[:, 1]) @ directions.reshape(k, -1)
-    grown = np.linalg.norm(res.h.reshape(-1) + deltas, axis=1) ** 2
-    return float(np.min((grown - frob(res.h) ** 2) / np.linalg.norm(deltas, axis=1) ** 2))
+    overlaps = directions.reshape(len(directions), -1).conj() @ res.h.reshape(-1)
+    return float(np.linalg.norm(overlaps) / (1.0 + frob(res.h)))
 
 
 def _characteristic(doc: dict, job: JobSpec):
@@ -387,14 +384,14 @@ def _characteristic(doc: dict, job: JobSpec):
 
 
 def _sl2_report(alg, res: graded.CharacteristicResult, job: JobSpec, **verdicts) -> Report:
-    """Only the triple residuals gate; the Hermitian defect and the margin are findings."""
+    """Only the triple residuals gate; the Hermitian and minimality defects are findings."""
     residuals = {
         "triple_residuals": list(res.triple.residuals),
         "hermitian_defect": res.hermitian_defect,
     }
-    margin = _minimality_margin(alg, res, job)
-    if margin is not None:
-        residuals["minimality_margin"] = margin
+    defect = _minimality_defect(alg, res, job.tol)
+    if defect is not None:
+        residuals["minimality_defect"] = defect
     residuals.update(verdicts)
     return Report(residuals, res.triple.passes(job.tol))
 
@@ -436,7 +433,7 @@ def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     form_doc = _field(doc, "form", dict, required=True)
     symmetry = _symmetry(form_doc, "form.symmetry")
-    gram = decode_complex_matrix(_field(form_doc, "gram", list, required=True), "form.gram")
+    gram = decode_complex_matrix(_field(form_doc, "form.gram", list, required=True), "form.gram")
     form = forms.BilinearForm(symmetry, gram)
     f_mat = decode_complex_matrix(_field(doc, "map", list, required=True), "map")
     g_mat, label, report = homform.mp_inverse_homform(form, f_mat, job.tol)
@@ -500,7 +497,6 @@ def run_job(job: JobSpec) -> tuple[int, dict]:
     envelope = {
         "command": job.command,
         "tolerance": _tolerance_doc(job.tol),
-        "seed": job.seed,
     }
     try:
         doc = _load_document(job)
@@ -563,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized Moore-Penrose inverses in graded classical Lie algebras",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("inputs", nargs="*", help="input JSON document(s)")
+    parser.add_argument("inputs", nargs="*", default=[], help="input JSON document(s)")
     parser.add_argument("--tol-rank", type=_tolerance_flag("rank_rtol"),
                         default=Tolerance().rank_rtol,
                         help="relative singular value cutoff of every rank decision, "
@@ -571,8 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-residual", type=_tolerance_flag("residual_tol"),
                         default=Tolerance().residual_tol,
                         help="relative residual acceptance (default 1e-9)")
-    parser.add_argument("--seed", type=_integer_flag(0), default=0,
-                        help="seed for auxiliary randomized verification checks")
     parser.add_argument("--output", "-o",
                         help="output file (single input) or directory (batch)")
     parser.add_argument("--jobs", type=_integer_flag(1), default=1,
@@ -588,7 +582,7 @@ def _render(code: int, document: dict) -> tuple[int, dict, str]:
     try:
         return code, document, to_json(document) + "\n"
     except ValueError as exc:
-        envelope = {key: document[key] for key in ("command", "tolerance", "seed")}
+        envelope = {key: document[key] for key in ("command", "tolerance")}
         envelope["error"] = f"result cannot be written: {exc}"
         return EXIT_VERIFY, envelope, to_json(envelope) + "\n"
 
@@ -618,7 +612,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     tol = Tolerance(args.tol_rank, args.tol_residual)
-    jobs = [JobSpec(args.command, path, tol, args.seed) for path in inputs]
+    jobs = [JobSpec(args.command, path, tol) for path in inputs]
 
     if len(jobs) == 1:
         code, document, text = _render(*run_job(jobs[0]))

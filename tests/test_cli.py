@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import re
@@ -26,7 +27,7 @@ from liepinv.cli import (
     run_job,
     to_json,
 )
-from liepinv import classical, graded
+from liepinv import classical, cli, graded, homform
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra, orbit_height
 from liepinv.numcore import Tolerance, frob
@@ -34,8 +35,11 @@ import regen_goldens
 from helpers import (
     compare_documents,
     ill_conditioned_sp8_conjugate,
+    random_complex,
+    random_matrix_with_rank,
     reference_format_float,
     reference_to_json,
+    standard_form,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,8 +75,29 @@ class TestGoldenFiles:
     def test_matches_schema(self, path):
         command, kind = path.name.split(".")[:2]
         definition = f"input.{command}" if kind == "in" else "output"
-        schema = {**SCHEMA, "$ref": f"#/$defs/{definition}"}
-        jsonschema.Draft202012Validator(schema).validate(json.loads(path.read_text()))
+        validate(json.loads(path.read_text()), definition)
+
+    @pytest.mark.parametrize("command, doc, code", [
+        ("pinv", {"matrix": [[True]]}, EXIT_INPUT),
+        # the inverse of the least subnormal is beyond the float range: not writable
+        ("pinv", {"field": "complex", "matrix": [[5e-324]]}, EXIT_VERIFY),
+        ("homform", {"form": {"symmetry": "symmetric", "gram": np.eye(4).tolist()},
+                     "map": encode_complex_matrix(homform.generic_orbit_map(
+                         standard_form("symmetric", 4), 2, 1, 3)).tolist()}, EXIT_NO_INVERSE),
+    ], ids=["input", "verify", "no-inverse"])
+    def test_error_documents_match_schema(self, tmp_path, command, doc, code):
+        path, out = tmp_path / "doc.json", tmp_path / "out.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--output", str(out)]) == code
+        document = json.loads(out.read_text())
+        assert "error" in document and "result" not in document
+        validate(document, "output")
+
+
+def validate(document: dict, definition: str) -> None:
+    """Check ``document`` against the definition of that name in docs/schema.json."""
+    schema = {**SCHEMA, "$ref": f"#/$defs/{definition}"}
+    jsonschema.Draft202012Validator(schema).validate(document)
 
 
 # Verifier calls per job on the golden inputs.  Each check runs once; complex-pinv
@@ -561,13 +586,67 @@ class TestIsotropicVector:
         assert document["passed"]
         verification = document["verification"]
         assert max(verification.get("triple_residuals", [0.0])) <= 1e-9
-        assert verification.get("minimality_margin", 0.0) >= 0.0
+        assert verification.get("minimality_defect", 0.0) <= 1e-12
         if command == "jordan-mp":
             inverse = np.array(document["result"]["inverse"])
             expected = np.zeros((4, 4, 2))
             expected[1, 0, 0], expected[2, 0, 1] = 0.5, -0.5
             expected[3, 1, 0], expected[3, 2, 1] = -0.5, 0.5
             assert np.abs(inverse - expected).max() <= 1e-12
+
+
+def minimality_case(name: str) -> tuple[GradedAlgebra, np.ndarray]:
+    """A degree-1 element whose characteristics form an affine space of positive dimension."""
+    rng = np.random.default_rng(21)
+    if name == "golden":
+        doc = json.loads((GOLDEN / "sl2-complete.in.json").read_text())
+        return GradedAlgebra(doc["algebra"], doc["blocks"]), decode_complex_matrix(
+            doc["element"], "element")
+    if name == "sl(6,6)":
+        alg = GradedAlgebra("sl", (6, 6))
+        return alg, alg.element_from_block(1, 2, random_matrix_with_rank(rng, 6, 6, 2))
+    if name == "sl(4,4,4)":
+        alg = GradedAlgebra("sl", (4, 4, 4))
+        return alg, (alg.element_from_block(1, 2, random_matrix_with_rank(rng, 4, 4, 2))
+                     + alg.element_from_block(2, 3, random_matrix_with_rank(rng, 4, 4, 1)))
+    # O(2, 1) of Hom(C^3, C^4) in general position: no inverse, h is not Hermitian
+    form = standard_form("symmetric", 4)
+    alg = homform.embedding_algebra(form, 3)
+    return alg, homform.hom_element(alg, homform.generic_orbit_map(form, 2, 1, 3))
+
+
+class TestMinimalityDefect:
+    """minimality_defect = |D^H h| / (1 + |h|_F) is zero at the minimal characteristic
+    and measures exactly how far a characteristic moved along the direction space D."""
+
+    CASES = ["golden", "sl(6,6)", "sl(4,4,4)", "homform-witness"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_minimal_characteristic_has_no_defect(self, tmp_path, name):
+        alg, e = minimality_case(name)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"algebra": alg.kind, "blocks": list(alg.blocks),
+                                    "degree": 1, "element": encode_complex_matrix(e).tolist()}))
+        code, document = run_job(JobSpec("sl2-complete", str(path)))
+        assert code == EXIT_OK, document.get("error")
+        if name == "homform-witness":
+            assert not document["result"]["is_hermitian"]
+        assert document["verification"]["minimality_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_moved_characteristic_is_caught(self, name):
+        alg, e = minimality_case(name)
+        res = graded.minimal_characteristic(alg, e, 1)
+        directions = graded.characteristic_direction_space(alg, res)
+        coef = random_complex(np.random.default_rng(5), len(directions))
+        delta = np.tensordot(coef / np.linalg.norm(coef), directions, 1)
+        moved_h = res.h + delta
+        moved = dataclasses.replace(res, triple=dataclasses.replace(res.triple, h=moved_h))
+        assert moved.levels is res.levels
+        want = (np.linalg.norm(directions.reshape(len(directions), -1).conj() @ moved_h.ravel())
+                / (1.0 + frob(moved_h)))
+        got = cli._minimality_defect(alg, moved, Tolerance())
+        assert abs(got - want) <= 1e-12 and got >= 0.5 / (1.0 + frob(moved_h))
 
 
 class TestRoundTrip:
@@ -694,7 +773,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, doc, where", [
         ("homform", {"form": {"gram": [[1, 0], [0, 1]]}, "map": [[1], [0]]}, "form.symmetry"),
         ("form-pinv", {"symmetry": "hermitian", "gram": [[1, 0], [0, 1]]}, "symmetry"),
-    ], ids=["homform-missing", "form-pinv-unknown"])
+        ("homform", {"form": {"symmetry": 5, "gram": [[1, 0], [0, 1]]}, "map": [[1], [0]]},
+         "form.symmetry"),
+        ("homform", {"form": {"symmetry": "symmetric"}, "map": [[1], [0]]}, "form.gram"),
+    ], ids=["homform-missing", "form-pinv-unknown", "homform-wrong-type", "homform-no-gram"])
     def test_symmetry_errors_name_the_field(self, tmp_path, command, doc, where):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -811,9 +893,9 @@ class TestMainEntry:
         (["pinv", PINV, PINV, "--jobs", "0"], "argument --jobs"),
         (["pinv", PINV, PINV, "--jobs", "-3"], "argument --jobs"),
         (["pinv", PINV, "--jobs", "two"], "argument --jobs"),
-        (["pinv", PINV, "--seed", "-1"], "argument --seed"),
-        (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--seed", "-1"],
-         "argument --seed"),
+        (["pinv", PINV, "--seed", "1"], "unrecognized arguments: --seed"),
+        (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--seed", "1"],
+         "unrecognized arguments: --seed"),
         (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--algebra", "sl"],
          "unrecognized arguments: --algebra"),
     ], ids=["command", "flag", "tol-rank-text", "tol-rank-range", "tol-residual-nan",
@@ -822,6 +904,12 @@ class TestMainEntry:
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert named in captured.err and captured.out == ""
+
+    def test_no_arguments_name_only_the_command(self, capsys):
+        # inputs takes any number of documents, none included: only the command is required
+        assert main([]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "liepinv: error: the following arguments are required: command"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
@@ -837,7 +925,7 @@ class TestMainEntry:
         assert code == EXIT_INPUT and document["error"] == f"missing required field {missing!r}"
 
     @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
-    def test_tolerance_flags_reach_the_minimality_margin(self, tmp_path, command):
+    def test_tolerance_flags_reach_the_minimality_defect(self, tmp_path, command):
         # a rank-one degree-1 element of sl(2, 2) off the algebra by 1e-6 * I: a member at
         # --tol-residual 1e-4, not at the default, with a nonzero characteristic direction space
         element = np.zeros((4, 4))
@@ -851,7 +939,7 @@ class TestMainEntry:
         code = main([command, str(doc), "--tol-residual", "1e-4", "--output", str(out)])
         payload = json.loads(out.read_text())
         assert code == EXIT_OK and payload["passed"], payload
-        assert payload["verification"]["minimality_margin"] > 0.5
+        assert payload["verification"]["minimality_defect"] <= 1e-12
 
     def test_batch_mode(self, tmp_path):
         import shutil
@@ -924,16 +1012,6 @@ class TestMainEntry:
     def test_requires_input_except_report_table(self, capsys):
         assert main(["pinv"]) == EXIT_INPUT
         assert main(["report-table"]) == EXIT_OK
-
-    def test_seed_changes_only_auxiliary_checks(self, tmp_path):
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        src = str(GOLDEN / "sl2-complete.in.json")
-        assert main(["sl2-complete", src, "--seed", "1", "--output", str(out_a)]) == EXIT_OK
-        assert main(["sl2-complete", src, "--seed", "2", "--output", str(out_b)]) == EXIT_OK
-        doc_a = json.loads(out_a.read_text())
-        doc_b = json.loads(out_b.read_text())
-        assert doc_a["result"] == doc_b["result"]
 
 
 class TestNotNilpotent:
