@@ -302,7 +302,7 @@ def _field_matrix(doc: dict) -> tuple[str, np.ndarray | QuaternionMatrix]:
     """The 'matrix' of a document, decoded as its 'field' kind says."""
     kind = _field(doc, "field", str, default="complex")
     if kind not in ("complex", "real", "quaternion"):
-        raise InputError(f"unknown field kind {kind!r}")
+        raise InputError(f"field 'field' must be 'complex', 'real' or 'quaternion', got {kind!r}")
     data = _field(doc, "matrix", list, required=True)
     if kind == "quaternion":
         return kind, decode_quaternion_matrix(data, "matrix")

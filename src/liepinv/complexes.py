@@ -63,9 +63,6 @@ class ChainTuple:
         object.__setattr__(t, "maps", maps)
         return t
 
-    def __len__(self) -> int:
-        return len(self.maps)
-
 
 @dataclass(frozen=True)
 class ComplexCertificate:

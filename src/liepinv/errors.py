@@ -1,5 +1,24 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LiepinvError",
+    "ShapeMismatch",
+    "InconsistentConstraints",
+    "EmbeddingMismatch",
+    "NotInAlgebra",
+    "NoTriple",
+    "NotShortGrading",
+    "NotCharacteristic",
+    "NotNilpotent",
+    "ZeroElement",
+    "UnsupportedBlock",
+    "SymmetryViolation",
+    "DegenerateForm",
+    "NotMoorePenroseOrbit",
+    "NotAComplex",
+    "WrongComponent",
+]
+
 
 class LiepinvError(Exception):
     """Base class for all errors raised by this package."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import classical
 from .errors import ShapeMismatch, SymmetryViolation
-from .graded import _as_vector, _bracket, _certificate, _vector_pinv, vector_pinv
+from .graded import _as_vector, _bracket, _certificate, _vector_pinv
 from .numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
@@ -120,6 +120,19 @@ def verify_form_pinv(
 # ---------------------------------------------------------------------------
 # Vectors with a bilinear scalar product
 # ---------------------------------------------------------------------------
+
+
+def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose inverse of a vector for the standard bilinear product.
+
+    Three cases: 2v/(v,v) when (v,v) is nonzero; conj(v)/(conj(v),v) for a
+    nonzero isotropic v; zero at zero.  The isotropy decision is relative:
+    |(v,v)| <= residual_tol * (conj(v), v).  Near-isotropic vectors are
+    genuine discontinuity points of the formula.  This is the closed form of
+    the short grading so(1, d, 1), whose degree +-1 blocks are vectors.
+    """
+    v, exp = _unit_scale(_as_vector(v))
+    return _ldexp(_vector_pinv(v, tol), -exp)
 
 
 def _vector_legs(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

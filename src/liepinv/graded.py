@@ -72,13 +72,11 @@ __all__ = [
     "bracket",
     "minimal_characteristic",
     "mp_inverse_short",
-    "vector_pinv",
     "annihilates_positive_part",
     "is_mp_element",
     "orbit_height",
     "is_mp_orbit",
     "multidegree_characteristic",
-    "mp_check_multidegree",
 ]
 
 
@@ -665,21 +663,8 @@ def _as_vector(v) -> np.ndarray:
     return v
 
 
-def vector_pinv(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a vector for the standard bilinear product.
-
-    Three cases: 2v/(v,v) when (v,v) is nonzero; conj(v)/(conj(v),v) for a
-    nonzero isotropic v; zero at zero.  The isotropy decision is relative:
-    |(v,v)| <= residual_tol * (conj(v), v).  Near-isotropic vectors are
-    genuine discontinuity points of the formula.  This is the closed form of
-    the short grading so(1, d, 1), whose degree +-1 blocks are vectors.
-    """
-    v, exp = _unit_scale(_as_vector(v))
-    return _ldexp(_vector_pinv(v, tol), -exp)
-
-
 def _vector_pinv(v: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """vector_pinv of a checked vector at unit scale."""
+    """``forms.vector_pinv`` of a checked vector at unit scale."""
     herm = float(np.vdot(v, v).real)
     if herm == 0.0:
         return np.zeros_like(v)
@@ -694,7 +679,7 @@ def mp_inverse_short(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> np.
     characteristic, and in a short grading it has a closed form.  In the
     two-block gradings of sl, so and sp, the opposite block of f is the
     classical pseudoinverse of the block of e; in so(1, d, 1), the only
-    other short grading, it is :func:`vector_pinv` of the row or column of e;
+    other short grading, it is ``forms.vector_pinv`` of the row or column of e;
     both are scale-free.  The triple (e, [e, f], f) is checked, and its
     characteristic must be Hermitian.
     """
@@ -942,9 +927,3 @@ def multidegree_characteristic(
     neg, res = alg._unit_basis(np.flatnonzero(block)), alg._index_basis(j - i)
     return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), alg.blocks, tol), e, k)
 
-
-def mp_check_multidegree(
-    alg: GradedAlgebra, i: int, j: int, e, tol: Tolerance = DEFAULT_TOL
-) -> bool:
-    """Moore-Penrose property of a single-block element of a parabolic of sl_n."""
-    return multidegree_characteristic(alg, i, j, e, tol).is_hermitian

@@ -51,10 +51,6 @@ class JordanPair:
         self.basis_plus, self.basis_minus = self.index_plus.dense(), self.index_minus.dense()
         self.pairing = pairing_matrix(self)
 
-    @property
-    def dim(self) -> int:
-        return self.index_plus.count
-
     def component_of(self, x, tol: Tolerance = DEFAULT_TOL) -> int:
         """+1 or -1 depending on which component x lies in (0 for zero)."""
         return self._component(self.algebra._unit_member(x, tol)[1], tol)

@@ -46,7 +46,6 @@ __all__ = [
     "RankDecomposition",
     "rank_decomposition",
     "solve_least_squares_constrained",
-    "Quaternion",
     "QuaternionMatrix",
 ]
 
@@ -108,8 +107,6 @@ def _numbers(residuals: dict):
 def as_matrix(a, dtype=complex) -> np.ndarray:
     """Coerce to a 2-d array of the given dtype, rejecting non-finite entries."""
     m = np.array(a, dtype=dtype, order="C")
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
@@ -264,38 +261,8 @@ def solve_least_squares_constrained(
 
 
 # ---------------------------------------------------------------------------
-# Quaternions and their complex embedding
+# Quaternion matrices and their complex embedding
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Quaternion a + b*i + c*j + d*k with real components."""
-
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
-
-    def __post_init__(self):
-        if not all(np.isfinite((self.a, self.b, self.c, self.d))):
-            raise ValueError("quaternion components must be finite")
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.a + other.a, self.b + other.b,
-                          self.c + other.c, self.d + other.d)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*_hamilton(self.as_array(), other.as_array()).tolist())
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
 
 
 def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -332,17 +299,6 @@ class QuaternionMatrix:
         self.data.setflags(write=False)
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_entries(cls, entries) -> "QuaternionMatrix":
-        """Build from a nested list of Quaternion objects or 4-sequences."""
-        rows = []
-        for row in entries:
-            rows.append([
-                q.as_array() if isinstance(q, Quaternion) else np.asarray(q, float)
-                for q in row
-            ])
-        return cls(np.array(rows, dtype=float).reshape(len(rows), -1, 4))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QuaternionMatrix":

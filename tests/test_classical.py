@@ -8,7 +8,7 @@ from liepinv.classical import (
     verify_penrose,
 )
 from liepinv.errors import ShapeMismatch
-from liepinv.numcore import Quaternion, QuaternionMatrix, frob, rank_decomposition
+from liepinv.numcore import QuaternionMatrix, frob, rank_decomposition
 
 from helpers import (
     pinv_factorization,
@@ -42,9 +42,9 @@ class TestPinvExamples:
         assert pinv_real([[3.0, 4.0]]).dtype == float
 
     def test_quaternion_examples(self):
-        q = QuaternionMatrix.from_entries([[Quaternion(0, 1, 1, 0)]])
+        q = QuaternionMatrix([[[0, 1, 1, 0]]])
         out = pinv_quaternion(q)
-        expected = QuaternionMatrix.from_entries([[Quaternion(0, -0.5, -0.5, 0)]])
+        expected = QuaternionMatrix([[[0, -0.5, -0.5, 0]]])
         assert out.allclose(expected)
         eye = QuaternionMatrix.eye(2)
         assert pinv_quaternion(eye).allclose(eye)

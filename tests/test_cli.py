@@ -27,16 +27,17 @@ from liepinv.cli import (
     run_job,
     to_json,
 )
-from liepinv import classical, cli, graded, homform
+from liepinv import classical, cli, forms, graded, homform
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra, orbit_height
-from liepinv.numcore import Tolerance, frob
+from liepinv.numcore import QuaternionMatrix, Report, Tolerance, frob
 import regen_goldens
 from helpers import (
     compare_documents,
     ill_conditioned_sp8_conjugate,
     random_complex,
     random_matrix_with_rank,
+    random_quaternion_matrix,
     reference_format_float,
     reference_to_json,
     standard_form,
@@ -77,20 +78,61 @@ class TestGoldenFiles:
         definition = f"input.{command}" if kind == "in" else "output"
         validate(json.loads(path.read_text()), definition)
 
-    @pytest.mark.parametrize("command, doc, code", [
-        ("pinv", {"matrix": [[True]]}, EXIT_INPUT),
+    # doc is written as JSON, a str as it is, and None leaves the input file unwritten;
+    # the error must contain ``named``, in which {path} is the input file
+    @pytest.mark.parametrize("command, doc, code, named", [
+        ("pinv", {"matrix": [[True]]}, EXIT_INPUT, "matrix[0][0]"),
         # the inverse of the least subnormal is beyond the float range: not writable
-        ("pinv", {"field": "complex", "matrix": [[5e-324]]}, EXIT_VERIFY),
+        ("pinv", {"field": "complex", "matrix": [[5e-324]]}, EXIT_VERIFY, "non-finite"),
         ("homform", {"form": {"symmetry": "symmetric", "gram": np.eye(4).tolist()},
                      "map": encode_complex_matrix(homform.generic_orbit_map(
-                         standard_form("symmetric", 4), 2, 1, 3)).tolist()}, EXIT_NO_INVERSE),
-    ], ids=["input", "verify", "no-inverse"])
-    def test_error_documents_match_schema(self, tmp_path, command, doc, code):
+                         standard_form("symmetric", 4), 2, 1, 3)).tolist()}, EXIT_NO_INVERSE,
+         "not Moore-Penrose"),
+        ("pinv", None, EXIT_INPUT, "cannot read {path}: "),
+        ("pinv", "[[1, 2]]", EXIT_INPUT, "{path}: top level must be an object"),
+        ("complex-pinv", {"sizes": [1, 2], "maps": [5]}, EXIT_INPUT,
+         "maps[0]: expected a nested array"),
+        ("complex-pinv", {"sizes": [2], "maps": []}, EXIT_INPUT, "sizes"),
+        ("pinv", {"field": "octonion", "matrix": [[1]]}, EXIT_INPUT,
+         "field 'field' must be 'complex', 'real' or 'quaternion', got 'octonion'"),
+    ], ids=["input", "verify", "no-inverse", "unreadable", "top-level-array", "map-number",
+            "one-size", "unknown-field"])
+    def test_error_documents_match_schema(self, tmp_path, command, doc, code, named):
         path, out = tmp_path / "doc.json", tmp_path / "out.json"
-        path.write_text(json.dumps(doc))
+        if doc is not None:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert main([command, str(path), "--output", str(out)]) == code
         document = json.loads(out.read_text())
         assert "error" in document and "result" not in document
+        assert named.format(path=path) in document["error"], document["error"]
+        validate(document, "output")
+
+    @pytest.mark.parametrize("command, shape", [("pinv", (2, 3)), ("hermitian-pinv", (3, 3))])
+    def test_quaternion_jobs(self, tmp_path, command, shape):
+        q = random_quaternion_matrix(np.random.default_rng(23), *shape)
+        if command == "pinv":
+            want = classical.pinv_quaternion(q)
+        else:
+            q = QuaternionMatrix(q.data + q.conjugate_transpose().data)
+            want = forms.hermitian_pinv(q)
+        path, out = tmp_path / "doc.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"field": "quaternion", "matrix": q.data.tolist()}))
+        assert main([command, str(path), "--output", str(out)]) == EXIT_OK
+        document = json.loads(out.read_text())
+        assert document["passed"], document
+        got = np.array(document["result"]["pinv"])
+        assert got.shape == (shape[1], shape[0], 4)
+        assert frob(got - want.data) <= 1e-12
+        validate(document, "output")
+
+    def test_unwritable_result_exits_two(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(COMMANDS, "pinv", lambda doc, job: (
+            {"pinv": np.array([[np.inf]])}, Report({}, passed=True)))
+        out = tmp_path / "out.json"
+        assert main(["pinv", str(GOLDEN / "pinv.in.json"), "--output", str(out)]) == EXIT_VERIFY
+        document = json.loads(out.read_text())
+        assert list(document) == ["command", "tolerance", "error"]
+        assert document["error"].startswith("result cannot be written: ")
         validate(document, "output")
 
 

@@ -6,7 +6,6 @@ from liepinv.errors import EmbeddingMismatch, InconsistentConstraints, ShapeMism
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import (
     DEFAULT_TOL,
-    Quaternion,
     QuaternionMatrix,
     Report,
     Tolerance,
@@ -219,18 +218,26 @@ class TestConstrainedLeastSquares:
 
 
 class TestQuaternions:
+    @staticmethod
+    def scalar(a, b, c, d) -> QuaternionMatrix:
+        """The quaternion a + b i + c j + d k as a 1x1 matrix."""
+        return QuaternionMatrix([[[a, b, c, d]]])
+
     def test_hamilton_table(self):
-        i = Quaternion(0, 1, 0, 0)
-        j = Quaternion(0, 0, 1, 0)
-        k = Quaternion(0, 0, 0, 1)
-        assert i * j == k
-        assert j * k == i
-        assert k * i == j
-        assert i * i == Quaternion(-1, 0, 0, 0)
+        one, i, j, k = (self.scalar(*row) for row in np.eye(4))
+        assert np.array_equal((i @ j).data, k.data)
+        assert np.array_equal((j @ k).data, i.data)
+        assert np.array_equal((k @ i).data, j.data)
+        assert np.array_equal((j @ i).data, -k.data)
+        for unit in (i, j, k):
+            assert np.array_equal((unit @ unit).data, -one.data)
 
     def test_conjugation_involution(self):
-        q = Quaternion(1.0, -2.0, 3.0, 0.5)
-        assert q.conjugate().conjugate() == q
+        q = self.scalar(1.0, -2.0, 3.0, 0.5)
+        assert np.array_equal(q.conjugate_transpose().data, [[[1.0, 2.0, -3.0, -0.5]]])
+        assert np.array_equal(q.conjugate_transpose().conjugate_transpose().data, q.data)
+        # q q* = |q|^2, real
+        assert np.array_equal((q @ q.conjugate_transpose()).data, [[[14.25, 0, 0, 0]]])
 
     def test_embedding_is_homomorphism(self):
         rng = np.random.default_rng(12)
