@@ -276,6 +276,14 @@ def _integer(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _named(where: str, build, *args):
+    """``build(*args)``, with an input error it raises re-raised naming the field ``where``."""
+    try:
+        return build(*args)
+    except ValueError as exc:  # the package's input errors; its ArithmeticErrors exit 2
+        raise InputError(f"field {where!r}: {exc}") from exc
+
+
 def _symmetry(doc: dict, where: str) -> str:
     symmetry = _field(doc, where, str, required=True)
     if symmetry not in (forms.SYMMETRIC, forms.SKEW):
@@ -287,15 +295,13 @@ def _algebra_from(doc: dict) -> graded.GradedAlgebra:
     kind = _field(doc, "algebra", str, required=True)
     blocks = _field(doc, "blocks", list, required=True)
     blocks = [_integer(d, f"blocks[{i}]", 1) for i, d in enumerate(blocks)]
-    try:
-        return graded.GradedAlgebra(kind, blocks)
-    except (ValueError, LiepinvError) as exc:
-        raise InputError(f"invalid algebra: {exc}") from exc
+    return _named("algebra", graded.GradedAlgebra, kind, blocks)
 
 
-def _graded_element(doc: dict, job: JobSpec) -> tuple[graded.GradedAlgebra, np.ndarray]:
+def _graded_element(doc: dict) -> tuple[graded.GradedAlgebra, np.ndarray]:
     alg = _algebra_from(doc)
-    return alg, decode_complex_matrix(_field(doc, "element", list, required=True), "element")
+    e = decode_complex_matrix(_field(doc, "element", list, required=True), "element")
+    return alg, _named("element", alg._check_ambient, e)
 
 
 def _field_matrix(doc: dict) -> tuple[str, np.ndarray | QuaternionMatrix]:
@@ -332,7 +338,7 @@ def _cmd_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 def _cmd_form_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     symmetry = _symmetry(doc, "symmetry")
     gram = decode_complex_matrix(_field(doc, "gram", list, required=True), "gram")
-    form = forms.BilinearForm(symmetry, gram)
+    form = _named("gram", forms.BilinearForm, symmetry, gram)
     out = forms.form_pinv(form, job.tol)
     result = {"symmetry": out.symmetry, "gram": encode_complex_matrix(out.gram)}
     return result, forms.verify_form_pinv(form, out, job.tol)
@@ -376,7 +382,7 @@ def _minimality_defect(
 
 
 def _characteristic(doc: dict, job: JobSpec):
-    alg, e = _graded_element(doc, job)
+    alg, e = _graded_element(doc)
     degree = _field(doc, "degree")
     if degree is not None:
         _integer(degree, "degree")
@@ -418,13 +424,13 @@ def _cmd_mp_element(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 
 def _cmd_orbit_height(doc: dict, job: JobSpec) -> tuple[dict, Report]:
-    alg, e = _graded_element(doc, job)
+    alg, e = _graded_element(doc)
     return {"height": graded.orbit_height(alg, e, job.tol)}, Report({}, passed=True)
 
 
 def _cmd_mp_orbit(doc: dict, job: JobSpec) -> tuple[dict, Report]:
-    alg, e = _graded_element(doc, job)
-    if not alg._check_ambient(e).any():
+    alg, e = _graded_element(doc)
+    if not e.any():
         raise ZeroElement("the zero element does not generate a nilpotent orbit")
     height = graded.orbit_height(alg, e, job.tol)
     return {"is_mp_orbit": height == 2, "height": height}, Report({}, passed=True)
@@ -434,7 +440,7 @@ def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     form_doc = _field(doc, "form", dict, required=True)
     symmetry = _symmetry(form_doc, "form.symmetry")
     gram = decode_complex_matrix(_field(form_doc, "form.gram", list, required=True), "form.gram")
-    form = forms.BilinearForm(symmetry, gram)
+    form = _named("form.gram", forms.BilinearForm, symmetry, gram)
     f_mat = decode_complex_matrix(_field(doc, "map", list, required=True), "map")
     g_mat, label, report = homform.mp_inverse_homform(form, f_mat, job.tol)
     result = {
@@ -447,9 +453,11 @@ def _cmd_homform(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 def _cmd_complex_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     sizes = _field(doc, "sizes", list, required=True)
     sizes = [_integer(d, f"sizes[{i}]", 1) for i, d in enumerate(sizes)]
+    if len(sizes) < 2:
+        raise InputError(f"field 'sizes' must hold at least two sizes, got {sizes}")
     maps_doc = _field(doc, "maps", list, required=True)
     maps = [decode_complex_matrix(m, f"maps[{i}]") for i, m in enumerate(maps_doc)]
-    tup = complexes.ChainTuple(tuple(sizes), tuple(maps))
+    tup = _named("maps", complexes.ChainTuple, tuple(sizes), tuple(maps))
     out, cert = complexes.complex_pinv(tup, job.tol)
     result = {
         "sizes": [int(d) for d in out.sizes],
@@ -460,8 +468,8 @@ def _cmd_complex_pinv(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 
 def _cmd_jordan_mp(doc: dict, job: JobSpec) -> tuple[dict, Report]:
-    alg, a = _graded_element(doc, job)
-    pair = jordan.JordanPair(alg)
+    alg, a = _graded_element(doc)
+    pair = _named("blocks", jordan.JordanPair, alg)
     inv = jordan.standard_cartan_involution(pair)
     x, report = jordan.mp_inverse_jordan(pair, inv, a, job.tol)
     return {"inverse": encode_complex_matrix(x)}, report

@@ -93,16 +93,12 @@ def form_pinv(form: BilinearForm, tol: Tolerance = DEFAULT_TOL) -> BilinearForm:
     The inverse of the form W induces on the annihilator of its kernel,
     extended by zero, satisfies the Penrose conditions with W, so by
     uniqueness it is pinv(W); its symmetry class, kept up to roundoff, is
-    checked on pinv(W / 2**k) and then imposed.
+    imposed on pinv(W / 2**k) by averaging.  Where roundoff has broken the
+    class, the average fails the Penrose gate of :func:`verify_form_pinv`.
     """
     unit, k = _unit_scale(form.gram)
     w_plus = _pinv(unit, tol)[0]
     sign = 1.0 if form.symmetry == SYMMETRIC else -1.0
-    sym_defect = frob(w_plus.T - sign * w_plus)
-    if sym_defect > tol.residual_tol * (1.0 + frob(w_plus)):
-        raise SymmetryViolation(
-            f"inverse form lost its symmetry class (defect {sym_defect:.3e})"
-        )
     return BilinearForm(form.symmetry, _ldexp((w_plus + sign * w_plus.T) / 2.0, -k))
 
 

@@ -265,21 +265,6 @@ def solve_least_squares_constrained(
 # ---------------------------------------------------------------------------
 
 
-def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Componentwise Hamilton product of (..., 4) arrays."""
-    a1, b1, c1, d1 = np.moveaxis(p, -1, 0)
-    a2, b2, c2, d2 = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ],
-        axis=-1,
-    )
-
-
 class QuaternionMatrix:
     """Dense quaternion matrix stored as a (rows, cols, 4) float array.
 
@@ -298,45 +283,9 @@ class QuaternionMatrix:
         self.data = arr
         self.data.setflags(write=False)
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QuaternionMatrix":
-        return cls(np.zeros((rows, cols, 4)))
-
-    @classmethod
-    def eye(cls, n: int) -> "QuaternionMatrix":
-        data = np.zeros((n, n, 4))
-        data[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(data)
-
-    # -- basic structure ---------------------------------------------------
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape[0], self.data.shape[1]
-
-    def conjugate_transpose(self) -> "QuaternionMatrix":
-        out = np.transpose(self.data, (1, 0, 2)).copy()
-        out[..., 1:] *= -1.0
-        return QuaternionMatrix(out)
-
-    def __matmul__(self, other: "QuaternionMatrix") -> "QuaternionMatrix":
-        if self.shape[1] != other.shape[0]:
-            raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        # sum_k p[i,k] * q[k,j], Hamilton product per term
-        prod = _hamilton(self.data[:, :, None, :], other.data[None, :, :, :])
-        return QuaternionMatrix(prod.sum(axis=1))
-
-    def norm(self) -> float:
-        return frob(self.data)
-
-    def allclose(self, other: "QuaternionMatrix", atol: float = 1e-12) -> bool:
-        return self.shape == other.shape and bool(
-            np.allclose(self.data, other.data, atol=atol)
-        )
-
-    # -- complex embedding -------------------------------------------------
 
     def embed(self) -> np.ndarray:
         """Complex matrix of shape (2*rows, 2*cols) realizing this matrix."""

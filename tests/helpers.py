@@ -48,6 +48,24 @@ def random_quaternion_matrix(rng, rows: int, cols: int) -> QuaternionMatrix:
     return QuaternionMatrix(rng.standard_normal((rows, cols, 4)))
 
 
+def quaternion_matmul(p: QuaternionMatrix, q: QuaternionMatrix) -> QuaternionMatrix:
+    """p q by Hamilton products of the entries: the oracle for "embed is multiplicative"."""
+    a1, b1, c1, d1 = np.moveaxis(p.data[:, :, None, :], -1, 0)
+    a2, b2, c2, d2 = np.moveaxis(q.data[None, :, :, :], -1, 0)
+    prod = np.stack([
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    ], axis=-1)
+    return QuaternionMatrix(prod.sum(axis=1))
+
+
+def quaternion_adjoint(q: QuaternionMatrix) -> QuaternionMatrix:
+    """Quaternionic conjugate transpose: transpose, and negate the i, j, k parts."""
+    return QuaternionMatrix(np.transpose(q.data, (1, 0, 2)) * [1.0, -1.0, -1.0, -1.0])
+
+
 def compact_group_element(alg: GradedAlgebra, rng, scale: float = 0.5) -> np.ndarray:
     """exp of a random skew-Hermitian degree-0 element: unitary, grading-preserving."""
     x = alg.random_element(0, rng) * scale

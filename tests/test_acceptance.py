@@ -43,6 +43,8 @@ from helpers import (
     jordan_nilpotent,
     partitions,
     pinv_factorization,
+    quaternion_adjoint,
+    quaternion_matmul,
     random_complex,
     random_exact_complex,
     random_matrix_with_rank,
@@ -351,8 +353,8 @@ def test_criterion_12_real_quaternionic_and_indefinite_formulas():
             base - base.conj().T,
             (real_base + real_base.T).astype(complex),
             (real_base - real_base.T).astype(complex),
-            quat_base @ quat_base.conjugate_transpose(),
-            QuaternionMatrix(quat_base.data - quat_base.conjugate_transpose().data),
+            quaternion_matmul(quat_base, quaternion_adjoint(quat_base)),
+            QuaternionMatrix(quat_base.data - quaternion_adjoint(quat_base).data),
         ]
         for mat in structured:
             inv = forms.hermitian_pinv(mat)

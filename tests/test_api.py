@@ -34,3 +34,11 @@ def test_star_import_binds_exactly_all():
 def test_as_matrix_rejects_other_ranks(shape):
     with pytest.raises(ShapeMismatch, match=f"ndim={len(shape)}"):
         as_matrix(np.zeros(shape))
+
+
+def test_quaternion_matrix_keeps_only_its_boundary():
+    """Shape checks, the complex embedding and its inverse: the algebra runs on embed()."""
+    q = numcore.QuaternionMatrix(np.zeros((1, 2, 4)))
+    assert {name for name in dir(q) if not name.startswith("_")} == {
+        "data", "shape", "embed", "from_embedding"}
+    assert not hasattr(numcore, "_hamilton")

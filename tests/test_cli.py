@@ -35,6 +35,7 @@ import regen_goldens
 from helpers import (
     compare_documents,
     ill_conditioned_sp8_conjugate,
+    quaternion_adjoint,
     random_complex,
     random_matrix_with_rank,
     random_quaternion_matrix,
@@ -95,8 +96,25 @@ class TestGoldenFiles:
         ("complex-pinv", {"sizes": [2], "maps": []}, EXIT_INPUT, "sizes"),
         ("pinv", {"field": "octonion", "matrix": [[1]]}, EXIT_INPUT,
          "field 'field' must be 'complex', 'real' or 'quaternion', got 'octonion'"),
+        ("form-pinv", {"symmetry": "skew", "gram": [[0, 1]]}, EXIT_INPUT,
+         "field 'gram': Gram matrix must be square"),
+        ("form-pinv", {"symmetry": "skew", "gram": [[1, 0], [0, 1]]}, EXIT_INPUT,
+         "field 'gram': Gram matrix is not skew"),
+        ("homform", {"form": {"symmetry": "skew", "gram": [[0, 1]]}, "map": [[1]]}, EXIT_INPUT,
+         "field 'form.gram': Gram matrix must be square"),
+        ("homform", {"form": {"symmetry": "skew", "gram": [[1, 0], [0, 1]]}, "map": [[1], [0]]},
+         EXIT_INPUT, "field 'form.gram': Gram matrix is not skew"),
+        ("mp-orbit", {"algebra": "sl", "blocks": [2, 2], "element": [[1, 0, 0, 0]] * 2},
+         EXIT_INPUT, "field 'element': expected an ambient 4x4 matrix, got (2, 4)"),
+        ("complex-pinv", {"sizes": [2, 2], "maps": [[[1, 0]]]}, EXIT_INPUT,
+         "field 'maps': map 1 must be (2, 2), got (1, 2)"),
+        ("complex-pinv", {"sizes": [1, 1, 1], "maps": [[[1]]]}, EXIT_INPUT,
+         "field 'maps': 3 sizes require 2 maps"),
+        ("jordan-mp", {"algebra": "sl", "blocks": [1, 1, 1], "element": [[0] * 3] * 3},
+         EXIT_INPUT, "field 'blocks': GradedAlgebra("),
     ], ids=["input", "verify", "no-inverse", "unreadable", "top-level-array", "map-number",
-            "one-size", "unknown-field"])
+            "one-size", "unknown-field", "gram-square", "gram-skew", "form-gram-square",
+            "form-gram-skew", "element-shape", "map-shape", "map-count", "jordan-blocks"])
     def test_error_documents_match_schema(self, tmp_path, command, doc, code, named):
         path, out = tmp_path / "doc.json", tmp_path / "out.json"
         if doc is not None:
@@ -113,7 +131,7 @@ class TestGoldenFiles:
         if command == "pinv":
             want = classical.pinv_quaternion(q)
         else:
-            q = QuaternionMatrix(q.data + q.conjugate_transpose().data)
+            q = QuaternionMatrix(q.data + quaternion_adjoint(q).data)
             want = forms.hermitian_pinv(q)
         path, out = tmp_path / "doc.json", tmp_path / "out.json"
         path.write_text(json.dumps({"field": "quaternion", "matrix": q.data.tolist()}))

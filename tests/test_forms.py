@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from liepinv.cli import EXIT_OK, EXIT_VERIFY, JobSpec, run_job
 from liepinv.errors import ShapeMismatch, SymmetryViolation
 from liepinv import forms
 from liepinv.forms import (
@@ -27,6 +30,8 @@ from helpers import (
     pseudo_euclidean_pinv_formula,
     pseudo_legs_by_hand,
     pseudo_report_by_hand,
+    quaternion_adjoint,
+    quaternion_matmul,
     random_complex,
     random_matrix_with_rank,
     random_quaternion_matrix,
@@ -46,10 +51,18 @@ class TestFormPinv:
         assert out.symmetry == SYMMETRIC
         assert frob(out.gram - np.diag([0.5, 0.0])) < 1e-12
 
-    def test_skew_invertible(self):
+    def test_skew_invertible(self, tmp_path):
         j = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
         out = form_pinv(BilinearForm(SKEW, j))
         assert frob(out.gram + j) < 1e-12
+        # Q B Q^T, B with 2x2 blocks +-s: at cond 1e9 roundoff breaks the skew class of
+        # pinv(W), and the averaged inverse fails the Penrose gate, a numerical failure
+        q = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 12)))[0]
+        path = tmp_path / "form.json"
+        for top, code in ((7, EXIT_OK), (9, EXIT_VERIFY)):
+            b = np.kron(np.diag(np.logspace(0, top, 6)), j.real)
+            path.write_text(json.dumps({"symmetry": SKEW, "gram": (q @ b @ q.T).tolist()}))
+            assert run_job(JobSpec("form-pinv", str(path)))[0] == code
 
     def test_zero_form(self):
         out = form_pinv(BilinearForm(SYMMETRIC, np.zeros((3, 3))))
@@ -280,7 +293,7 @@ class TestHermitianPinv:
             with pytest.raises(ShapeMismatch, match="square"):
                 hermitian_pinv(a)
             with pytest.raises(ShapeMismatch, match="square"):
-                x = a.conjugate_transpose() if isinstance(a, QuaternionMatrix) else a.T
+                x = quaternion_adjoint(a) if isinstance(a, QuaternionMatrix) else a.T
                 verify_hermitian_pinv(a, x)
 
     def test_commutator_property(self):
@@ -306,6 +319,6 @@ class TestHermitianPinv:
     def test_quaternion_hermitian(self):
         rng = np.random.default_rng(79)
         q = random_quaternion_matrix(rng, 3, 3)
-        a = q @ q.conjugate_transpose()
+        a = quaternion_matmul(q, quaternion_adjoint(q))
         x = hermitian_pinv(a)
         assert verify_hermitian_pinv(a, x).passed

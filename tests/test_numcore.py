@@ -16,6 +16,8 @@ from liepinv.numcore import (
 )
 
 from helpers import (
+    quaternion_adjoint,
+    quaternion_matmul,
     random_complex,
     random_matrix_with_rank,
     random_quaternion_matrix,
@@ -225,26 +227,27 @@ class TestQuaternions:
 
     def test_hamilton_table(self):
         one, i, j, k = (self.scalar(*row) for row in np.eye(4))
-        assert np.array_equal((i @ j).data, k.data)
-        assert np.array_equal((j @ k).data, i.data)
-        assert np.array_equal((k @ i).data, j.data)
-        assert np.array_equal((j @ i).data, -k.data)
+        assert np.array_equal(quaternion_matmul(i, j).data, k.data)
+        assert np.array_equal(quaternion_matmul(j, k).data, i.data)
+        assert np.array_equal(quaternion_matmul(k, i).data, j.data)
+        assert np.array_equal(quaternion_matmul(j, i).data, -k.data)
         for unit in (i, j, k):
-            assert np.array_equal((unit @ unit).data, -one.data)
+            assert np.array_equal(quaternion_matmul(unit, unit).data, -one.data)
 
     def test_conjugation_involution(self):
         q = self.scalar(1.0, -2.0, 3.0, 0.5)
-        assert np.array_equal(q.conjugate_transpose().data, [[[1.0, 2.0, -3.0, -0.5]]])
-        assert np.array_equal(q.conjugate_transpose().conjugate_transpose().data, q.data)
+        assert np.array_equal(quaternion_adjoint(q).data, [[[1.0, 2.0, -3.0, -0.5]]])
+        assert np.array_equal(quaternion_adjoint(quaternion_adjoint(q)).data, q.data)
         # q q* = |q|^2, real
-        assert np.array_equal((q @ q.conjugate_transpose()).data, [[[14.25, 0, 0, 0]]])
+        square = quaternion_matmul(q, quaternion_adjoint(q))
+        assert np.array_equal(square.data, [[[14.25, 0, 0, 0]]])
 
     def test_embedding_is_homomorphism(self):
         rng = np.random.default_rng(12)
         for rows, inner, cols in [(1, 1, 1), (2, 3, 2), (4, 2, 4), (3, 4, 4)]:
             p = random_quaternion_matrix(rng, rows, inner)
             q = random_quaternion_matrix(rng, inner, cols)
-            lhs = (p @ q).embed()
+            lhs = quaternion_matmul(p, q).embed()
             rhs = p.embed() @ q.embed()
             assert frob(lhs - rhs) < 1e-12 * (1.0 + frob(rhs))
 
@@ -252,12 +255,12 @@ class TestQuaternions:
         rng = np.random.default_rng(13)
         for _ in range(5):
             p = random_quaternion_matrix(rng, 3, 4)
-            assert frob(p.conjugate_transpose().embed() - p.embed().conj().T) < 1e-13
+            assert frob(quaternion_adjoint(p).embed() - p.embed().conj().T) < 1e-13
 
     def test_embedding_roundtrip(self):
         rng = np.random.default_rng(14)
         p = random_quaternion_matrix(rng, 2, 3)
-        assert QuaternionMatrix.from_embedding(p.embed()).allclose(p)
+        assert frob(QuaternionMatrix.from_embedding(p.embed()).data - p.data) <= 1e-12
 
     def test_from_embedding_rejects_garbage(self):
         rng = np.random.default_rng(15)
