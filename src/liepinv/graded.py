@@ -11,7 +11,11 @@ compact form of the degree-0 part.  The split form is a signed permutation,
 so the orthonormal homogeneous basis comes from index arithmetic: unit
 matrices, unit pairs tied by the form, and for sl the Helmert rows of the
 traceless diagonal.  Coordinates are gathers, and a bracket with a basis
-element touches one row and one column.
+element touches one row and one column.  Everything that depends on (kind,
+blocks) alone is built once per process and shared, read-only, by every
+instance of that algebra: the unit tables, each basis the first time it is
+used, and the values other modules derive from them (the Jordan pair's bases,
+pairing and standard involution).
 
 On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
 completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
@@ -96,6 +100,12 @@ def _square_pair(x: np.ndarray, y: np.ndarray) -> None:
         raise ShapeMismatch(f"bracket needs equal square shapes, got {x.shape}, {y.shape}")
 
 
+def _readonly(*arrays: np.ndarray) -> None:
+    """Make arrays that instances share read-only, so that no caller can corrupt them."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 class _IndexBasis:
     """An orthonormal basis of real n x n matrices stored as index arrays.
 
@@ -105,7 +115,9 @@ class _IndexBasis:
     after them are the rows of the dense block ``cartan`` put on the diagonal
     (for sl, the Helmert rows of the traceless diagonal).  Coordinates are
     gathers, combinations scatters, and the bracket with a matrix touches one
-    row and one column per unit.
+    row and one column per unit: ``scatters`` holds the rows a, columns b and
+    weights of E_ab for the units and, if any, their partners.  A basis may be
+    shared by every algebra of its kind, so its arrays are read-only.
     """
 
     def __init__(self, n: int, pos, partner, weight, pweight, cartan=None):
@@ -113,6 +125,9 @@ class _IndexBasis:
         self.cartan = np.zeros((0, n)) if cartan is None else cartan
         self.n, self.units, self.count = n, pos.size, pos.size + self.cartan.shape[0]
         self.paired = bool(np.any(pweight))
+        pairs = ((pos, weight), (partner, pweight))[: 1 + self.paired]
+        self.scatters = [(*np.divmod(p, n), w) for p, w in pairs]
+        _readonly(pos, partner, weight, pweight, self.cartan, *sum(self.scatters, ()))
 
     def coords(self, stack: np.ndarray) -> np.ndarray:
         """Coordinates of each matrix of a (..., n, n) stack, shape (..., count)."""
@@ -137,8 +152,7 @@ class _IndexBasis:
         """The stack of [x, b_k]: x E_ab is column a of x put in column b, E_ab x row b in row a."""
         out = np.zeros((self.count, self.n, self.n), dtype=complex)
         k = np.arange(self.units)
-        for pos, w in ((self.pos, self.weight), (self.partner, self.pweight))[: 1 + self.paired]:
-            a, b = np.divmod(pos, self.n)
+        for a, b, w in self.scatters:
             out[k, :, b] += w[:, None] * x[:, a].T
             out[k, a, :] -= w[:, None] * x[b, :]
         d = self.cartan  # [x, diag(d)] = x_ij (d_j - d_i)
@@ -157,6 +171,25 @@ class _IndexBasis:
         return out.reshape(self.count, self.n, self.n)
 
 
+class _Record:
+    """What every GradedAlgebra(kind, blocks) of a process shares, built by the first one.
+
+    ``tables`` holds the unit tables by instance attribute name, ``bases`` each
+    _IndexBasis built so far by degree (None for the whole algebra), and ``derived``
+    the values that other modules compute from the algebra alone, by name (see
+    :meth:`GradedAlgebra._derived`).  Every array in it is read-only.  Entries are
+    published with dict.setdefault, so threads racing on a first build keep one
+    value; their builds are identical.
+    """
+
+    def __init__(self, tables: dict):
+        _readonly(*(value for value in tables.values() if isinstance(value, np.ndarray)))
+        self.tables, self.bases, self.derived = tables, {}, {}
+
+
+_RECORDS: dict[tuple[str, tuple[int, ...]], _Record] = {}
+
+
 class GradedAlgebra:
     """A classical matrix Lie algebra with a block Z-grading.
 
@@ -173,10 +206,13 @@ class GradedAlgebra:
     for each other tau-pair; for sl the off-diagonal units of degree m and, at
     m = 0, the n - 1 Helmert rows of the traceless diagonal.
 
-    Construction takes the dimension of every degree from one count of the
-    unit table; the basis of a degree (or of the whole algebra) is built on
-    first use and kept on the instance.  Threads sharing one algebra may
-    build a basis twice; the two copies are identical arrays.
+    Construction validates kind and blocks on every call.  The unit tables,
+    with the dimension of every degree from one count of them, are built once
+    per process for each (kind, blocks) and shared, read-only, by every
+    instance of it.  So is the basis of a degree (or of the whole algebra): it
+    is built on first use in the process, and an instance holds it from its own
+    first use on.  Threads racing on a first build keep one copy; the copies
+    are identical.  :meth:`basis` returns a fresh, writable stack.
     """
 
     def __init__(self, kind: str, blocks):
@@ -197,10 +233,11 @@ class GradedAlgebra:
             if kind == "sp" and k % 2 == 1 and blocks[k // 2] % 2 != 0:
                 raise ValueError("sp grading needs an even-sized middle block")
 
-        starts = np.concatenate([[0], np.cumsum(blocks)])
-        self._starts = starts
-        self._block_of = np.repeat(np.arange(k), blocks)
-        self._build_basis()
+        record = _RECORDS.get((kind, blocks))
+        if record is None:  # the first instance of this algebra in the process
+            record = _RECORDS.setdefault((kind, blocks), self._build_basis())
+        vars(self).update(record.tables)
+        self._record, self._bases = record, {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -232,8 +269,11 @@ class GradedAlgebra:
         flat = x.reshape(*x.shape[:-2], self.ambient_dim**2)
         return (self._tau_sign * flat[..., self._partner]).reshape(x.shape)
 
-    def _build_basis(self):
+    def _build_basis(self) -> _Record:
+        """A new record of the unit tables: the private attributes this sets on the instance."""
         n, k = self.ambient_dim, len(self.blocks)
+        self._starts = np.concatenate([[0], np.cumsum(self.blocks)])
+        self._block_of = np.repeat(np.arange(k), self.blocks)
         unit = np.arange(n * n)
         a, b = np.divmod(unit, n)
         degree = self._block_of[b] - self._block_of[a]
@@ -261,10 +301,10 @@ class GradedAlgebra:
         self._runs[None] = slice(None)
         count[k - 1] += self._helmert.shape[0]
         self._dims = {m: int(c) for m, c in zip(range(1 - k, k), count)}
-        self._bases: dict[int | None, _IndexBasis] = {}
         expected = {"sl": n * n - 1, "so": n * (n - 1) // 2, "sp": n * (n + 1) // 2}[self.kind]
         if self.dim != expected:
             raise AssertionError(f"basis construction produced dim {self.dim}, expected {expected}")
+        return _Record({name: value for name, value in vars(self).items() if name.startswith("_")})
 
     def _unit_basis(self, units: np.ndarray, cartan=None) -> _IndexBasis:
         """The basis elements that start at the given unit positions, then ``cartan``."""
@@ -272,15 +312,30 @@ class GradedAlgebra:
                            self._pweight[units], cartan)
 
     def _index_basis(self, m: int | None = None) -> _IndexBasis:
-        """The index-array basis of g_m, or of the whole algebra for m=None, built on first use."""
+        """The index-array basis of g_m, or of the whole algebra for m=None: the record's,
+        built on its first use in the process, and held by the instance from its own."""
         basis = self._bases.get(m)
         if basis is None:
             run = self._runs.get(m)
             if run is None:  # no such degree
                 return self._unit_basis(self._units[:0])
-            cartan = self._helmert if m in (None, 0) else None
-            basis = self._bases[m] = self._unit_basis(self._units[run], cartan)
+            basis = self._record.bases.get(m)
+            if basis is None:
+                cartan = self._helmert if m in (None, 0) else None
+                basis = self._record.bases.setdefault(m, self._unit_basis(self._units[run], cartan))
+            self._bases[m] = basis
         return basis
+
+    def _derived(self, name: str, build):
+        """The array, or tuple of arrays, ``build()`` that depends on this algebra alone:
+        built on the first call in the process, made read-only and kept in the record
+        under ``name``, then shared."""
+        value = self._record.derived.get(name)
+        if value is None:
+            value = build()
+            _readonly(*(value if isinstance(value, tuple) else (value,)))
+            value = self._record.derived.setdefault(name, value)
+        return value
 
     # -- structure -----------------------------------------------------------
 

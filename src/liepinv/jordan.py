@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotShortGrading, WrongComponent
 from .graded import GradedAlgebra, _bracket, _mp_inverse_short, bracket
-from .numcore import DEFAULT_TOL, Report, Tolerance, _ldexp, _unit_pair, as_matrix, frob
+from .numcore import DEFAULT_TOL, Report, Tolerance, _ldexp, as_matrix, frob
 
 __all__ = [
     "JordanPair",
@@ -39,7 +39,11 @@ __all__ = [
 
 
 class JordanPair:
-    """The pair (V+, V-) = (g_{+1}, g_{-1}) of a short graded algebra."""
+    """The pair (V+, V-) = (g_{+1}, g_{-1}) of a short graded algebra.
+
+    The dense bases ``basis_plus`` and ``basis_minus`` and the ``pairing`` depend on
+    the algebra alone: they are built once per process and shared, read-only.
+    """
 
     def __init__(self, algebra: GradedAlgebra):
         if not algebra.is_short:
@@ -48,7 +52,8 @@ class JordanPair:
             raise NotShortGrading(f"{algebra!r} has trivial degree +1 part")
         self.algebra = algebra
         self.index_plus, self.index_minus = algebra._index_basis(1), algebra._index_basis(-1)
-        self.basis_plus, self.basis_minus = self.index_plus.dense(), self.index_minus.dense()
+        self.basis_plus, self.basis_minus = algebra._derived(
+            "jordan.bases", lambda: (self.index_plus.dense(), self.index_minus.dense()))
         self.pairing = pairing_matrix(self)
 
     def component_of(self, x, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -112,11 +117,13 @@ def pairing_matrix(pair: JordanPair) -> np.ndarray:
     """Matrix K[i, j] = B(b+_i, b-_j) of the Killing pairing in the fixed bases.
 
     Closed form K[i, j] = c Tr(b+_i b-_j) / 4: a short grading has no degree +-2,
-    so B is a quarter of the Killing form c Tr(xy).
+    so B is a quarter of the Killing form c Tr(xy).  K depends on the algebra alone:
+    it is built once per process and shared, read-only.
     """
     # the basis is real, so Tr(b M) is the coordinate along b of M^T
     c = pair.algebra.killing_constant
-    return c / 4.0 * pair.index_minus.coords(pair.basis_plus.transpose(0, 2, 1))
+    return pair.algebra._derived(
+        "jordan.pairing", lambda: c / 4.0 * pair.index_minus.coords(pair.basis_plus.transpose(0, 2, 1)))
 
 
 @dataclass(frozen=True)
@@ -140,24 +147,30 @@ class CartanInvolution:
         return pair.from_coords(mat @ pair._index(sign).coords(x).conj(), -sign)
 
 
-def _involution_from_map(pair: JordanPair, apply) -> CartanInvolution:
+def _involution_matrices(pair: JordanPair, apply) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate matrices of a map that takes a stack of V+ or V- basis matrices across."""
-    return CartanInvolution(
+    return (
         pair.index_minus.coords(apply(pair.basis_plus)).T,
         pair.index_plus.coords(apply(pair.basis_minus)).T,
     )
 
 
 def standard_cartan_involution(pair: JordanPair) -> CartanInvolution:
-    """The involution induced by the compact conjugation: omega(x) = x*, the adjoint."""
-    return _involution_from_map(pair, lambda x: x.conj().swapaxes(-1, -2))
+    """The involution induced by the compact conjugation: omega(x) = x*, the adjoint.
+
+    Its matrices depend on the algebra alone: they are built once per process and
+    shared, read-only.
+    """
+    return CartanInvolution(*pair.algebra._derived(
+        "jordan.omega", lambda: _involution_matrices(pair, lambda x: x.conj().swapaxes(-1, -2))))
 
 
 def cartan_involution_from_group(pair: JordanPair, g) -> CartanInvolution:
     """Involution induced by the compact form conjugated with a Levi group element g."""
     g = as_matrix(g)
     g_inv = np.linalg.inv(g)
-    return _involution_from_map(pair, lambda x: g @ (g_inv @ x @ g).conj().swapaxes(-1, -2) @ g_inv)
+    return CartanInvolution(*_involution_matrices(
+        pair, lambda x: g @ (g_inv @ x @ g).conj().swapaxes(-1, -2) @ g_inv))
 
 
 def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.ndarray:
@@ -194,10 +207,10 @@ def verify_jordan_mp(
     The component of a is decided once and that of x is required once; then
     {a x a} and {x a x} come from the one commutator [a, x] of the unit pair.
     """
-    (a, ua, _), (x, ux, _) = (pair.algebra._unit_member(m, tol) for m in (a, x))
+    (a, ua, k), (x, ux, _) = (pair.algebra._unit_member(m, tol) for m in (a, x))
     sign = pair._component(ua, tol)
     sign = -pair._component(ux, tol, -sign) or sign or 1  # a = 0 takes the side opposite x
-    a, x = _unit_pair(a, x)
+    a, x = ua, x * np.ldexp(1.0, k)  # the unit pair (a / 2**k, x * 2**k)
     ax = _bracket(a, x)
     residuals = {
         "recover_a": frob(0.5 * _bracket(ax, a) - a) / (1.0 + frob(a)),

@@ -15,6 +15,7 @@ import scipy.linalg
 
 from liepinv import graded
 from liepinv.graded import GradedAlgebra, bracket
+from liepinv.jordan import gram_matrix
 from liepinv.numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
@@ -175,6 +176,23 @@ def homform_basis_solve(form, f_mat, b: int, tol=DEFAULT_TOL) -> np.ndarray:
         raise ValueError("image decomposition of V failed to span")
     padded = np.hstack([lead, np.zeros((k, n - a), dtype=complex)])
     return np.linalg.solve(basis.T, padded.T).T
+
+
+def unit_pair_jordan_residuals(pair, inv, a, x, tol=DEFAULT_TOL) -> dict:
+    """The residuals of ``jordan.verify_jordan_mp`` by its first formula, which formed
+    the unit pair with ``numcore._unit_pair`` and so scaled a a second time: an oracle
+    for the bit-identical pair built from the scale of the membership check."""
+    sign = pair.component_of(a, tol) or -pair.component_of(x, tol) or 1
+    a, x = _unit_pair(as_matrix(a), as_matrix(x))
+    ax = bracket(a, x)
+    residuals = {
+        "recover_a": frob(0.5 * bracket(ax, a) - a) / (1.0 + frob(a)),
+        "recover_x": frob(0.5 * bracket(-ax, x) - x) / (1.0 + frob(x)),
+    }
+    for name, y, z, side in (("hermitian_ax", a, x, sign), ("hermitian_xa", x, a, -sign)):
+        op, gram = pair.operator_matrix(y, z, side), gram_matrix(pair, inv, side)
+        residuals[name] = frob(op.T @ gram - gram @ op.conj()) / (1.0 + frob(gram) * frob(op))
+    return residuals
 
 
 def jordan_mp_fixed_point(pair, inv, a, scale: float = 1.0, max_iter: int = 150,

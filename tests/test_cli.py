@@ -655,6 +655,61 @@ class TestIsotropicVector:
             assert np.abs(inverse - expected).max() <= 1e-12
 
 
+class TestSharedAlgebra:
+    """jordan-mp reads what depends on the algebra alone from a record that the process
+    builds once: its outputs do not depend on whether the record is new, reused, raced
+    for by two threads, or whether a caller wrote into a copy of a basis."""
+
+    ALGEBRAS = [("sl", (2, 3)), ("sp", (3, 3)), ("so", (3, 3)), ("so", (1, 4, 1))]
+
+    @staticmethod
+    def documents(tmp_path, kind, blocks, count):
+        alg, rng = GradedAlgebra(kind, blocks), np.random.default_rng(24)
+        paths = []
+        for i in range(count):
+            e = 10.0 ** rng.uniform(-2, 2) * alg.random_element(1, rng)
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps({"algebra": kind, "blocks": list(blocks),
+                                        "element": encode_complex_matrix(e).tolist()}))
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def outputs(paths, out, jobs=1) -> list[bytes]:
+        """The output bytes of one CLI call: ``out`` is the output file of one document,
+        the output directory of several."""
+        code = main(["jordan-mp", *map(str, paths), "--jobs", str(jobs), "--output", str(out)])
+        assert code == EXIT_OK
+        if len(paths) == 1:
+            return [out.read_bytes()]
+        return [(out / f"{path.stem}.out.json").read_bytes() for path in paths]
+
+    def test_two_threads_give_the_bytes_of_one(self, monkeypatch, tmp_path):
+        paths = self.documents(tmp_path, "sp", (3, 3), 8)
+        monkeypatch.setattr(graded, "_RECORDS", {})  # the two threads race on the first build
+        two = self.outputs(paths, tmp_path / "two", jobs=2)
+        monkeypatch.setattr(graded, "_RECORDS", {})
+        assert self.outputs(paths, tmp_path / "one") == two
+
+    @pytest.mark.parametrize("kind,blocks", ALGEBRAS)
+    def test_cold_and_warm_records_agree(self, monkeypatch, tmp_path, kind, blocks):
+        paths = self.documents(tmp_path, kind, blocks, 2)
+        for i, path in enumerate(paths):
+            monkeypatch.setattr(graded, "_RECORDS", {})
+            cold = self.outputs([path], tmp_path / f"cold{i}")
+            assert graded._RECORDS
+            assert self.outputs([path], tmp_path / f"warm{i}") == cold
+
+    @pytest.mark.parametrize("kind,blocks", ALGEBRAS)
+    def test_writing_into_a_basis_copy_changes_nothing(self, tmp_path, kind, blocks):
+        paths = self.documents(tmp_path, kind, blocks, 1)
+        before = self.outputs(paths, tmp_path / "before")
+        alg = GradedAlgebra(kind, blocks)
+        for m in (1, -1, 0, None):
+            alg.basis(m)[...] = 7.0
+        assert self.outputs(paths, tmp_path / "after") == before
+
+
 def minimality_case(name: str) -> tuple[GradedAlgebra, np.ndarray]:
     """A degree-1 element whose characteristics form an affine space of positive dimension."""
     rng = np.random.default_rng(21)

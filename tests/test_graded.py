@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -180,6 +184,76 @@ class TestIndexBasis:
         assert alg.degree_dimension(len(blocks)) == 0
         assert alg.is_short == all(abs(m) <= 1 for m in degrees)
         assert alg._bases == {}
+
+
+class TestSharedRecord:
+    """What depends on (kind, blocks) alone is built once per process and shared read-only."""
+
+    def test_tables_are_built_once_per_algebra(self, monkeypatch):
+        monkeypatch.setattr(graded, "_RECORDS", {})
+        built, build = [], GradedAlgebra._build_basis
+        monkeypatch.setattr(GradedAlgebra, "_build_basis",
+                            lambda self: built.append((self.kind, self.blocks)) or build(self))
+        first = GradedAlgebra("sp", (3, 4, 3))
+        again = [GradedAlgebra("SP", [3, 4, 3]), GradedAlgebra("sp", (3.0, 4, 3))]
+        GradedAlgebra("so", (3, 4, 3))
+        assert built == [("sp", (3, 4, 3)), ("so", (3, 4, 3))]
+        for alg in again:
+            assert alg._record is first._record and alg._units is first._units
+            assert (alg.dim, alg.degrees) == (first.dim, first.degrees)
+        for _ in range(2):  # a record never replaces the checks of the arguments
+            with pytest.raises(ValueError, match="even-sized middle block"):
+                GradedAlgebra("sp", (3, 3, 3))
+        assert set(graded._RECORDS) == {("sp", (3, 4, 3)), ("so", (3, 4, 3))}
+
+    def test_racing_threads_keep_one_record_and_one_basis(self, monkeypatch):
+        threads, interval = 4, sys.getswitchinterval()
+
+        def build(barrier):
+            barrier.wait()
+            alg = GradedAlgebra("sp", (2, 3, 3, 2))
+            return alg._record, alg._index_basis(1)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(graded, "_RECORDS", {})
+                barrier = threading.Barrier(threads, timeout=30)
+                with ThreadPoolExecutor(threads) as pool:
+                    futures = [pool.submit(build, barrier) for _ in range(threads)]
+                    results = [future.result(timeout=30) for future in futures]
+                assert {id(record) for record, _ in results} == {id(graded._RECORDS["sp", (2, 3, 3, 2)])}
+                assert len({id(basis) for _, basis in results}) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (2, 3)), ("sp", (2, 2, 2)), ("so", (1, 3, 1))])
+    def test_instances_share_bases_and_hold_only_their_own(self, kind, blocks):
+        first, second = GradedAlgebra(kind, blocks), GradedAlgebra(kind, blocks)
+        got = {m: first._index_basis(m) for m in (None, 0, 1)}
+        assert second._bases == {}
+        assert second._index_basis(1) is got[1]
+        assert set(second._bases) == {1}
+        assert second._index_basis(None) is got[None] and second._index_basis(-1) is first._index_basis(-1)
+        assert set(second._bases) == {None, 1, -1} and set(first._bases) == {None, 0, 1, -1}
+        assert first._index_basis(len(blocks)) is not second._index_basis(len(blocks))  # no degree
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (2, 3)), ("sp", (1, 2, 1)), ("so", (2, 2))])
+    def test_shared_arrays_are_read_only(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        arrays = [v for v in alg._record.tables.values() if isinstance(v, np.ndarray)]
+        for m in (None, *alg.degrees):
+            basis = alg._index_basis(m)
+            arrays += [basis.pos, basis.partner, basis.weight, basis.pweight, basis.cartan,
+                       *(a for scatter in basis.scatters for a in scatter)]
+        assert len(arrays) > 20
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        copy = alg.basis(1)
+        copy[...] = 7.0  # basis() builds a fresh, writable stack
+        assert np.array_equal(alg.basis(1), alg._index_basis(1).dense())
+        assert not np.array_equal(alg.basis(1), copy)
 
 
 DEGREE_GRADINGS = [("sl", (2, 3)), ("sl", (1, 2, 1)), ("sl", (3,)), ("so", (1, 3, 1)),

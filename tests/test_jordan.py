@@ -29,6 +29,7 @@ from helpers import (
     levi_group_element,
     random_complex,
     random_matrix_with_rank,
+    unit_pair_jordan_residuals,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -281,6 +282,52 @@ class TestJordanInverse:
             for scale in (1.0, 0.5, float(rng.uniform(0.2, 1.0))):
                 x_fp = jordan_mp_fixed_point(pair, inv, a, scale=scale)
                 assert frob(x_fp - x_sl2) <= 1e-8 * (1.0 + frob(x_sl2))
+
+
+class TestSharedValues:
+    """The bases, the pairing and the standard involution depend on the algebra alone:
+    every pair of one algebra shares them, read-only."""
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (2, 3)), ("sp", (2, 2)), ("so", (1, 3, 1))])
+    def test_shared_and_read_only(self, kind, blocks):
+        pair, other = JordanPair(GradedAlgebra(kind, blocks)), JordanPair(GradedAlgebra(kind, blocks))
+        inv, other_inv = standard_cartan_involution(pair), standard_cartan_involution(other)
+        for name in ("basis_plus", "basis_minus", "pairing"):
+            assert getattr(other, name) is getattr(pair, name), name
+        assert other_inv.omega_plus is inv.omega_plus and other_inv.omega_minus is inv.omega_minus
+        assert pairing_matrix(other) is pair.pairing
+        for value in (pair.basis_plus, pair.basis_minus, pair.pairing, inv.omega_plus, inv.omega_minus):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+        np.testing.assert_array_equal(pair.basis_plus, pair.algebra.basis(1))
+
+    def test_moved_involution_is_not_shared(self):
+        alg = GradedAlgebra("sl", (2, 2))
+        pair = JordanPair(alg)
+        g = levi_group_element(alg, np.random.default_rng(115))
+        moved = cartan_involution_from_group(pair, g)
+        assert moved.omega_plus is not cartan_involution_from_group(pair, g).omega_plus
+        moved.omega_plus[...] = 0  # a caller's own involution stays writable
+
+
+class TestVerifyScalesOnce:
+    """verify_jordan_mp forms its unit pair from the scale that the membership check of a
+    found; the residuals are those of the formula that scaled a again, bit for bit."""
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_residuals_equal_the_unit_pair_formula(self, kind, blocks):
+        rng = np.random.default_rng(116)
+        alg = GradedAlgebra(kind, blocks)
+        pair = JordanPair(alg)
+        inv = standard_cartan_involution(pair)
+        zero = np.zeros((alg.ambient_dim,) * 2, dtype=complex)
+        for scale in (3e-200, 1.0, 0.7, 5e150):
+            a = scale * alg.random_element(1, rng)
+            x, _ = mp_inverse_jordan(pair, inv, a)
+            near = x + 1e-3 * frob(x) * alg.random_element(-1, rng)
+            for args in ((a, x), (x, a), (a, near), (near, a), (zero, x), (a, zero)):
+                want = unit_pair_jordan_residuals(pair, inv, *args)
+                assert verify_jordan_mp(pair, inv, *args).residuals == want, (scale, args)
 
 
 def _entry_points():
