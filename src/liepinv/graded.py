@@ -10,12 +10,14 @@ theta(X) = -X* preserves the algebra, swaps degrees m and -m, and fixes the
 compact form of the degree-0 part.  The split form is a signed permutation,
 so the orthonormal homogeneous basis comes from index arithmetic: unit
 matrices, unit pairs tied by the form, and for sl the Helmert rows of the
-traceless diagonal.  Coordinates are gathers, and a bracket with a basis
-element touches one row and one column.  Everything that depends on (kind,
-blocks) alone is built once per process and shared, read-only, by every
-instance of that algebra: the unit tables, each basis the first time it is
-used, and the values other modules derive from them (the Jordan pair's bases,
-pairing and standard involution).
+traceless diagonal.  Coordinates are gathers, and ad(x) on a basis is one
+gather of the entries of x through a table built on the basis's first ad:
+[x, E_ab] is column a of x put in column b less row b put in row a, and each
+entry lands on the basis elements that read its position.  Everything that
+depends on (kind, blocks) alone is built once per process and shared,
+read-only, by every instance of that algebra: the unit tables, each basis
+(with its table) the first time it is used, and the values other modules
+derive from them (the Jordan pair's bases, pairing and standard involution).
 
 On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
 completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +119,10 @@ class _IndexBasis:
     (for sl, the Helmert rows of the traceless diagonal).  Coordinates are
     gathers, combinations scatters, and the bracket with a matrix touches one
     row and one column per unit: ``scatters`` holds the rows a, columns b and
-    weights of E_ab for the units and, if any, their partners.  A basis may be
+    weights of E_ab for the units and, if any, their partners.  :meth:`ad` does
+    not form those brackets: it is one gather of x through :attr:`table`, which
+    maps each entry of x to the cells of ad that it feeds, built on first use;
+    :meth:`brackets` stays for callers that need the matrices.  A basis may be
     shared by every algebra of its kind, so its arrays are read-only.
     """
 
@@ -160,8 +166,57 @@ class _IndexBasis:
         return out
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of [x, .] on this basis: column k holds the coordinates of [x, b_k]."""
-        return self.coords(self.brackets(x)).T
+        """Matrix of [x, .] on this basis: column k holds the coordinates of [x, b_k].
+
+        One gather of x through :attr:`table`, one multiply and one sum into the cells.
+        """
+        source, cell, weight = self.table
+        parts = np.take(np.ascontiguousarray(x, dtype=complex).view(float), source) * weight
+        out = np.bincount(cell, parts, 2 * self.count**2).view(complex)
+        return out.reshape(self.count, self.count)
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms of ad on this basis, built on first use: (source, cell, weight).
+
+        Both indices run over real and imaginary parts, interleaved as numpy stores a
+        complex array: part ``source`` of x times ``weight`` adds to part ``cell`` of the
+        flat matrix of ad(x), whose entry j * count + k is the coordinate along b_j of
+        [x, b_k].  Terms with one source and cell are merged, and those that cancel
+        dropped.  Read-only; threads racing on the first build may build it twice, alike.
+        """
+        n, units, count, d = self.n, self.units, self.count, self.cartan
+        k, line, flat, helmert = np.arange(units), np.arange(n), np.arange(n * n), d.shape[0]
+        # the entries of [x, b_k] in column k: x[source] times weight lands at target
+        terms = []
+        for a, b, w in self.scatters:  # x E_ab: column a of x in column b; E_ab x: row b in row a
+            a, b, w = a[:, None], b[:, None], w[:, None]
+            terms += [(k[:, None], line * n + a, line * n + b, w),
+                      (k[:, None], b * n + line, a * n + line, -w)]
+        i, j = np.divmod(flat, n)  # [x, diag(d)] = x_ij (d_j - d_i)
+        terms.append((units + np.arange(helmert)[:, None], flat, flat, d[:, j] - d[:, i]))
+        col, source, target, weight = (
+            np.concatenate([np.broadcast_arrays(*term)[m].ravel() for term in terms])
+            for m in range(4))
+        # a position is read by the unit element that owns it, with its weight or partner
+        # weight, and a diagonal position q by every Helmert row r, with d_r[q]
+        owner, share = np.full(n * n, -1), np.zeros(n * n)
+        paired = self.pweight != 0.0
+        owner[self.partner[paired]], share[self.partner[paired]] = k[paired], self.pweight[paired]
+        owner[self.pos], share[self.pos] = k, self.weight
+        hit, diag = np.flatnonzero(owner[target] >= 0), np.flatnonzero(target % (n + 1) == 0)
+        pick = np.concatenate([hit, np.tile(diag, helmert)])
+        row = np.concatenate([owner[target[hit]], np.repeat(units + np.arange(helmert), diag.size)])
+        factor = np.concatenate([share[target[hit]], d[:, target[diag] // (n + 1)].ravel()])
+        # merge the terms of one source and cell, drop those that cancel, split into parts
+        key, at = np.unique(source[pick] * count**2 + row * count + col[pick], return_inverse=True)
+        merged = np.bincount(at, weight[pick] * factor, key.size)
+        source, cell = np.divmod(key[merged != 0.0], count**2)
+        part = np.arange(2)
+        table = ((2 * source[:, None] + part).ravel(), (2 * cell[:, None] + part).ravel(),
+                 np.repeat(merged[merged != 0.0], 2))
+        _readonly(*table)
+        return table
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.count, self.n * self.n), dtype=complex)
@@ -404,8 +459,15 @@ class GradedAlgebra:
         return (x + self._tau(x)) / 2.0
 
     def membership_residual(self, x) -> float:
-        x = self._check_ambient(x)
-        return frob(x - self._project(x))
+        """|x - pi(x)|_F, pi the projection onto the algebra."""
+        return self._outside(self._check_ambient(x))
+
+    def _outside(self, x: np.ndarray) -> float:
+        """|x - pi(x)|_F without forming pi(x): the norm of the trace part, |tr x| / sqrt(n),
+        for sl, and |x - tau(x)| / 2 for so/sp."""
+        if self.kind == "sl":
+            return abs(complex(np.trace(x))) / self.ambient_dim**0.5
+        return frob(x - self._tau(x)) / 2.0
 
     def require_member(self, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """x as a checked ambient ndarray; NotInAlgebra unless x lies in the algebra."""
@@ -415,7 +477,7 @@ class GradedAlgebra:
         """(x, x / 2**k, k) for an ambient member x, membership decided at unit scale."""
         x = self._check_ambient(x)
         unit, k = _unit_scale(x)
-        res = frob(unit - self._project(unit))
+        res = self._outside(unit)
         if res > tol.residual_tol * (1.0 + frob(unit)):
             raise NotInAlgebra(
                 f"membership residual {res:.3e} exceeds tolerance for {self.kind}{self.blocks}"

@@ -63,6 +63,7 @@ from helpers import (
     random_matrix_with_rank,
     resplit,
     split_form,
+    stack_ad,
     standard_form,
     svd_graded_basis,
 )
@@ -256,6 +257,53 @@ class TestSharedRecord:
         assert not np.array_equal(alg.basis(1), copy)
 
 
+class TestAdTable:
+    """ad(x) on an index basis, one gather through a table, against the bracket stack."""
+
+    @staticmethod
+    def assert_matches_stack(basis, x):
+        assert frob(basis.ad(x) - stack_ad(basis, x)) <= 1e-13 * frob(x)
+
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
+    def test_every_degree_and_the_whole_algebra(self, kind, blocks):
+        rng = np.random.default_rng(10)
+        alg, k = GradedAlgebra(kind, blocks), len(blocks)
+        n = alg.ambient_dim
+        for m in (None, *range(1 - k, k)):
+            basis = alg._index_basis(m)
+            assert basis.ad(np.zeros((n, n), dtype=complex)).shape == (basis.count, basis.count)
+            for x in (random_complex(rng, n, n), alg.random_element(None, rng)):
+                self.assert_matches_stack(basis, x)
+
+    def test_multidegree_unit_basis(self):
+        rng = np.random.default_rng(11)
+        alg = GradedAlgebra("sl", (2, 3, 2))
+        block = (alg._block_of[:, None] == 2) & (alg._block_of[None, :] == 0)  # block (3, 1)
+        basis = alg._unit_basis(np.flatnonzero(block))
+        assert basis.count == 4
+        for x in (random_complex(rng, 7, 7), alg.random_element(2, rng)):
+            self.assert_matches_stack(basis, x)
+
+    @pytest.mark.parametrize("kind,blocks", [("so", (2,)), ("sl", (1,)), ("so", (1, 1))])
+    def test_smallest_algebras(self, kind, blocks):
+        rng = np.random.default_rng(12)
+        alg = GradedAlgebra(kind, blocks)
+        n = alg.ambient_dim
+        for m in (None, *alg.degrees):
+            self.assert_matches_stack(alg._index_basis(m), random_complex(rng, n, n))
+        assert alg.ad(np.eye(n)).shape == (alg.dim, alg.dim)
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (2, 3)), ("sp", (1, 2, 1)), ("so", (1, 3, 1))])
+    def test_table_is_shared_and_read_only(self, kind, blocks):
+        first, second = GradedAlgebra(kind, blocks), GradedAlgebra(kind, blocks)
+        for m in (None, 1, 0):
+            table = first._index_basis(m).table
+            assert second._index_basis(m).table is table
+            for a in table:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+
 DEGREE_GRADINGS = [("sl", (2, 3)), ("sl", (1, 2, 1)), ("sl", (3,)), ("so", (1, 3, 1)),
                    ("so", (1, 1, 1, 1)), ("sp", (2, 2)), ("sp", (2, 2, 2))]
 
@@ -429,6 +477,17 @@ class TestGradedAlgebraStructure:
             x = random_complex(rng, alg.ambient_dim, alg.ambient_dim)
             via_basis = alg.from_coordinates(alg.coordinates(x))
             assert frob(alg.project(x) - via_basis) <= 1e-12
+
+    @pytest.mark.parametrize("kind,blocks", BASIS_GRADINGS)
+    def test_membership_residual_is_the_distance_to_the_projection(self, kind, blocks):
+        # sl: |tr x| / sqrt(n); so/sp: |x - tau(x)| / 2, without forming the projection
+        rng = np.random.default_rng(9)
+        alg = GradedAlgebra(kind, blocks)
+        n = alg.ambient_dim
+        for x in (*(random_complex(rng, n, n) for _ in range(3)), alg.random_element(None, rng)):
+            want = frob(x - alg._project(x))
+            assert abs(alg.membership_residual(x) - want) <= 1e-15 * (1.0 + frob(x))
+            assert abs(alg._outside(x) - want) <= 1e-15 * (1.0 + frob(x))
 
     def test_membership_rejects_outsiders(self):
         alg = GradedAlgebra("so", (2, 2))

@@ -29,6 +29,7 @@ from helpers import (
     levi_group_element,
     random_complex,
     random_matrix_with_rank,
+    stack_ad,
     unit_pair_jordan_residuals,
 )
 
@@ -119,6 +120,17 @@ class TestKillingPairing:
         for i, plus in enumerate(pair.basis_plus):
             for j, minus in enumerate(pair.basis_minus):
                 assert abs(k_pair[i, j] - killing_pairing(pair, plus, minus)) <= 1e-12
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_operators_match_the_bracket_stack(self, kind, blocks):
+        rng = np.random.default_rng(105)
+        pair = JordanPair(GradedAlgebra(kind, blocks))
+        for sign in (1, -1):
+            x, y = pair.algebra.random_element(sign, rng), pair.algebra.random_element(-sign, rng)
+            want = 0.5 * stack_ad(pair._index(sign), bracket(x, y))
+            scale = frob(x) * frob(y)
+            assert frob(pair.operator_matrix(x, y, sign) - want) <= 1e-13 * scale
+            assert abs(killing_pairing(pair, x, y) - np.trace(want)) <= 1e-13 * scale
 
     def test_symmetry_across_the_pair(self):
         rng = np.random.default_rng(104)
