@@ -18,6 +18,8 @@ depends on (kind, blocks) alone is built once per process and shared,
 read-only, by every instance of that algebra: the unit tables, each basis
 (with its table) the first time it is used, and the values other modules
 derive from them (the Jordan pair's bases, pairing and standard involution).
+None of it is ever freed: the ad table of a whole algebra of n x n matrices
+holds O(n^3) terms (about 1 MB for sl(10,10)).
 
 On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
 completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
@@ -123,7 +125,9 @@ class _IndexBasis:
     not form those brackets: it is one gather of x through :attr:`table`, which
     maps each entry of x to the cells of ad that it feeds, built on first use;
     :meth:`brackets` stays for callers that need the matrices.  A basis may be
-    shared by every algebra of its kind, so its arrays are read-only.
+    shared by every algebra of its kind, so its arrays are read-only, and it
+    keeps its table for the life of the process: about 2.6 n^3 terms of 48
+    bytes for the whole of sl_n (1 MB at n = 20, 8 MB at n = 40).
     """
 
     def __init__(self, n: int, pos, partner, weight, pweight, cartan=None):
@@ -131,9 +135,9 @@ class _IndexBasis:
         self.cartan = np.zeros((0, n)) if cartan is None else cartan
         self.n, self.units, self.count = n, pos.size, pos.size + self.cartan.shape[0]
         self.paired = bool(np.any(pweight))
-        pairs = ((pos, weight), (partner, pweight))[: 1 + self.paired]
-        self.scatters = [(*np.divmod(p, n), w) for p, w in pairs]
-        _readonly(pos, partner, weight, pweight, self.cartan, *sum(self.scatters, ()))
+        spots = np.stack([pos, partner][: 1 + self.paired])
+        self.scatters = (*np.divmod(spots, n), np.stack([weight, pweight][: 1 + self.paired]))
+        _readonly(pos, partner, weight, pweight, self.cartan, *self.scatters)
 
     def coords(self, stack: np.ndarray) -> np.ndarray:
         """Coordinates of each matrix of a (..., n, n) stack, shape (..., count)."""
@@ -158,7 +162,7 @@ class _IndexBasis:
         """The stack of [x, b_k]: x E_ab is column a of x put in column b, E_ab x row b in row a."""
         out = np.zeros((self.count, self.n, self.n), dtype=complex)
         k = np.arange(self.units)
-        for a, b, w in self.scatters:
+        for a, b, w in zip(*self.scatters):
             out[k, :, b] += w[:, None] * x[:, a].T
             out[k, a, :] -= w[:, None] * x[b, :]
         d = self.cartan  # [x, diag(d)] = x_ij (d_j - d_i)
@@ -170,6 +174,8 @@ class _IndexBasis:
 
         One gather of x through :attr:`table`, one multiply and one sum into the cells.
         """
+        if x.shape != (self.n, self.n):
+            raise ShapeMismatch(f"ad on a basis of {self.n} x {self.n} matrices, got {x.shape}")
         source, cell, weight = self.table
         parts = np.take(np.ascontiguousarray(x, dtype=complex).view(float), source) * weight
         out = np.bincount(cell, parts, 2 * self.count**2).view(complex)
@@ -182,39 +188,38 @@ class _IndexBasis:
         Both indices run over real and imaginary parts, interleaved as numpy stores a
         complex array: part ``source`` of x times ``weight`` adds to part ``cell`` of the
         flat matrix of ad(x), whose entry j * count + k is the coordinate along b_j of
-        [x, b_k].  Terms with one source and cell are merged, and those that cancel
-        dropped.  Read-only; threads racing on the first build may build it twice, alike.
+        [x, b_k].  No term is zero.  On an sl basis each term is one coefficient of ad;
+        on a form-paired (so, sp) basis some coefficients stay split over two or more
+        terms, which the sum adds (3 % more terms on the whole of so(1, 30, 1), at most
+        a few dozen more on a small basis).  Built by index arithmetic without a sort: a
+        first build costs about ten calls of ad.  Read-only; threads racing on the first
+        build may build it twice, alike.
         """
         n, units, count, d = self.n, self.units, self.count, self.cartan
-        k, line, flat, helmert = np.arange(units), np.arange(n), np.arange(n * n), d.shape[0]
-        # the entries of [x, b_k] in column k: x[source] times weight lands at target
-        terms = []
-        for a, b, w in self.scatters:  # x E_ab: column a of x in column b; E_ab x: row b in row a
-            a, b, w = a[:, None], b[:, None], w[:, None]
-            terms += [(k[:, None], line * n + a, line * n + b, w),
-                      (k[:, None], b * n + line, a * n + line, -w)]
-        i, j = np.divmod(flat, n)  # [x, diag(d)] = x_ij (d_j - d_i)
-        terms.append((units + np.arange(helmert)[:, None], flat, flat, d[:, j] - d[:, i]))
-        col, source, target, weight = (
-            np.concatenate([np.broadcast_arrays(*term)[m].ravel() for term in terms])
-            for m in range(4))
-        # a position is read by the unit element that owns it, with its weight or partner
-        # weight, and a diagonal position q by every Helmert row r, with d_r[q]
-        owner, share = np.full(n * n, -1), np.zeros(n * n)
-        paired = self.pweight != 0.0
-        owner[self.partner[paired]], share[self.partner[paired]] = k[paired], self.pweight[paired]
+        k, line = np.arange(units), np.arange(n)
+        # the unit element that reads each position, and its weight there (0: none)
+        owner, share = np.zeros(n * n, dtype=np.intp), np.zeros(n * n)
+        owner[self.partner], share[self.partner] = k, self.pweight
         owner[self.pos], share[self.pos] = k, self.weight
-        hit, diag = np.flatnonzero(owner[target] >= 0), np.flatnonzero(target % (n + 1) == 0)
-        pick = np.concatenate([hit, np.tile(diag, helmert)])
-        row = np.concatenate([owner[target[hit]], np.repeat(units + np.arange(helmert), diag.size)])
-        factor = np.concatenate([share[target[hit]], d[:, target[diag] // (n + 1)].ravel()])
-        # merge the terms of one source and cell, drop those that cancel, split into parts
-        key, at = np.unique(source[pick] * count**2 + row * count + col[pick], return_inverse=True)
-        merged = np.bincount(at, weight[pick] * factor, key.size)
-        source, cell = np.divmod(key[merged != 0.0], count**2)
+        a, b, w = (z[..., None] for z in self.scatters)
+        # [x, E_ab]: column a of x put in column b, less row b put in row a, read by the
+        # owners of the targets
+        target = np.concatenate([line * n + b, a * n + line])
+        source = np.concatenate([line * n + a, b * n + line])
+        weight = np.concatenate([w, -w]) * share[target]
+        terms = [(source, owner[target] * count + k[:, None], weight)]
+        if d.size:  # the units own no diagonal position: the cartan rows read it
+            rows, flat = units + np.arange(d.shape[0]), np.arange(n * n)
+            i, j = np.divmod(flat, n)
+            # the diagonal x_ba (E_bb - E_aa) of [x, E_ab], and [x, diag(d)] = x_ij (d_j - d_i)
+            to_rows, shift = rows[:, None, None, None] * count + k[:, None], d[:, j] - d[:, i]
+            terms += [np.broadcast_arrays(b * n + a, to_rows, w * (d[:, b] - d[:, a])),
+                      np.broadcast_arrays(flat, owner * count + rows[:, None], shift * share)]
+        source, cell, weight = (np.concatenate([p.ravel() for p in parts]) for parts in zip(*terms))
+        keep = np.flatnonzero(weight)
         part = np.arange(2)
-        table = ((2 * source[:, None] + part).ravel(), (2 * cell[:, None] + part).ravel(),
-                 np.repeat(merged[merged != 0.0], 2))
+        table = ((2 * source[keep, None] + part).ravel(), (2 * cell[keep, None] + part).ravel(),
+                 np.repeat(weight[keep], 2))
         _readonly(*table)
         return table
 

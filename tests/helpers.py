@@ -85,9 +85,9 @@ def ill_conditioned_sp8_conjugate() -> tuple[GradedAlgebra, np.ndarray]:
 
     The ranks of ad(g e g^-1) have condition number near cond(g)^2: read
     without a bound, they give a height above the 14 that sp_8 allows.  The
-    guard fires for every scale from 7 to 9 in place of 8, with ad(e) summed
-    through the table of ``_IndexBasis.ad`` or through the bracket stack of
-    :func:`stack_ad`; this scale sits in the middle of that band.
+    guard fires for every scale from 7.25 to 9.75, in steps of 0.25, in place
+    of 8, with ad(e) summed through the table of ``_IndexBasis.ad`` or through
+    the bracket stack of :func:`stack_ad`; this scale sits inside that band.
     """
     alg = GradedAlgebra("sp", (1,) * 8)
     rng = np.random.default_rng(1310)

@@ -388,6 +388,15 @@ class TestBoundaryChecks:
         with pytest.raises(ShapeMismatch):
             call(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("size", [3, 5, 8])
+    def test_operator_matrix_needs_matrices_of_the_algebra(self, size):
+        pair = matrix_pair(2, 2)  # 4 x 4 matrices
+        rng = np.random.default_rng(12)
+        x, y = random_complex(rng, size, size), random_complex(rng, size, size)
+        for sign in (1, -1):
+            with pytest.raises(ShapeMismatch):
+                pair.operator_matrix(x, y, sign)
+
     @pytest.mark.parametrize("degree", [1, 0], ids=["plus", "degree0"])
     def test_verify_needs_x_in_the_opposite_component(self, degree):
         alg = GradedAlgebra("sl", (2, 3))
