@@ -66,6 +66,7 @@ from .numcore import (
     Tolerance,
     _ldexp,
     _pinv,
+    _rank_decomposition,
     _unit_pair,
     _unit_scale,
     as_matrix,
@@ -983,10 +984,14 @@ def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     The image of ad(e)^k is invariant, so the rank of ad(e) on it, in an
     orthonormal basis, is the rank of ad(e)^(k+1).  Each rank is decided with
     rank_rtol at the scale |ad(e)|_F, and its decomposition gives the next
-    basis.  The height is the number of steps until the rank reaches 0; the
-    zero element has height 0.  NotNilpotent is raised as soon as the rank
-    stops falling, or when ad(e) = 0 but e != 0 (so(2) is abelian; every other
-    algebra here has zero center), and ArithmeticError (a numerical failure) when the height
+    basis.  An e of one degree d, with exact zeros off it, is ranked degree by
+    degree at that same scale: ad(e) maps g_m into g_(m+d), so each image is
+    graded and each rank is the sum of the ranks of ad(e) from the image in
+    g_m to the image in g_(m+d).  Every other e is ranked whole.  The height
+    is the number of steps until the rank reaches 0; the zero element has
+    height 0.  NotNilpotent is raised as soon as the rank stops falling, or
+    when ad(e) = 0 but e != 0 (so(2) is abelian; every other algebra here has
+    zero center), and ArithmeticError (a numerical failure) when the height
     would exceed that of the regular nilpotent: 2n - 2 for sl_n and sp_n,
     2n - 4 for so_n with n odd and 2n - 6 with n even.
     """
@@ -994,26 +999,55 @@ def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
-    """orbit_height of a checked member at unit scale."""
+    """orbit_height of a checked member at unit scale.
+
+    ad(e) is cut into one block for each piece m of the basis that it maps into a piece
+    m + d.  Each step ranks every block, then compresses it with the image bases of its
+    source and target pieces.
+    """
     n = alg.ambient_dim
     top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent
-    on_image = alg.ad(e)  # ad(e) on the image of ad(e)^height
-    scale, height = frob(on_image), 0
-    while (dec := rank_decomposition(on_image, tol, scale)).rank:
-        if dec.rank == on_image.shape[0]:
+    ad = alg.ad(e)
+    pieces, d = _degree_pieces(alg, e)
+    # ad(e) on the image of ad(e)^height, block by block, and the dimension of that image
+    blocks = {m: ad[pieces[m + d]][:, pieces[m]] for m in pieces if m + d in pieces}
+    scale, size, height = frob(ad), ad.shape[0], 0
+    while True:
+        decs = {m: _rank_decomposition(block, tol, scale) for m, block in blocks.items()}
+        if not (rank := sum(dec.rank for dec in decs.values())):
+            break
+        if rank == size:
             raise NotNilpotent(
-                f"e is not nilpotent: ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}"
+                f"e is not nilpotent: ad(e) keeps rank {rank} on the image of ad(e)^{height}"
             )
         if height >= top:
             raise ArithmeticError(
-                f"ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}, but no nilpotent "
+                f"ad(e) keeps rank {rank} on the image of ad(e)^{height}, but no nilpotent "
                 f"of {alg.kind}_{n} has height above {top}: the ranks are ill-conditioned"
             )
-        on_image = dec.image.conj().T @ on_image @ dec.image
-        height += 1
+        images = {m + d: dec.image for m, dec in decs.items()}
+        blocks = {m: images[m + d].conj().T @ block @ images[m]
+                  for m, block in blocks.items() if m in images}
+        size, height = rank, height + 1
     if height == 0 and e.any():
         raise NotNilpotent(f"e is not nilpotent: it is nonzero and central in {alg.kind}_{n}")
     return height
+
+
+def _degree_pieces(alg: GradedAlgebra, e: np.ndarray) -> tuple[dict, int]:
+    """The pieces of the whole basis that ad(e) maps each into one, piece m into m + d, and d.
+
+    For e whose nonzero entries all have one degree d, in a graded algebra, piece m
+    indexes g_m: the run of units of degree m, and at m = 0 the Helmert rows, which end
+    the basis.  Otherwise the whole basis is piece 0 and d = 0.
+    """
+    degrees = alg._entry_degree[np.flatnonzero(e)]
+    if len(alg.blocks) == 1 or not degrees.size or np.any(degrees != degrees[0]):
+        return {0: slice(None)}, 0
+    pieces = {m: alg._runs[m] for m in alg.degrees}
+    if alg._helmert.size:
+        pieces[0] = np.r_[pieces[0], alg._units.size:alg.dim]
+    return pieces, int(degrees[0]) - (len(alg.blocks) - 1)
 
 
 def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> bool:

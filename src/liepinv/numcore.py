@@ -8,7 +8,8 @@ through their standard complex embedding; there is deliberately no native
 quaternion factorization.
 
 One rank rule: every numerical rank of the package is decided by
-:func:`rank_decomposition` at a named scale (sigma <= rank_rtol * scale is
+:func:`rank_decomposition` (or its core ``_rank_decomposition``, on a checked
+matrix) at a named scale (sigma <= rank_rtol * scale is
 zero); residual_tol judges residuals, never a rank.  |a|_F <= rank_rtol *
 scale decides rank 0 without an SVD, by the same rule: sigma_max <= |a|_F.
 
@@ -152,7 +153,11 @@ def rank_decomposition(
     orthonormal.  A zero (or empty) matrix has rank 0 and full kernel, and so,
     without an SVD, has ``a`` with |a|_F <= rank_rtol * a named scale: sigma_max <= |a|_F.
     """
-    a = as_matrix(a)
+    return _rank_decomposition(as_matrix(a), tol, scale)
+
+
+def _rank_decomposition(a: np.ndarray, tol: Tolerance, scale: float | None) -> RankDecomposition:
+    """rank_decomposition of a checked complex matrix, which it neither copies nor scans."""
     m, n = a.shape
     if m == 0 or n == 0 or (scale is not None and frob(a) <= tol.rank_rtol * scale):
         return RankDecomposition(

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from liepinv import graded
+from liepinv.errors import NotNilpotent
 from liepinv.graded import GradedAlgebra, bracket
 from liepinv.jordan import gram_matrix
 from liepinv.numcore import (
@@ -313,6 +314,32 @@ def stack_ad(basis, x: np.ndarray) -> np.ndarray:
     """The matrix of [x, .] on an index basis from the stack of brackets [x, b_k] and
     their coordinates, as ``_IndexBasis.ad`` once computed it: the oracle for its table."""
     return basis.coords(basis.brackets(x)).T
+
+
+def whole_algebra_height(alg: GradedAlgebra, e, tol=DEFAULT_TOL) -> int:
+    """The orbit height of e from the nested images of the whole of ad(e), as
+    ``graded.orbit_height`` once computed it for every e: one SVD of a matrix of side
+    up to dim g per step.  The oracle for its degree-by-degree ranks."""
+    e = alg._unit_member(e, tol)[1]
+    n = alg.ambient_dim
+    top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent
+    on_image = alg.ad(e)  # ad(e) on the image of ad(e)^height
+    scale, height = frob(on_image), 0
+    while (dec := rank_decomposition(on_image, tol, scale)).rank:
+        if dec.rank == on_image.shape[0]:
+            raise NotNilpotent(
+                f"e is not nilpotent: ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}"
+            )
+        if height >= top:
+            raise ArithmeticError(
+                f"ad(e) keeps rank {dec.rank} on the image of ad(e)^{height}, but no nilpotent "
+                f"of {alg.kind}_{n} has height above {top}: the ranks are ill-conditioned"
+            )
+        on_image = dec.image.conj().T @ on_image @ dec.image
+        height += 1
+    if height == 0 and e.any():
+        raise NotNilpotent(f"e is not nilpotent: it is nonzero and central in {alg.kind}_{n}")
+    return height
 
 
 def masked_degree(alg: GradedAlgebra, x: np.ndarray, tol=DEFAULT_TOL) -> int | None:

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liepinv import classical, complexes, forms, graded
+from liepinv import classical, complexes, forms, graded, numcore
 from liepinv.errors import (
     NotCharacteristic,
     NotInAlgebra,
@@ -66,6 +66,7 @@ from helpers import (
     stack_ad,
     standard_form,
     svd_graded_basis,
+    whole_algebra_height,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -1040,6 +1041,133 @@ class TestHeightsAreRanks:
             is_mp_orbit(alg, x)
         with pytest.raises(NotNilpotent):
             minimal_characteristic(alg, x, 0)
+
+
+# Gradings whose heights are ranked degree by degree: several lengths and block sizes,
+# finest gradings, and so/sp with and without a middle block.
+HEIGHT_GRADINGS = [
+    ("sl", (3, 3, 3)), ("sl", (4, 4, 4)), ("sl", (2, 3, 2, 3)), ("sl", (1,) * 6),
+    ("sp", (2, 2, 2)), ("sp", (1,) * 6), ("so", (2, 3, 2)), ("so", (1,) * 7),
+    ("sl", (5, 5)), ("sp", (3, 3)),
+]
+
+
+def outcome(call):
+    """The height a call returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def exact_degree(alg, x):
+    """The one degree of the nonzero entries of x, None if they have several (or none)."""
+    degrees = np.unique(alg._entry_degree[np.flatnonzero(x)])
+    return int(degrees[0]) - (len(alg.blocks) - 1) if degrees.size == 1 else None
+
+
+def degree_zero_nilpotent(alg, rng, entries=None):
+    """A nilpotent of g_0, unitarily conjugated: strictly upper triangular diagonal blocks
+    (for so/sp, those before their mirror), random in their first ``entries`` positions
+    (all for None) and made a member by the projection, which fills the mirror blocks."""
+    block, k = alg._block_of, len(alg.blocks)
+    keep = (block[:, None] == block) & np.triu(np.ones((alg.ambient_dim,) * 2, bool), 1)
+    if alg.kind != "sl":
+        keep &= (block < k - 1 - block)[:, None]
+    keep.flat[np.flatnonzero(keep)[entries:]] = False
+    u = compact_group_element(alg, rng)
+    return u @ alg.project(np.where(keep, random_complex(rng, *keep.shape), 0.0)) @ u.conj().T
+
+
+def homogeneous_elements(alg, rng):
+    """(degree, e) for e of each degree +-1, +-2, dense and with about half its coordinates
+    zero, for a nilpotent of degree 0 and for the zero element (degree None)."""
+    for m in (1, -1, 2, -2):
+        if alg.degree_dimension(m):
+            basis = alg._index_basis(m)
+            sparse = basis.combine(random_complex(rng, basis.count) * (rng.random(basis.count) < 0.5))
+            yield m, alg.random_element(m, rng)
+            yield (m if sparse.any() else None), sparse
+    nilpotent = degree_zero_nilpotent(alg, rng)
+    yield (0 if nilpotent.any() else None), nilpotent
+    yield None, np.zeros((alg.ambient_dim,) * 2, dtype=complex)
+
+
+class TestHeightsByDegree:
+    """A homogeneous e is ranked one degree at a time: the heights are those of the whole
+    of ad(e), and every other e takes the whole-algebra route unchanged."""
+
+    @pytest.mark.parametrize("kind, blocks", HEIGHT_GRADINGS)
+    def test_homogeneous_heights_equal_the_whole_algebra_ranks(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(2600)
+        for degree, e in homogeneous_elements(alg, rng):
+            assert exact_degree(alg, e) == degree
+            assert orbit_height(alg, e) == whole_algebra_height(alg, e), degree
+
+    @pytest.mark.parametrize("kind, blocks", HEIGHT_GRADINGS)
+    def test_other_elements_keep_the_whole_algebra_outcome(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        rng = np.random.default_rng(2601)
+        generic = alg.random_element(None, rng)
+        # block upper triangular with nilpotent diagonal blocks: nilpotent, of several degrees
+        nilpotent = degree_zero_nilpotent(alg, rng, 1) + alg.random_element(1, rng)
+        if alg.degree_dimension(2):
+            nilpotent += alg.random_element(2, rng)
+        mixed = alg.random_element(1, rng) + alg.random_element(-1, rng)
+        for e in (generic, nilpotent, mixed):
+            assert exact_degree(alg, e) is None
+            assert outcome(lambda: orbit_height(alg, e)) == outcome(lambda: whole_algebra_height(alg, e))
+        assert outcome(lambda: orbit_height(alg, generic))[0] is NotNilpotent
+        assert orbit_height(alg, nilpotent) > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_ungraded_heights_are_the_whole_algebra_ranks(self, n):
+        alg = GradedAlgebra("sl", (n,))
+        rng = np.random.default_rng(2602)
+        for part in partitions(n):
+            g = random_complex(rng, n, n)
+            e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
+            assert orbit_height(alg, e) == whole_algebra_height(alg, e) == 2 * (part[0] - 1)
+        x = alg.random_element(None, rng)
+        assert outcome(lambda: orbit_height(alg, x)) == outcome(lambda: whole_algebra_height(alg, x))
+
+    def test_the_ill_conditioned_conjugate_fails_alike(self):
+        alg, e = ill_conditioned_sp8_conjugate()
+        assert exact_degree(alg, e) is None
+        got, want = outcome(lambda: orbit_height(alg, e)), outcome(lambda: whole_algebra_height(alg, e))
+        assert got == want and got[0] is ArithmeticError and "height above 14" in got[1]
+
+    @pytest.mark.parametrize("kind, blocks", HEIGHT_GRADINGS)
+    def test_levi_conjugates_keep_every_height_the_whole_algebra_gets_right(self, kind, blocks):
+        # g = exp(s x / |x|_F) for x of degree 0 preserves the grading, and g e g^-1 keeps
+        # exact zeros off the degree of e; the whole-algebra ranks lose some of these heights
+        alg = GradedAlgebra(kind, blocks)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            e = alg.random_element(1, rng)
+            height, x = orbit_height(alg, e), alg.random_element(0, rng)
+            for s in (0.5, 2.0, 4.0, 6.0, 8.0):
+                g = scipy.linalg.expm(s * x / frob(x))
+                moved = g @ e @ np.linalg.inv(g)
+                assert exact_degree(alg, moved) == 1
+                if outcome(lambda: whole_algebra_height(alg, moved)) == height:
+                    assert outcome(lambda: orbit_height(alg, moved)) == height, (seed, s)
+
+    @pytest.mark.parametrize("blocks, side", [((10, 10), 199), ((4, 4, 4), 47)])
+    def test_no_ranked_matrix_is_wider_than_a_degree(self, monkeypatch, blocks, side):
+        alg = GradedAlgebra("sl", blocks)
+        assert max(alg.degree_dimension(m) for m in alg.degrees) == side
+        shapes, rank = [], numcore._rank_decomposition
+
+        def spy(a, *args):
+            shapes.append(a.shape)
+            return rank(a, *args)
+
+        for module in (numcore, graded):  # the public route as well as the private one
+            monkeypatch.setattr(module, "_rank_decomposition", spy)
+        assert orbit_height(alg, alg.random_element(1, np.random.default_rng(2603))) > 0
+        assert shapes and max(map(max, shapes)) == side
 
 
 SCALE_ALGEBRAS = [("sl", (4, 4)), ("sp", (3, 3)), ("so", (1, 6, 1)), ("sl", (3, 3, 3))]
