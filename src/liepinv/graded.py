@@ -1003,7 +1003,7 @@ def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
 
     ad(e) is cut into one block for each piece m of the basis that it maps into a piece
     m + d.  Each step ranks every block, then compresses it with the image bases of its
-    source and target pieces.
+    source and target pieces; a block with an image of rank 0 at either end drops out.
     """
     n = alg.ambient_dim
     top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent
@@ -1025,9 +1025,9 @@ def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
                 f"ad(e) keeps rank {rank} on the image of ad(e)^{height}, but no nilpotent "
                 f"of {alg.kind}_{n} has height above {top}: the ranks are ill-conditioned"
             )
-        images = {m + d: dec.image for m, dec in decs.items()}
+        images = {m + d: dec.image for m, dec in decs.items() if dec.rank}
         blocks = {m: images[m + d].conj().T @ block @ images[m]
-                  for m, block in blocks.items() if m in images}
+                  for m, block in blocks.items() if m in images and m + d in images}
         size, height = rank, height + 1
     if height == 0 and e.any():
         raise NotNilpotent(f"e is not nilpotent: it is nonzero and central in {alg.kind}_{n}")
