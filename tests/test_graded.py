@@ -1074,7 +1074,8 @@ def degree_zero_nilpotent(alg, rng, entries=None):
     keep = (block[:, None] == block) & np.triu(np.ones((alg.ambient_dim,) * 2, bool), 1)
     if alg.kind != "sl":
         keep &= (block < k - 1 - block)[:, None]
-    keep.flat[np.flatnonzero(keep)[entries:]] = False
+    if entries is not None:
+        keep.flat[np.flatnonzero(keep)[entries:]] = False
     u = compact_group_element(alg, rng)
     return u @ alg.project(np.where(keep, random_complex(rng, *keep.shape), 0.0)) @ u.conj().T
 
@@ -1110,12 +1111,15 @@ class TestHeightsByDegree:
         alg = GradedAlgebra(kind, blocks)
         rng = np.random.default_rng(2601)
         generic = alg.random_element(None, rng)
-        # block upper triangular with nilpotent diagonal blocks: nilpotent, of several degrees
-        nilpotent = degree_zero_nilpotent(alg, rng, 1) + alg.random_element(1, rng)
+        # block upper triangular with nilpotent diagonal blocks: nilpotent, of several degrees;
+        # with a whole random degree-0 part both routes misjudge some of them alike
+        upper = alg.random_element(1, rng)
         if alg.degree_dimension(2):
-            nilpotent += alg.random_element(2, rng)
-        mixed = alg.random_element(1, rng) + alg.random_element(-1, rng)
-        for e in (generic, nilpotent, mixed):
+            upper += alg.random_element(2, rng)
+        nilpotent = degree_zero_nilpotent(alg, rng, 1) + upper
+        others = (degree_zero_nilpotent(alg, rng) + upper,
+                  alg.random_element(1, rng) + alg.random_element(-1, rng))
+        for e in (generic, nilpotent, *others):
             assert exact_degree(alg, e) is None
             assert outcome(lambda: orbit_height(alg, e)) == outcome(lambda: whole_algebra_height(alg, e))
         assert outcome(lambda: orbit_height(alg, generic))[0] is NotNilpotent
