@@ -1035,7 +1035,7 @@ def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
 
 
 def _degree_pieces(alg: GradedAlgebra, e: np.ndarray) -> tuple[dict, int]:
-    """The pieces of the whole basis that ad(e) maps each into one, piece m into m + d, and d.
+    """The pieces of the whole basis by key m, ad(e) mapping piece m into piece m + d, and d.
 
     For e whose nonzero entries all have one degree d, in a graded algebra, piece m
     indexes g_m: the run of units of degree m, and at m = 0 the Helmert rows, which end
