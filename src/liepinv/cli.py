@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -548,19 +547,6 @@ def _tolerance_flag(name: str):
     return parse
 
 
-def _integer_flag(minimum: int):
-    """argparse type of an integer of at least ``minimum``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="liepinv",
@@ -577,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative residual acceptance (default 1e-9)")
     parser.add_argument("--output", "-o",
                         help="output file (single input) or directory (batch)")
-    parser.add_argument("--jobs", type=_integer_flag(1), default=1,
-                        help="run this many inputs concurrently in batch mode")
     return parser
 
 
@@ -632,7 +616,8 @@ def main(argv=None) -> int:
             print(document["error"], file=sys.stderr)
         return code
 
-    # batch mode: each input gets <stem>.out.json
+    # batch mode: each input gets <stem>.out.json, written after every input is read,
+    # so an output never replaces an input that a later job reads
     out_dir = Path(args.output) if args.output else None
     worst = EXIT_OK
     if out_dir is not None:
@@ -641,13 +626,19 @@ def main(argv=None) -> int:
         except OSError as exc:  # each write below then fails and says so too
             print(f"cannot write {out_dir}: {exc}", file=sys.stderr)
             worst = EXIT_INPUT
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(run_job, jobs))
+    results = [run_job(job) for job in jobs]
+    owners: dict[Path, str] = {}  # each output path, resolved, and the input it belongs to
     for job, result in zip(jobs, results):
         code, document, text = _render(*result)
-        stem = Path(job.input_path).stem if job.input_path else job.command
-        target = (out_dir or Path(job.input_path).parent) / f"{stem}.out.json"
-        worst = max(worst, code, _write(target, text))
+        path = Path(job.input_path)
+        target = (out_dir or path.parent) / f"{path.stem}.out.json"
+        key = target.resolve()
+        if key in owners:
+            print(f"cannot write {target}: it is the output of {owners[key]}", file=sys.stderr)
+            worst = max(worst, code, EXIT_INPUT)
+        else:
+            owners[key] = job.input_path
+            worst = max(worst, code, _write(target, text))
         if code != EXIT_OK and "error" in document:
             print(f"{job.input_path}: {document['error']}", file=sys.stderr)
     return worst

@@ -86,12 +86,9 @@ class JordanPair:
         return self._index(sign).combine(np.asarray(v, dtype=complex))
 
     def operator_matrix(self, x, y, sign: int) -> np.ndarray:
-        """Coordinate matrix of z -> {x, y, z} on V_sign (x in V_sign, y opposite)."""
-        return self._operator(bracket(x, y), sign)
-
-    def _operator(self, xy: np.ndarray, sign: int) -> np.ndarray:
-        """operator_matrix from [x, y]: column k holds the coordinates of [[x, y], b_k] / 2."""
-        return 0.5 * self._index(sign).ad(xy)
+        """Coordinate matrix of z -> {x, y, z} on V_sign (x in V_sign, y opposite):
+        column k holds the coordinates of [[x, y], b_k] / 2."""
+        return 0.5 * self._index(sign).ad(bracket(x, y))
 
 
 def triple_product(pair: JordanPair, x, y, z, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -104,13 +101,12 @@ def triple_product(pair: JordanPair, x, y, z, tol: Tolerance = DEFAULT_TOL) -> n
 
 
 def killing_pairing(pair: JordanPair, x, y, tol: Tolerance = DEFAULT_TOL) -> complex:
-    """B(x, y) = Tr of z -> {x, y, z} on the component of x."""
+    """B(x, y) = Tr of z -> {x, y, z} on the component of x: c Tr(xy) / 4, as in
+    :func:`pairing_matrix`."""
     (x, ux, _), (y, uy, _) = (pair.algebra._unit_member(m, tol) for m in (x, y))
     sign = pair._component(ux, tol)
     pair._component(uy, tol, -sign)  # y lies in V+ or V- even when x = 0
-    if sign == 0:
-        return 0.0 + 0.0j
-    return complex(np.trace(pair._operator(_bracket(x, y), sign)))
+    return complex(pair.algebra.killing_constant / 4.0 * np.sum(x * y.T))
 
 
 def pairing_matrix(pair: JordanPair) -> np.ndarray:

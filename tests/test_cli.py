@@ -412,14 +412,13 @@ class TestExceptionFirewall:
         assert main(["pinv", str(bad), "--output", str(out)]) == EXIT_VERIFY
         assert json.loads(out.read_text())["error"].startswith("MemoryError")
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_batch(self, monkeypatch, tmp_path, jobs):
+    def test_batch(self, monkeypatch, tmp_path):
         self.explode_on_bad(monkeypatch, "homform")
         paths = [tmp_path / "bad.json", tmp_path / "good.json"]
         for path in paths:
             shutil.copy(GOLDEN / "homform.in.json", path)
         out_dir = tmp_path / "out"
-        code = main(["homform", *map(str, paths), "--jobs", str(jobs), "--output", str(out_dir)])
+        code = main(["homform", *map(str, paths), "--output", str(out_dir)])
         assert code == EXIT_VERIFY
         bad = json.loads((out_dir / "bad.out.json").read_text())
         assert bad["error"] == "MemoryError: Unable to allocate 7.28 TiB"
@@ -448,14 +447,13 @@ class TestUnwritableOutput:
         assert main(["homform", str(doc), "-o", str(target)]) == EXIT_NO_INVERSE
         assert capsys.readouterr().err.startswith(f"cannot write {target}: ")
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_batch_with_a_directory_in_the_way(self, tmp_path, capsys, jobs):
+    def test_batch_with_a_directory_in_the_way(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
             shutil.copy(GOLDEN / "pinv.in.json", path)
         out_dir = tmp_path / "out"
         (out_dir / "a.out.json").mkdir(parents=True)
-        code = main(["pinv", *map(str, paths), "--jobs", str(jobs), "-o", str(out_dir)])
+        code = main(["pinv", *map(str, paths), "-o", str(out_dir)])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"cannot write {out_dir / 'a.out.json'}: ")
         assert (out_dir / "b.out.json").read_text() == (GOLDEN / "pinv.out.json").read_text()
@@ -472,6 +470,23 @@ class TestUnwritableOutput:
             f"cannot write {out_dir}", f"cannot write {out_dir / 'a.out.json'}",
             f"cannot write {out_dir / 'b.out.json'}"]
         assert out_dir.read_text() == "not a directory"
+
+    def test_batch_outputs_that_collide(self, tmp_path, capsys):
+        # d1/doc.json and d2/doc.json both map to out/doc.out.json: the first input keeps
+        # it, the second exits 1 and says whose output it is, and b.json is still written
+        paths = [tmp_path / "d1" / "doc.json", tmp_path / "d2" / "doc.json", tmp_path / "b.json"]
+        for path in paths:
+            path.parent.mkdir(exist_ok=True)
+        shutil.copy(GOLDEN / "pinv.in.json", paths[0])
+        paths[1].write_text(json.dumps({"field": "complex", "matrix": [[[3, 0]], [[4, 0]]]}))
+        shutil.copy(GOLDEN / "pinv.in.json", paths[2])
+        out_dir = tmp_path / "out"
+        assert main(["pinv", *map(str, paths), "-o", str(out_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"cannot write {out_dir / 'doc.out.json'}: it is the output of {paths[0]}\n")
+        want = (GOLDEN / "pinv.out.json").read_text()
+        assert (out_dir / "doc.out.json").read_text() == want
+        assert (out_dir / "b.out.json").read_text() == want
 
 
 def command_ids(cases) -> list[str]:
@@ -657,8 +672,8 @@ class TestIsotropicVector:
 
 class TestSharedAlgebra:
     """jordan-mp reads what depends on the algebra alone from a record that the process
-    builds once: its outputs do not depend on whether the record is new, reused, raced
-    for by two threads, or whether a caller wrote into a copy of a basis."""
+    builds once: its outputs do not depend on whether the record is new or reused, or
+    whether a caller wrote into a copy of a basis."""
 
     ALGEBRAS = [("sl", (2, 3)), ("sp", (3, 3)), ("so", (3, 3)), ("so", (1, 4, 1))]
 
@@ -675,21 +690,14 @@ class TestSharedAlgebra:
         return paths
 
     @staticmethod
-    def outputs(paths, out, jobs=1) -> list[bytes]:
+    def outputs(paths, out) -> list[bytes]:
         """The output bytes of one CLI call: ``out`` is the output file of one document,
         the output directory of several."""
-        code = main(["jordan-mp", *map(str, paths), "--jobs", str(jobs), "--output", str(out)])
+        code = main(["jordan-mp", *map(str, paths), "--output", str(out)])
         assert code == EXIT_OK
         if len(paths) == 1:
             return [out.read_bytes()]
         return [(out / f"{path.stem}.out.json").read_bytes() for path in paths]
-
-    def test_two_threads_give_the_bytes_of_one(self, monkeypatch, tmp_path):
-        paths = self.documents(tmp_path, "sp", (3, 3), 8)
-        monkeypatch.setattr(graded, "_RECORDS", {})  # the two threads race on the first build
-        two = self.outputs(paths, tmp_path / "two", jobs=2)
-        monkeypatch.setattr(graded, "_RECORDS", {})
-        assert self.outputs(paths, tmp_path / "one") == two
 
     @pytest.mark.parametrize("kind,blocks", ALGEBRAS)
     def test_cold_and_warm_records_agree(self, monkeypatch, tmp_path, kind, blocks):
@@ -1005,16 +1013,14 @@ class TestMainEntry:
         (["pinv", PINV, "--tol-rank", "abc"], "argument --tol-rank"),
         (["pinv", PINV, "--tol-rank", "0.5"], "argument --tol-rank"),
         (["pinv", PINV, "--tol-residual", "nan"], "argument --tol-residual"),
-        (["pinv", PINV, PINV, "--jobs", "0"], "argument --jobs"),
-        (["pinv", PINV, PINV, "--jobs", "-3"], "argument --jobs"),
-        (["pinv", PINV, "--jobs", "two"], "argument --jobs"),
+        (["pinv", PINV, PINV, "--jobs", "2"], "unrecognized arguments: --jobs"),
         (["pinv", PINV, "--seed", "1"], "unrecognized arguments: --seed"),
         (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--seed", "1"],
          "unrecognized arguments: --seed"),
         (["sl2-complete", str(GOLDEN / "sl2-complete.in.json"), "--algebra", "sl"],
          "unrecognized arguments: --algebra"),
     ], ids=["command", "flag", "tol-rank-text", "tol-rank-range", "tol-residual-nan",
-            "jobs-zero", "jobs-negative", "jobs-text", "seed-pinv", "seed-sl2", "removed-flag"])
+            "jobs-removed", "seed-pinv", "seed-sl2", "removed-flag"])
     def test_usage_errors_exit_one_and_name_the_flag(self, capsys, argv, named):
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -1065,12 +1071,24 @@ class TestMainEntry:
         shutil.copy(GOLDEN / "pinv.in.json", second)
         out_dir = tmp_path / "out"
         code = main(
-            ["pinv", str(first), str(second), "--jobs", "2", "--output", str(out_dir)]
+            ["pinv", str(first), str(second), "--output", str(out_dir)]
         )
         assert code == EXIT_OK
         got_a = json.loads((out_dir / "a.out.json").read_text())
         got_b = json.loads((out_dir / "b.out.json").read_text())
         assert got_a == got_b
+
+    def test_batch_reads_every_input_before_it_writes(self, tmp_path):
+        # the output of a.json is the input a.out.json, whose own output is a.out.out.json
+        first, second, alone = tmp_path / "a.json", tmp_path / "a.out.json", tmp_path / "alone.json"
+        shutil.copy(GOLDEN / "pinv.in.json", first)
+        for path in (second, alone):
+            path.write_text(json.dumps({"field": "complex", "matrix": [[[3, 0]], [[4, 0]]]}))
+        assert main(["pinv", str(alone), "-o", str(tmp_path / "alone.out.json")]) == EXIT_OK
+        assert main(["pinv", str(first), str(second)]) == EXIT_OK
+        want = (tmp_path / "alone.out.json").read_text()
+        assert (tmp_path / "a.out.out.json").read_text() == want
+        assert second.read_text() == (GOLDEN / "pinv.out.json").read_text()
 
     def test_non_finite_result_exits_two(self, tmp_path):
         # the inverse of the least subnormal, 2**1074, is beyond the float range
