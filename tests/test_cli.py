@@ -488,6 +488,18 @@ class TestUnwritableOutput:
         assert (out_dir / "doc.out.json").read_text() == want
         assert (out_dir / "b.out.json").read_text() == want
 
+    def test_batch_outputs_that_collide_under_another_spelling(self, tmp_path, capsys):
+        # d/a.json and d/../d/a.json are one file: the second spelling of its output is
+        # refused, so the input is not overwritten by its own answer twice over
+        first = tmp_path / "d" / "a.json"
+        first.parent.mkdir()
+        shutil.copy(GOLDEN / "pinv.in.json", first)
+        second = tmp_path / "d" / ".." / "d" / "a.json"
+        assert main(["pinv", str(first), str(second)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"cannot write {second.parent / 'a.out.json'}: it is the output of {first}\n")
+        assert (first.parent / "a.out.json").read_text() == (GOLDEN / "pinv.out.json").read_text()
+
 
 def command_ids(cases) -> list[str]:
     """Each case named by its command; from a command's second case on, with a counter."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liepinv import classical
-from liepinv.errors import NotShortGrading, ShapeMismatch, WrongComponent
+from liepinv.errors import NotInAlgebra, NotShortGrading, ShapeMismatch, WrongComponent
 from liepinv.graded import (
     GradedAlgebra,
     bracket,
@@ -138,6 +138,22 @@ class TestKillingPairing:
         x = pair.algebra.random_element(1, rng)
         y = pair.algebra.random_element(-1, rng)
         assert abs(killing_pairing(pair, x, y) - killing_pairing(pair, y, x)) < 1e-10
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    def test_both_in_one_component_are_refused(self, sign):
+        # the closed form c Tr(xy)/4 is defined for any two matrices: the checks keep it
+        # to one argument in V+ and the other in V-
+        rng = np.random.default_rng(106)
+        pair = matrix_pair(2, 3)
+        x, y = pair.algebra.random_element(sign, rng), pair.algebra.random_element(sign, rng)
+        with pytest.raises(WrongComponent):
+            killing_pairing(pair, x, y)
+
+    def test_a_matrix_outside_the_algebra_is_refused(self):
+        pair = matrix_pair(2, 2)
+        minus = pair.algebra.random_element(-1, np.random.default_rng(107))
+        with pytest.raises(NotInAlgebra):
+            killing_pairing(pair, np.eye(4, dtype=complex), minus)
 
 
 class TestCartanInvolution:
