@@ -981,19 +981,19 @@ def is_mp_element(
 def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     """Height of the nilpotent orbit: the largest k with ad(e)^k != 0.
 
-    The image of ad(e)^k is invariant, so the rank of ad(e) on it, in an
-    orthonormal basis, is the rank of ad(e)^(k+1).  Each rank is decided with
-    rank_rtol at the scale |ad(e)|_F, and its decomposition gives the next
-    basis.  An e of one degree d, with exact zeros off it, is ranked degree by
-    degree at that same scale: ad(e) maps g_m into g_(m+d), so each image is
-    graded and each rank is the sum of the ranks of ad(e) from the image in
-    g_m to the image in g_(m+d).  Every other e is ranked whole.  The height
-    is the number of steps until the rank reaches 0; the zero element has
-    height 0.  NotNilpotent is raised as soon as the rank stops falling, or
-    when ad(e) = 0 but e != 0 (so(2) is abelian; every other algebra here has
-    zero center), and ArithmeticError (a numerical failure) when the height
-    would exceed that of the regular nilpotent: 2n - 2 for sl_n and sp_n,
-    2n - 4 for so_n with n odd and 2n - 6 with n even.
+    An e of one degree d, with exact zeros off it, in an algebra of several
+    blocks, is ranked degree by degree: ad(e) maps g_m into g_(m+d), so the
+    rank of ad(e) on the graded image of ad(e)^k, the rank of ad(e)^(k+1), is
+    the sum of the ranks of its blocks g_m -> g_(m+d) on those images, each
+    decided with rank_rtol at the scale |ad(e)|_F, and the height is the number
+    of steps to rank 0.  Every other e is ranked on C^n at the scale |e|_F:
+    the ranks of e^k give its Jordan type p_1 >= p_2 >= ..., and the height is
+    2 p_1 - 2 for sl and sp, and for so that when p_1 = p_2, else
+    max(2 p_1 - 4, p_1 + p_2 - 2).  The zero element has height 0.
+    NotNilpotent is raised as soon as a rank stops falling, or when ad(e) = 0
+    but e != 0 (so(2) is abelian), and ArithmeticError (a numerical failure)
+    when the ranks of the powers of e are the Jordan type of no nilpotent of
+    the algebra (in sp the odd parts, in so the even parts, come in pairs).
     """
     return _orbit_height(alg, alg._unit_member(e, tol)[1], tol)
 
@@ -1001,14 +1001,15 @@ def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
 def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
     """orbit_height of a checked member at unit scale.
 
-    ad(e) is cut into one block for each piece m of the basis that it maps into a piece
-    m + d.  Each step ranks every block, then compresses it with the image bases of its
-    source and target pieces; a block with an image of rank 0 at either end drops out.
+    For a homogeneous e, ad(e) is cut into one block for each piece m of the basis that
+    it maps into a piece m + d.  Each step ranks every block, then compresses it with the
+    image bases of its source and target pieces; a block with an image of rank 0 at
+    either end drops out.  Every other e goes to the ranks of its powers.
     """
-    n = alg.ambient_dim
-    top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent
+    if (by_degree := _degree_pieces(alg, e)) is None:
+        return _jordan_height(alg.kind, _power_ranks(e, tol))
+    pieces, d = by_degree
     ad = alg.ad(e)
-    pieces, d = _degree_pieces(alg, e)
     # ad(e) on the image of ad(e)^height, block by block, and the dimension of that image
     blocks = {m: ad[pieces[m + d]][:, pieces[m]] for m in pieces if m + d in pieces}
     scale, size, height = frob(ad), ad.shape[0], 0
@@ -1020,30 +1021,57 @@ def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
             raise NotNilpotent(
                 f"e is not nilpotent: ad(e) keeps rank {rank} on the image of ad(e)^{height}"
             )
-        if height >= top:
-            raise ArithmeticError(
-                f"ad(e) keeps rank {rank} on the image of ad(e)^{height}, but no nilpotent "
-                f"of {alg.kind}_{n} has height above {top}: the ranks are ill-conditioned"
-            )
         images = {m + d: dec.image for m, dec in decs.items() if dec.rank}
         blocks = {m: images[m + d].conj().T @ block @ images[m]
                   for m, block in blocks.items() if m in images and m + d in images}
         size, height = rank, height + 1
     if height == 0 and e.any():
-        raise NotNilpotent(f"e is not nilpotent: it is nonzero and central in {alg.kind}_{n}")
+        raise NotNilpotent(
+            f"e is not nilpotent: it is nonzero and central in {alg.kind}_{alg.ambient_dim}")
     return height
 
 
-def _degree_pieces(alg: GradedAlgebra, e: np.ndarray) -> tuple[dict, int]:
-    """The pieces of the whole basis by key m, ad(e) mapping piece m into piece m + d, and d.
+def _power_ranks(e: np.ndarray, tol: Tolerance) -> list[int]:
+    """[n, rank e, rank e^2, ..., 0] for an n x n nilpotent e at unit scale: the rank of e
+    on an orthonormal basis of the image of e^k, at the scale |e|_F, and its image the next
+    basis.  NotNilpotent as soon as the rank stops falling."""
+    ranks, on_image, scale = [e.shape[0]], e, frob(e)
+    while ranks[-1]:
+        dec = _rank_decomposition(on_image, tol, scale)
+        if dec.rank == ranks[-1]:
+            raise NotNilpotent(
+                f"e is not nilpotent: e keeps rank {dec.rank} on the image of e^{len(ranks) - 1}"
+            )
+        ranks.append(dec.rank)
+        on_image = e @ dec.image
+    return ranks
 
-    For e whose nonzero entries all have one degree d, in a graded algebra, piece m
-    indexes g_m: the run of units of degree m, and at m = 0 the Helmert rows, which end
-    the basis.  Otherwise the whole basis is piece 0 and d = 0.
+
+def _jordan_height(kind: str, ranks: list[int]) -> int:
+    """The orbit height in kind_n of a nilpotent whose powers have ranks n, ..., 0:
+    r_(k-1) - r_k of its Jordan parts are at least k (Panyushev, Manuscripta Math. 1994).
+    ArithmeticError when these ranks are the Jordan type of no nilpotent of kind_n."""
+    at_least = -np.diff(ranks)
+    count = at_least - np.append(at_least[1:], 0)  # count[k - 1] parts equal k
+    paired = {"sl": count[:0], "sp": count[::2], "so": count[1::2]}[kind]  # odd, even parts
+    if np.any(count < 0) or np.any(paired % 2):
+        raise ArithmeticError(f"ranks {ranks} of the powers of e are the Jordan type of no "
+                              f"nilpotent of {kind}_{ranks[0]}: the ranks are ill-conditioned")
+    p1, p2 = len(at_least), int(np.sum(at_least >= 2))
+    if kind == "so" and p1 > max(p2, 1):
+        return max(2 * p1 - 4, p1 + p2 - 2)
+    return 2 * p1 - 2
+
+
+def _degree_pieces(alg: GradedAlgebra, e: np.ndarray) -> tuple[dict, int] | None:
+    """The pieces of the whole basis by key m, ad(e) mapping piece m into piece m + d, and d,
+    for a nonzero e whose entries all have one degree d in an algebra of several blocks;
+    else None.  Piece m indexes g_m: the run of units of degree m, and at m = 0 the
+    Helmert rows, which end the basis.
     """
     degrees = alg._entry_degree[np.flatnonzero(e)]
     if len(alg.blocks) == 1 or not degrees.size or np.any(degrees != degrees[0]):
-        return {0: slice(None)}, 0
+        return None
     pieces = {m: alg._runs[m] for m in alg.degrees}
     if alg._helmert.size:
         pieces[0] = np.r_[pieces[0], alg._units.size:alg.dim]

@@ -84,11 +84,11 @@ def levi_group_element(alg: GradedAlgebra, rng, scale: float = 0.4) -> np.ndarra
 def ill_conditioned_sp8_conjugate() -> tuple[GradedAlgebra, np.ndarray]:
     """A degree-1 element of sp with blocks (1,)*8 under g = exp(8x/|x|_F), cond g = 307.
 
-    The ranks of ad(g e g^-1) have condition number near cond(g)^2: read
-    without a bound, they give a height above the 14 that sp_8 allows.  The
-    guard fires for every scale from 7.25 to 9.75, in steps of 0.25, in place
-    of 8, with ad(e) summed through the table of ``_IndexBasis.ad`` or through
-    the bracket stack of :func:`stack_ad`; this scale sits inside that band.
+    x is drawn from the whole algebra, so g e g^-1 is not exactly homogeneous, and its
+    height is that of the regular nilpotent e, 14, which the Jordan type of g e g^-1
+    reads.  The ranks of ad(g e g^-1) have condition number near cond(g)^2: they give a
+    height above the 14 that sp_8 allows, so :func:`whole_algebra_height` raises
+    ArithmeticError.
     """
     alg = GradedAlgebra("sp", (1,) * 8)
     rng = np.random.default_rng(1310)
@@ -319,7 +319,10 @@ def stack_ad(basis, x: np.ndarray) -> np.ndarray:
 def whole_algebra_height(alg: GradedAlgebra, e, tol=DEFAULT_TOL) -> int:
     """The orbit height of e from the nested images of the whole of ad(e), as
     ``graded.orbit_height`` once computed it for every e: one SVD of a matrix of side
-    up to dim g per step.  The oracle for its degree-by-degree ranks."""
+    up to dim g per step, and ArithmeticError above the height of the regular nilpotent.
+    The oracle for both routes of ``orbit_height``: its degree-by-degree ranks of ad(e),
+    and the Jordan type of e that it reads from the ranks of the powers of e, on elements
+    whose ad(e) is well conditioned (unitary conjugates)."""
     e = alg._unit_member(e, tol)[1]
     n = alg.ambient_dim
     top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent
