@@ -18,14 +18,17 @@ depends on (kind, blocks) alone is built once per process and shared,
 read-only, by every instance of that algebra: the unit tables, each basis
 (with its table) the first time it is used, and the values other modules
 derive from them (the Jordan pair's bases, pairing and standard involution).
-None of it is ever freed: the ad table of a whole algebra of n x n matrices
-holds O(n^3) terms (about 1 MB for sl(10,10)).
+None of it is ever freed.  The tables that commands build are those of single
+degrees, for the operators of the Jordan pair; only a library caller of
+:meth:`GradedAlgebra.ad` builds the table of a whole algebra of n x n
+matrices, O(n^3) terms (about 1 MB for sl(10,10)).
 
 On top of the algebra the module provides: brackets, Killing forms c Tr(xy),
 completion of a homogeneous nilpotent to the norm-minimal sl2-triple and the
 direction space of its characteristics, Moore-Penrose inverses in short
 gradings, the raising-space criterion for Moore-Penrose orbits, nilpotent
-orbit heights, and the per-block multidegree check for parabolics of sl_n.
+orbit heights from the Jordan type of e, and the per-block multidegree check
+for parabolics of sl_n.
 h is split once into its integer levels, where it is made, one diagonal block at
 a time: by one eigh when h is Hermitian within the cut, else from the kernels of
 h - k.  The result carries that split.  The engine reads f off it as a weight part,
@@ -128,7 +131,8 @@ class _IndexBasis:
     :meth:`brackets` stays for callers that need the matrices.  A basis may be
     shared by every algebra of its kind, so its arrays are read-only, and it
     keeps its table for the life of the process: about 2.6 n^3 terms of 48
-    bytes for the whole of sl_n (1 MB at n = 20, 8 MB at n = 40).
+    bytes for the whole of sl_n (1 MB at n = 20, 8 MB at n = 40), a table that
+    only a library caller of :meth:`GradedAlgebra.ad` builds.
     """
 
     def __init__(self, n: int, pos, partner, weight, pweight, cartan=None):
@@ -517,7 +521,8 @@ class GradedAlgebra:
     # -- algebra operations ----------------------------------------------------
 
     def ad(self, x) -> np.ndarray:
-        """Matrix of ad(x) on the orthonormal basis of the algebra."""
+        """Matrix of ad(x) on the orthonormal basis of the algebra, through the table of
+        the whole algebra, built on the first call in the process; no command calls it."""
         return self._index_basis().ad(self._check_ambient(x))
 
     @property
@@ -981,54 +986,22 @@ def is_mp_element(
 def orbit_height(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> int:
     """Height of the nilpotent orbit: the largest k with ad(e)^k != 0.
 
-    An e of one degree d, with exact zeros off it, in an algebra of several
-    blocks, is ranked degree by degree: ad(e) maps g_m into g_(m+d), so the
-    rank of ad(e) on the graded image of ad(e)^k, the rank of ad(e)^(k+1), is
-    the sum of the ranks of its blocks g_m -> g_(m+d) on those images, each
-    decided with rank_rtol at the scale |ad(e)|_F, and the height is the number
-    of steps to rank 0.  Every other e is ranked on C^n at the scale |e|_F:
-    the ranks of e^k give its Jordan type p_1 >= p_2 >= ..., and the height is
+    Every e, homogeneous or not, graded or ungraded, is ranked on C^n at the scale
+    |e|_F: the ranks of e^k give its Jordan type p_1 >= p_2 >= ..., and the height is
     2 p_1 - 2 for sl and sp, and for so that when p_1 = p_2, else
-    max(2 p_1 - 4, p_1 + p_2 - 2).  The zero element has height 0.
-    NotNilpotent is raised as soon as a rank stops falling, or when ad(e) = 0
-    but e != 0 (so(2) is abelian), and ArithmeticError (a numerical failure)
-    when the ranks of the powers of e are the Jordan type of no nilpotent of
-    the algebra (in sp the odd parts, in so the even parts, come in pairs).
+    max(2 p_1 - 4, p_1 + p_2 - 2).  The zero element has height 0.  NotNilpotent is
+    raised as soon as a rank stops falling (so on every nonzero e of so(2), which is
+    abelian), and ArithmeticError (a numerical failure) when the ranks of the powers of
+    e are the Jordan type of no nilpotent of the algebra (in sp the odd parts, in so the
+    even parts, come in pairs).
     """
     return _orbit_height(alg, alg._unit_member(e, tol)[1], tol)
 
 
 def _orbit_height(alg: GradedAlgebra, e: np.ndarray, tol: Tolerance) -> int:
-    """orbit_height of a checked member at unit scale.
-
-    For a homogeneous e, ad(e) is cut into one block for each piece m of the basis that
-    it maps into a piece m + d.  Each step ranks every block, then compresses it with the
-    image bases of its source and target pieces; a block with an image of rank 0 at
-    either end drops out.  Every other e goes to the ranks of its powers.
-    """
-    if (by_degree := _degree_pieces(alg, e)) is None:
-        return _jordan_height(alg.kind, _power_ranks(e, tol))
-    pieces, d = by_degree
-    ad = alg.ad(e)
-    # ad(e) on the image of ad(e)^height, block by block, and the dimension of that image
-    blocks = {m: ad[pieces[m + d]][:, pieces[m]] for m in pieces if m + d in pieces}
-    scale, size, height = frob(ad), ad.shape[0], 0
-    while True:
-        decs = {m: _rank_decomposition(block, tol, scale) for m, block in blocks.items()}
-        if not (rank := sum(dec.rank for dec in decs.values())):
-            break
-        if rank == size:
-            raise NotNilpotent(
-                f"e is not nilpotent: ad(e) keeps rank {rank} on the image of ad(e)^{height}"
-            )
-        images = {m + d: dec.image for m, dec in decs.items() if dec.rank}
-        blocks = {m: images[m + d].conj().T @ block @ images[m]
-                  for m, block in blocks.items() if m in images and m + d in images}
-        size, height = rank, height + 1
-    if height == 0 and e.any():
-        raise NotNilpotent(
-            f"e is not nilpotent: it is nonzero and central in {alg.kind}_{alg.ambient_dim}")
-    return height
+    """orbit_height of a checked member at unit scale, from the ranks of its powers: no
+    ranked matrix is wider than n, and ad(e) is never formed."""
+    return _jordan_height(alg.kind, _power_ranks(e, tol))
 
 
 def _power_ranks(e: np.ndarray, tol: Tolerance) -> list[int]:
@@ -1061,21 +1034,6 @@ def _jordan_height(kind: str, ranks: list[int]) -> int:
     if kind == "so" and p1 > max(p2, 1):
         return max(2 * p1 - 4, p1 + p2 - 2)
     return 2 * p1 - 2
-
-
-def _degree_pieces(alg: GradedAlgebra, e: np.ndarray) -> tuple[dict, int] | None:
-    """The pieces of the whole basis by key m, ad(e) mapping piece m into piece m + d, and d,
-    for a nonzero e whose entries all have one degree d in an algebra of several blocks;
-    else None.  Piece m indexes g_m: the run of units of degree m, and at m = 0 the
-    Helmert rows, which end the basis.
-    """
-    degrees = alg._entry_degree[np.flatnonzero(e)]
-    if len(alg.blocks) == 1 or not degrees.size or np.any(degrees != degrees[0]):
-        return None
-    pieces = {m: alg._runs[m] for m in alg.degrees}
-    if alg._helmert.size:
-        pieces[0] = np.r_[pieces[0], alg._units.size:alg.dim]
-    return pieces, int(degrees[0]) - (len(alg.blocks) - 1)
 
 
 def is_mp_orbit(alg: GradedAlgebra, e, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -320,9 +320,8 @@ def whole_algebra_height(alg: GradedAlgebra, e, tol=DEFAULT_TOL) -> int:
     """The orbit height of e from the nested images of the whole of ad(e), as
     ``graded.orbit_height`` once computed it for every e: one SVD of a matrix of side
     up to dim g per step, and ArithmeticError above the height of the regular nilpotent.
-    The oracle for both routes of ``orbit_height``: its degree-by-degree ranks of ad(e),
-    and the Jordan type of e that it reads from the ranks of the powers of e, on elements
-    whose ad(e) is well conditioned (unitary conjugates)."""
+    The oracle for ``orbit_height``, which reads the Jordan type of e from the ranks of
+    the powers of e, on elements whose ad(e) is well conditioned (unitary conjugates)."""
     e = alg._unit_member(e, tol)[1]
     n = alg.ambient_dim
     top = 2 * n - 2 if alg.kind != "so" else 2 * n - (4 if n % 2 else 6)  # the regular nilpotent

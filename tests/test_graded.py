@@ -984,9 +984,9 @@ class TestOrbits:
 
 
 class TestHeightsAreRanks:
-    """orbit_height decides ranks on nested images (of ad(e) degree by degree, or of e itself),
-    not the decay of powers: a non-unitary conjugate keeps its height, and a generic element
-    is not nilpotent."""
+    """orbit_height decides the ranks of e on the nested images of its powers, not the decay
+    of powers: a non-unitary conjugate keeps its height, and a generic element is not
+    nilpotent."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_gaussian_conjugates_of_every_partition(self, n):
@@ -1045,7 +1045,7 @@ class TestHeightsAreRanks:
             minimal_characteristic(alg, x, 0)
 
 
-# Gradings whose heights are ranked degree by degree: several lengths and block sizes,
+# Gradings for the heights of homogeneous elements: several lengths and block sizes,
 # finest gradings, and so/sp with and without a middle block.
 HEIGHT_GRADINGS = [
     ("sl", (3, 3, 3)), ("sl", (4, 4, 4)), ("sl", (2, 3, 2, 3)), ("sl", (1,) * 6),
@@ -1104,9 +1104,9 @@ def homogeneous_elements(alg, rng):
 
 
 class TestHeightsByDegree:
-    """A homogeneous e is ranked one degree at a time: the heights are those of the whole
-    of ad(e).  Every other e takes the Jordan type of e, and keeps its true height where the
-    whole of ad(e) loses it."""
+    """Graded elements, homogeneous of each degree or not, take the Jordan type of e: on a
+    unitary conjugate the heights are those of the whole of ad(e), and under Levi conjugates
+    and across the blocks they stay true where the whole of ad(e) loses them."""
 
     @pytest.mark.parametrize("kind, blocks", HEIGHT_GRADINGS)
     def test_homogeneous_heights_equal_the_whole_algebra_ranks(self, kind, blocks):
@@ -1186,35 +1186,28 @@ class TestHeightsByDegree:
                 pass
 
     @pytest.mark.parametrize("kind, blocks", HEIGHT_GRADINGS)
-    def test_levi_conjugates_keep_every_height_the_whole_algebra_gets_right(self, kind, blocks):
+    @pytest.mark.parametrize("seeds, degrees, scales, every", [
+        (range(6), (1,), (0.5, 2.0, 4.0, 6.0, 8.0), False),
+        # the reach floor: every height right up to s = 12 (median cond g 3.8e3)
+        (range(10), (1, 2), (2.0, 4.0, 8.0, 12.0), True),
+    ], ids=["where-the-oracle-is-right", "reach-floor"])
+    def test_levi_conjugates_keep_every_height_the_whole_algebra_gets_right(
+            self, kind, blocks, seeds, degrees, scales, every):
         # g = exp(s x / |x|_F) for x of degree 0 preserves the grading, and g e g^-1 keeps
         # exact zeros off the degree of e; the whole-algebra ranks lose some of these heights
         alg = GradedAlgebra(kind, blocks)
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            e = alg.random_element(1, rng)
-            height, x = orbit_height(alg, e), alg.random_element(0, rng)
-            for s in (0.5, 2.0, 4.0, 6.0, 8.0):
-                g = scipy.linalg.expm(s * x / frob(x))
-                moved = g @ e @ np.linalg.inv(g)
-                assert exact_degree(alg, moved) == 1
-                if outcome(lambda: whole_algebra_height(alg, moved)) == height:
-                    assert outcome(lambda: orbit_height(alg, moved)) == height, (seed, s)
-
-    @pytest.mark.parametrize("blocks, side", [((10, 10), 199), ((4, 4, 4), 47)])
-    def test_no_ranked_matrix_is_wider_than_a_degree(self, monkeypatch, blocks, side):
-        alg = GradedAlgebra("sl", blocks)
-        assert max(alg.degree_dimension(m) for m in alg.degrees) == side
-        shapes, rank = [], numcore._rank_decomposition
-
-        def spy(a, *args):
-            shapes.append(a.shape)
-            return rank(a, *args)
-
-        for module in (numcore, graded):  # the public route as well as the private one
-            monkeypatch.setattr(module, "_rank_decomposition", spy)
-        assert orbit_height(alg, alg.random_element(1, np.random.default_rng(2603))) > 0
-        assert shapes and max(map(max, shapes)) == side
+        for seed in seeds:
+            for degree in filter(alg.degree_dimension, degrees):
+                rng = np.random.default_rng(seed)
+                e = alg.random_element(degree, rng)
+                height, x = orbit_height(alg, e), alg.random_element(0, rng)
+                assert height == whole_algebra_height(alg, e) > 0, (seed, degree)
+                for s in scales:
+                    g = scipy.linalg.expm(s * x / frob(x))
+                    moved = g @ e @ np.linalg.inv(g)
+                    assert exact_degree(alg, moved) == degree
+                    if every or outcome(lambda: whole_algebra_height(alg, moved)) == height:
+                        assert outcome(lambda: orbit_height(alg, moved)) == height, (seed, s)
 
 
 def power_ranks(part):
@@ -1244,9 +1237,15 @@ def is_jordan_type(kind, part):
 TWELVE = [(4, 4, 2, 1, 1), (3, 3, 3, 3), (5, 3, 2, 1, 1), (2, 2, 2, 2, 2, 2), (6, 5, 1)]
 
 
+# (kind, blocks, m) for a random element of degree m = 1, 2, or a nilpotent of degree 0
+HOMOGENEOUS_SCALE_CASES = [(kind, blocks, m) for kind, blocks in
+                           [("sl", (3, 3, 3)), ("sp", (2, 2, 2)), ("so", (2, 3, 2))] for m in (1, 2, 0)]
+
+
 class TestHeightsFromTheJordanType:
-    """An e that is not homogeneous is ranked on C^n: the ranks of its powers give its
-    Jordan type, and the type gives the height."""
+    """Every e is ranked on C^n, whatever its degrees: the ranks of its powers give its
+    Jordan type, and the type gives the height.  No ad(e) is formed, and no ranked matrix
+    is wider than n."""
 
     @pytest.mark.parametrize("kind", ["sl", "sp", "so"])
     def test_the_height_of_every_jordan_type(self, kind):
@@ -1281,31 +1280,48 @@ class TestHeightsFromTheJordanType:
                 e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
                 assert orbit_height(alg, e) == 2 * (part[0] - 1), (part, draw)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(part=st.sampled_from([p for n in range(2, 9) for p in partitions(n)] + TWELVE),
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=st.one_of(st.sampled_from([p for n in range(2, 9) for p in partitions(n)] + TWELVE),
+                          st.sampled_from(HOMOGENEOUS_SCALE_CASES)),
            seed=st.integers(0, 2**16), exponent=st.floats(-150.0, 150.0))
-    def test_ungraded_heights_do_not_depend_on_scale(self, part, seed, exponent):
-        n = sum(part)
-        g = random_complex(np.random.default_rng(seed), n, n)
-        e = g @ jordan_nilpotent(part) @ np.linalg.inv(g)
-        alg = GradedAlgebra("sl", (n,))
-        assert orbit_height(alg, 10.0**exponent * e) == orbit_height(alg, e) == 2 * (part[0] - 1)
+    def test_heights_do_not_depend_on_scale(self, case, seed, exponent):
+        rng = np.random.default_rng(seed)
+        if isinstance(case[0], str):  # homogeneous of degree m in a grading
+            kind, blocks, m = case
+            alg = GradedAlgebra(kind, blocks)
+            e = alg.random_element(m, rng) if m else degree_zero_nilpotent(alg, rng)
+            height = whole_algebra_height(alg, e)
+        else:  # ungraded: a Gaussian conjugate of the Jordan type ``case``
+            n = sum(case)
+            g = random_complex(rng, n, n)
+            alg, e = GradedAlgebra("sl", (n,)), g @ jordan_nilpotent(case) @ np.linalg.inv(g)
+            height = 2 * (case[0] - 1)
+        assert orbit_height(alg, 10.0**exponent * e) == orbit_height(alg, e) == height
 
     @pytest.mark.parametrize("kind, blocks", [("sl", (10,)), ("sp", (8,)), ("so", (9,)),
-                                              ("sl", (4, 4, 4)), ("sp", (3, 3)), ("so", (2, 3, 2))])
+                                              ("sl", (10, 10)), ("sl", (4, 4, 4)), ("sp", (3, 3)),
+                                              ("so", (2, 3, 2))])
     def test_no_ad_and_nothing_wider_than_n(self, monkeypatch, kind, blocks):
-        monkeypatch.setattr(graded, "_RECORDS", {})  # a fresh algebra
         alg = GradedAlgebra(kind, blocks)
         n, rng = alg.ambient_dim, np.random.default_rng(2605)
         g = scipy.linalg.expm(alg.project(random_complex(rng, n, n)) / n)
-        if len(blocks) > 1:  # nilpotent, of several degrees
-            e = degree_zero_nilpotent(alg, rng, 1) + alg.random_element(1, rng)
+        if len(blocks) > 1:  # homogeneous of degrees 1, 2 and 0, and nilpotent of several
+            elements = [alg.random_element(m, rng) for m in (1, 2) if alg.degree_dimension(m)]
+            elements += [degree_zero_nilpotent(alg, rng),
+                         degree_zero_nilpotent(alg, rng, 1) + alg.random_element(1, rng)]
+            # in sl the degree-0 nilpotent is regular in each block: the whole-algebra ranks
+            # lose its height, 18, on sl(10, 10)
+            heights = [2 * max(blocks) - 2 if kind == "sl" and exact_degree(alg, e) == 0
+                       else whole_algebra_height(alg, e) for e in elements]
         elif kind == "sl":
-            e = g @ jordan_nilpotent((n,)) @ np.linalg.inv(g)
+            elements, heights = [g @ jordan_nilpotent((n,)) @ np.linalg.inv(g)], [18]
         else:  # square zero: x^T J + J x = 0 for J = I (so) and for J = [[0, I], [-I, 0]] (sp)
             a, b = np.eye(n)[0] + 1j * np.eye(n)[1], np.eye(n)[2]
             x = np.outer(a, b) - np.outer(b, a) if kind == "so" else np.eye(n, k=n // 2)
-            e = g @ x @ np.linalg.inv(g)
+            elements, heights = [g @ x @ np.linalg.inv(g)], [2]
+        generic = alg.project(random_complex(rng, n, n))
+        monkeypatch.setattr(graded, "_RECORDS", {})  # a fresh algebra
+        alg = GradedAlgebra(kind, blocks)
         shapes, rank, calls, ad = [], numcore._rank_decomposition, [], GradedAlgebra.ad
 
         def spy(a, *args):
@@ -1319,12 +1335,13 @@ class TestHeightsFromTheJordanType:
         for module in (numcore, graded):  # the public route as well as the private one
             monkeypatch.setattr(module, "_rank_decomposition", spy)
         monkeypatch.setattr(GradedAlgebra, "ad", ad_spy)
-        height = orbit_height(alg, e)
-        assert height == {"sl": 18, "sp": 2, "so": 2}[kind] if len(blocks) == 1 else height > 0
+        for e, height in zip(elements, heights):
+            shapes.clear()
+            assert orbit_height(alg, e) == height > 0
+            assert not calls and max(map(max, shapes)) == n
         with pytest.raises(NotNilpotent):
-            orbit_height(alg, alg.project(random_complex(rng, n, n)))
-        assert not calls and shapes and max(map(max, shapes)) == n
-        assert None not in alg._record.bases
+            orbit_height(alg, generic)
+        assert not calls and None not in alg._record.bases
 
 
 SCALE_ALGEBRAS = [("sl", (4, 4)), ("sp", (3, 3)), ("so", (1, 6, 1)), ("sl", (3, 3, 3))]
