@@ -414,10 +414,7 @@ def _cmd_sl2_complete(doc: dict, job: JobSpec) -> tuple[dict, Report]:
 
 def _cmd_mp_element(doc: dict, job: JobSpec) -> tuple[dict, Report]:
     alg, res = _characteristic(doc, job)
-    if res.levels.blocks == alg.blocks:
-        criterion = graded.annihilates_positive_part(alg, res.e, res.h, job.tol)
-    else:  # degree 0 splits h on all of g, in this algebra: so/sp on blocks (n,) use another form
-        criterion = graded._annihilates_positive_part(alg, res.e, res.levels, job.tol)
+    criterion = graded._annihilates_positive_part(alg, res.e, res.levels, job.tol)
     result = {"is_mp_element": res.is_hermitian, "hermitian_defect": res.hermitian_defect}
     return result, _sl2_report(alg, res, job, orbit_criterion=criterion)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import NotAComplex, ShapeMismatch
 from .graded import _certificate
-from .numcore import (DEFAULT_TOL, Report, Tolerance, _ldexp, _pinv, _unit_pair, _unit_scale,
-                      as_matrix, frob, rank_decomposition)
+from .numcore import (DEFAULT_TOL, Report, Tolerance, _checked_int, _ldexp, _pinv, _unit_pair,
+                      _unit_scale, as_matrix, frob, rank_decomposition)
 
 __all__ = [
     "ChainTuple",
@@ -42,7 +42,7 @@ class ChainTuple:
     maps: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(d) for d in self.sizes)
+        sizes = tuple(_checked_int(d, f"sizes[{i}]") for i, d in enumerate(self.sizes))
         if len(sizes) < 2 or any(d <= 0 for d in sizes):
             raise ValueError(f"need at least two positive sizes, got {sizes}")
         maps = tuple(as_matrix(m) for m in self.maps)

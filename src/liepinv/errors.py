@@ -3,7 +3,6 @@
 __all__ = [
     "LiepinvError",
     "ShapeMismatch",
-    "InconsistentConstraints",
     "EmbeddingMismatch",
     "NotInAlgebra",
     "NoTriple",
@@ -26,10 +25,6 @@ class LiepinvError(Exception):
 
 class ShapeMismatch(LiepinvError, ValueError):
     """Operands have incompatible shapes."""
-
-
-class InconsistentConstraints(LiepinvError, ValueError):
-    """The equality constraints of a least-squares problem have no solution."""
 
 
 class EmbeddingMismatch(LiepinvError, ArithmeticError):

@@ -23,6 +23,7 @@ from .numcore import (
     QuaternionMatrix,
     Report,
     Tolerance,
+    _checked_int,
     _ldexp,
     _pinv,
     _unit_pair,
@@ -187,6 +188,8 @@ class PseudoEuclideanSpace:
     m: int
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         if self.n < 0 or self.m < 0 or self.n + self.m == 0:
             raise ValueError("signature must be nonnegative with positive total dimension")
 
@@ -196,6 +199,8 @@ class PseudoEuclideanSpace:
 
 
 def _as_real_vector(space: PseudoEuclideanSpace, v) -> np.ndarray:
+    if np.iscomplexobj(v):
+        raise ValueError("vector must be real, got complex entries")
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != space.dim:
         raise ShapeMismatch(f"vector must have dimension {space.dim}, got {v.shape[0]}")

@@ -35,14 +35,14 @@ h - k.  The result carries that split.  The engine reads f off it as a weight pa
 and the criterion and the direction space read the positive ad(h)-part of g_0 off
 it (the direction space is ker ad(e) on it).
 
-Two routes complete e.  In a short grading every nonzero e of degree +-1 has
-its Moore-Penrose inverse in closed form (the classical pseudoinverse of the
-degree +-1 block, or the vector formula of so(1, d, 1)), and its Hermitian
-characteristic is the norm-minimal one; a closed form that fails its triple
-check or is not Hermitian is a numerical failure (ArithmeticError).  Every
-other problem (longer gradings, degree 0, single blocks) goes to the
-minimal-characteristic engine: one constrained least-squares solve for y, then
-f as the ad(h)-weight -2 part of y.  The tests certify the closed form with it.
+Two routes complete e.  A nonzero e of degree +-1 in a short grading, and an e of
+sl_n on one block (the per-block problem of a parabolic), have their Moore-Penrose
+inverse in closed form (the pseudoinverse of the block, or the vector formula of
+so(1, d, 1)), with the norm-minimal characteristic, Hermitian; a closed form that
+fails its triple check or is not Hermitian is a numerical failure (ArithmeticError).
+Every other problem (longer gradings, degree 0) goes to the minimal-characteristic
+engine: two pseudoinverse steps for y, then f as its ad(h)-weight -2 part.  The
+tests certify the closed forms with it.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .errors import (
 from .numcore import (
     DEFAULT_TOL,
     Tolerance,
+    _checked_int,
     _ldexp,
     _pinv,
     _rank_decomposition,
@@ -75,7 +76,6 @@ from .numcore import (
     as_matrix,
     frob,
     rank_decomposition,
-    solve_least_squares_constrained,
 )
 
 __all__ = [
@@ -284,7 +284,7 @@ class GradedAlgebra:
         kind = str(kind).lower()
         if kind not in ("sl", "so", "sp"):
             raise ValueError(f"kind must be 'sl', 'so' or 'sp', got {kind!r}")
-        blocks = tuple(int(d) for d in blocks)
+        blocks = tuple(_checked_int(d, f"blocks[{i}]") for i, d in enumerate(blocks))
         if not blocks or any(d <= 0 for d in blocks):
             raise ValueError(f"block sizes must be positive, got {blocks}")
         self.kind = kind
@@ -661,16 +661,19 @@ def _certificate(e: np.ndarray, f: np.ndarray) -> tuple[Sl2Triple, float]:
 
 def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: _IndexBasis,
                     blocks, tol: Tolerance) -> CharacteristicResult:
-    """Shared engine: minimize |h|_F over {h = [e, y] : [[e, y], e] = 2e}.
+    """The engine: minimize |h|_F over {h = [e, y] : [[e, y], e] = 2e}.
 
     Every h in that affine set is a genuine characteristic (completion lemma),
     and for homogeneous e the set is exactly the homogeneous characteristics,
     so the Frobenius minimizer is the one orthogonal to the direction space.
-    f is the ad(h)-weight -2 part of the minimizing y, read off the split of h
-    on ``blocks``, which the result carries: [e, y_w] has weight w + 2, so
-    [e, y_-2] = h (Kostant).  NoTriple if h fails the multiplicity gate, or if
-    hypot(|[e, f] - h|, |[h, f] + 2f|) > residual_tol (1 + |h| + |e|).  e is a
-    checked member at unit scale, and so is the result (see :func:`_at_scale`).
+    In the coordinates y on ``neg`` the set is C y = d, with h = M y: y is the
+    least-norm solution, moved along ker C to the least |M y|.  f is the
+    ad(h)-weight -2 part of y, read off the split of h on ``blocks``, which the
+    result carries: [e, y_w] has weight w + 2, so [e, y_-2] = h (Kostant).
+    NoTriple if an SVD fails, if y misses C y = d or first-order optimality, if
+    h fails the multiplicity gate, or if hypot(|[e, f] - h|, |[h, f] + 2f|) >
+    residual_tol (1 + |h| + |e|).  e is a checked member at unit scale, and so
+    is the result (see :func:`_at_scale`).
     """
     if not e.any():
         zero, levels = np.zeros_like(e), _levels(e, blocks, tol)
@@ -680,12 +683,21 @@ def _minimal_triple(e: np.ndarray, neg: _IndexBasis, res: _IndexBasis, h_basis: 
 
     br_e = neg.brackets(e)  # [e, y_k]
     c_mat = -res.coords(e @ br_e - br_e @ e).T  # y -> [[e, y], e]
-    m_obj = h_basis.coords(br_e).T
-    d = 2.0 * res.coords(e)
-    try:
-        y = solve_least_squares_constrained(m_obj, np.zeros(m_obj.shape[0]), c_mat, d, tol)
-    except Exception as exc:  # noqa: BLE001 - re-raise with domain meaning
-        raise NoTriple(f"sl2 completion system is inconsistent: {exc}") from exc
+    m_obj = h_basis.coords(br_e).T  # y -> h = [e, y]
+    d, m_norm = 2.0 * res.coords(e), frob(m_obj)
+    try:  # the least-norm y on C y = d, then the least |M y| along ker C = span N
+        c_plus, dec = _pinv(c_mat, tol)
+        y, null = c_plus @ d, dec.kernel
+        gap, scale = frob(c_mat @ y - d), 1.0 + frob(d) + frob(c_mat) * frob(y)
+        if not gap <= tol.residual_tol * scale:
+            raise NoTriple(f"sl2 completion system is inconsistent: residual {gap:.3e}")
+        # ranked at |M|_F, not at |M N|: where M vanishes on ker C, M N is roundoff
+        y -= null @ (_pinv(m_obj @ null, tol, m_norm)[0] @ (m_obj @ y))
+    except np.linalg.LinAlgError as exc:
+        raise NoTriple(f"sl2 completion system: {exc}") from exc
+    kkt = frob(null.conj().T @ (m_obj.conj().T @ (m_obj @ y)))  # the gradient on ker C
+    if not kkt <= tol.residual_tol * (1.0 + m_norm**2 * frob(y)):
+        raise NoTriple(f"sl2 completion misses first-order optimality by {kkt:.3e}")
 
     h = np.tensordot(y, br_e, 1)
     try:  # a gate failure of the engine's own h is numerical, not an input error
@@ -738,12 +750,17 @@ def _unit_characteristic(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> Char
     blocks = alg.blocks if degree else (alg.ambient_dim,)
     if degree == 0:
         _orbit_height(alg, e, tol)  # raises NotNilpotent
-    elif alg.is_short and e.any():
-        triple = _short_triple(alg, e, degree, tol)
-        defect = frob(triple.h - triple.h.conj().T)
-        return CharacteristicResult(triple, defect, True, _levels(triple.h, blocks, tol))
+    elif alg.is_short and e.any():  # on block (1, 2) in degree 1, (2, 1) in degree -1
+        triple = _block_triple(alg, e, 1 + (degree < 0), 1 + (degree > 0), tol)
+        return _closed_result(triple, blocks, tol)
     bases = (None, None, None) if degree == 0 else (-degree, degree, 0)
     return _minimal_triple(e, *map(alg._index_basis, bases), blocks, tol)
+
+
+def _closed_result(triple: Sl2Triple, blocks, tol: Tolerance) -> CharacteristicResult:
+    """The result of a closed-form triple, Hermitian by its gate, with the split of its h."""
+    h = triple.h
+    return CharacteristicResult(triple, frob(h - h.conj().T), True, _levels(h, blocks, tol))
 
 
 def _checked_degree(alg: GradedAlgebra, e: np.ndarray, degree, tol) -> int:
@@ -823,17 +840,16 @@ def _mp_inverse_short(alg: GradedAlgebra, e: np.ndarray, degree: int | None, tol
         return np.zeros_like(e)
     if degree == 0:
         raise ValueError("element must lie in g_{+1} or g_{-1}")
-    return _short_triple(alg, e, degree, tol).f
+    return _block_triple(alg, e, 1 + (degree < 0), 1 + (degree > 0), tol).f
 
 
-def _short_triple(alg: GradedAlgebra, e: np.ndarray, degree: int, tol: Tolerance) -> Sl2Triple:
-    """The closed-form triple (e, [e, f], f) of a checked member e of degree +-1 at unit scale.
-
-    ArithmeticError unless its residuals pass and its characteristic is Hermitian.
-    """
-    i, j = (1, 2) if degree == 1 else (2, 1)
+def _block_triple(alg: GradedAlgebra, e: np.ndarray, i: int, j: int, tol: Tolerance) -> Sl2Triple:
+    """The closed-form triple (e, [e, f], f) of a checked member e at unit scale on block
+    (i, j) (and its form partner): f is the pinv of the block at (j, i), or in so(1, d, 1)
+    ``forms.vector_pinv`` of it.  ArithmeticError unless the residuals pass and the
+    characteristic is Hermitian."""
     block = e[alg.block_slice(i), alg.block_slice(j)]
-    if len(alg.blocks) == 2:
+    if alg.kind == "sl" or len(alg.blocks) == 2:
         # pinv keeps the (skew-)symmetry of a self-paired so/sp block only to roundoff
         # times its condition number: project, and let the triple check judge
         f = np.zeros_like(e)
@@ -848,10 +864,8 @@ def _short_triple(alg: GradedAlgebra, e: np.ndarray, degree: int, tol: Tolerance
             f"closed-form triple residuals {list(triple.residuals)} above tolerance"
         )
     if defect > tol.residual_tol:
-        raise ArithmeticError(
-            f"closed-form characteristic unexpectedly non-Hermitian "
-            f"(defect {defect:.3e}) in a short grading"
-        )
+        raise ArithmeticError(f"closed-form characteristic unexpectedly non-Hermitian "
+                              f"(defect {defect:.3e})")
     return triple
 
 
@@ -1053,7 +1067,9 @@ def multidegree_characteristic(
     """Minimal characteristic for an element supported on the single block (i, j).
 
     This is the per-multidegree problem of a parabolic of sl_n: the opposite
-    leg is searched in the transposed block (j, i) only.
+    leg is searched in the transposed block (j, i) only.  Its answer is the matrix
+    case of the paper (Penrose): f = A+ at (j, i) for the block A of e, and h =
+    diag(AA+, -A+A); ArithmeticError if that triple fails its check.
     """
     if alg.kind != "sl":
         raise ValueError("multidegree checks are defined for sl gradings")
@@ -1064,8 +1080,5 @@ def multidegree_characteristic(
     outside[alg.block_slice(i), alg.block_slice(j)] = 0.0
     if frob(outside) > tol.residual_tol * (1.0 + frob(unit)):
         raise UnsupportedBlock(f"element has mass {frob(outside):.3e} outside block ({i},{j})")
-    # the units of block (j, i), one entry each, in row-major order
-    block = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
-    neg, res = alg._unit_basis(np.flatnonzero(block)), alg._index_basis(j - i)
-    return _at_scale(_minimal_triple(unit, neg, res, alg._index_basis(0), alg.blocks, tol), e, k)
+    return _at_scale(_closed_result(_block_triple(alg, unit, i, j, tol), alg.blocks, tol), e, k)
 

@@ -2,8 +2,8 @@
 
 Everything here is a thin, tolerance-aware layer over LAPACK (through
 numpy): numerical ranks, orthonormal kernel/image/coimage bases, the
-pseudoinverse built on them, exact power-of-two unit scaling, and
-equality-constrained least squares.  Quaternion matrices are supported
+pseudoinverse built on them, exact power-of-two unit scaling, and the
+integer check of sizes.  Quaternion matrices are supported
 through their standard complex embedding; there is deliberately no native
 quaternion factorization.
 
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmbeddingMismatch, InconsistentConstraints, ShapeMismatch
+from .errors import EmbeddingMismatch, ShapeMismatch
 
 __all__ = [
     "Tolerance",
@@ -46,7 +46,6 @@ __all__ = [
     "frob",
     "RankDecomposition",
     "rank_decomposition",
-    "solve_least_squares_constrained",
     "QuaternionMatrix",
 ]
 
@@ -113,6 +112,14 @@ def as_matrix(a, dtype=complex) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def _checked_int(value, name: str) -> int:
+    """``value`` as an int if it is a whole real number (3, 3.0, a numpy integer), not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not (real and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def frob(a) -> float:
@@ -203,66 +210,6 @@ def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
     if np.frexp(np.max(np.abs(parts), initial=0.0))[1] + k > 1024:
         raise OverflowError("inverse is non-finite: its entries exceed the float range")
     return np.ldexp(parts, k).view(a.dtype)
-
-
-def solve_least_squares_constrained(
-    objective,
-    target,
-    constraints,
-    rhs,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
-    """Minimize ``|M x - t|`` subject to ``C x = d``, minimal-norm among minimizers.
-
-    The constraint system is eliminated through its minimal-norm particular
-    solution and an orthonormal kernel basis, after which an ordinary
-    minimal-norm least-squares solve in the reduced variables gives the
-    answer.  Because the particular solution is orthogonal to the kernel of
-    ``C``, minimal norm in the reduced variable is minimal norm in ``x``.
-
-    Raises
-    ------
-    InconsistentConstraints
-        If no x satisfies ``C x = d`` within the residual tolerance.
-    ArithmeticError
-        If the first-order optimality residual of the solution is large
-        (indicates catastrophic scaling; does not occur for sane inputs).
-    """
-    m_mat = as_matrix(objective)
-    c_mat = as_matrix(constraints)
-    t = np.asarray(target, dtype=complex).reshape(-1)
-    d = np.asarray(rhs, dtype=complex).reshape(-1)
-    n = m_mat.shape[1]
-    if c_mat.shape[1] != n:
-        raise ShapeMismatch(
-            f"objective has {n} columns but constraints have {c_mat.shape[1]}"
-        )
-    if t.shape[0] != m_mat.shape[0] or d.shape[0] != c_mat.shape[0]:
-        raise ShapeMismatch("right-hand side lengths do not match")
-
-    # One decomposition of C gives the minimal-norm particular solution and
-    # the kernel.  The reduced rank is decided against |M|_F, not against
-    # |M N|: where M vanishes on ker C, M N holds only roundoff, and a cutoff
-    # relative to it would invert the noise.
-    c_plus, dec = _pinv(c_mat, tol)
-    x_part = c_plus @ d
-    gap = frob(c_mat @ x_part - d)
-    scale = 1.0 + frob(d) + frob(c_mat) * frob(x_part)
-    if gap > tol.residual_tol * scale:
-        raise InconsistentConstraints(
-            f"constraint residual {gap:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}"
-        )
-    null = dec.kernel
-    x = x_part + null @ (_pinv(m_mat @ null, tol, frob(m_mat))[0] @ (t - m_mat @ x_part))
-
-    # First-order optimality: the gradient of the objective must be
-    # orthogonal to the feasible directions.
-    grad = m_mat.conj().T @ (m_mat @ x - t)
-    kkt = frob(null.conj().T @ grad)
-    kkt_scale = 1.0 + frob(m_mat) * (frob(m_mat) * frob(x) + frob(t))
-    if kkt > tol.residual_tol * kkt_scale:
-        raise ArithmeticError(f"KKT residual {kkt:.3e} above tolerance")
-    return x
 
 
 # ---------------------------------------------------------------------------

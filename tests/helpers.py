@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from liepinv import graded
-from liepinv.errors import NotNilpotent
+from liepinv.errors import NotNilpotent, ShapeMismatch
 from liepinv.graded import GradedAlgebra, bracket
 from liepinv.jordan import gram_matrix
 from liepinv.numcore import (
@@ -22,6 +22,7 @@ from liepinv.numcore import (
     QuaternionMatrix,
     Report,
     _ldexp,
+    _pinv,
     _unit_pair,
     _unit_scale,
     as_matrix,
@@ -431,6 +432,60 @@ def engine_characteristic(alg, e, degree: int, tol=DEFAULT_TOL):
     e, unit, k = alg._unit_member(e, tol)
     bases = map(alg._index_basis, (-degree, degree, 0))
     return graded._at_scale(graded._minimal_triple(unit, *bases, alg.blocks, tol), e, k)
+
+
+class InconsistentConstraints(ValueError):
+    """The equality constraints of a least-squares problem have no solution."""
+
+
+def solve_least_squares_constrained(objective, target, constraints, rhs, tol=DEFAULT_TOL):
+    """Minimize ``|M x - t|`` subject to ``C x = d``, minimal-norm among minimizers.
+
+    The general solver that liepinv once exported and the engine once called, kept
+    as the engine's oracle.  The constraint system is eliminated through its
+    minimal-norm particular solution and an orthonormal kernel basis N of C, after
+    which an ordinary minimal-norm least-squares solve in the reduced variables
+    gives the answer; the particular solution is orthogonal to ker C, so minimal
+    norm in the reduced variable is minimal norm in ``x``.  The reduced rank is
+    decided against |M|_F, not against |M N|: where M vanishes on ker C, M N holds
+    only roundoff, and a cutoff relative to it would invert the noise.
+
+    InconsistentConstraints if no x satisfies ``C x = d`` within the residual
+    tolerance; ArithmeticError if the first-order optimality residual is large.
+    """
+    m_mat, c_mat = as_matrix(objective), as_matrix(constraints)
+    t = np.asarray(target, dtype=complex).reshape(-1)
+    d = np.asarray(rhs, dtype=complex).reshape(-1)
+    if c_mat.shape[1] != m_mat.shape[1]:
+        raise ShapeMismatch(f"objective has {m_mat.shape[1]} columns but constraints have "
+                            f"{c_mat.shape[1]}")
+    if t.shape[0] != m_mat.shape[0] or d.shape[0] != c_mat.shape[0]:
+        raise ShapeMismatch("right-hand side lengths do not match")
+    c_plus, dec = _pinv(c_mat, tol)
+    x_part = c_plus @ d
+    gap = frob(c_mat @ x_part - d)
+    scale = 1.0 + frob(d) + frob(c_mat) * frob(x_part)
+    if gap > tol.residual_tol * scale:
+        raise InconsistentConstraints(
+            f"constraint residual {gap:.3e} exceeds {tol.residual_tol:.1e} * {scale:.3e}")
+    null = dec.kernel
+    x = x_part + null @ (_pinv(m_mat @ null, tol, frob(m_mat))[0] @ (t - m_mat @ x_part))
+    # first-order optimality: the gradient is orthogonal to the feasible directions
+    kkt = frob(null.conj().T @ (m_mat.conj().T @ (m_mat @ x - t)))
+    if kkt > tol.residual_tol * (1.0 + frob(m_mat) * (frob(m_mat) * frob(x) + frob(t))):
+        raise ArithmeticError(f"KKT residual {kkt:.3e} above tolerance")
+    return x
+
+
+def engine_system(alg, e, degree: int, tol=DEFAULT_TOL):
+    """(M, C, d, [e, y_k]) of the engine's problem on e at unit scale: minimize |M y|
+    subject to C y = d, y the coordinates on the search space (g_-degree, all of g for
+    degree 0), with h = sum_k y_k [e, y_k] and M y its coordinates on g_0 (on g)."""
+    unit = alg._unit_member(e, tol)[1]
+    neg, res, h_basis = map(alg._index_basis, (-degree, degree, 0) if degree else (None,) * 3)
+    br_e = neg.brackets(unit)
+    return (h_basis.coords(br_e).T, -res.coords(unit @ br_e - br_e @ unit).T,
+            2.0 * res.coords(unit), br_e)
 
 
 def lstsq_f(result, neg, h_basis, tol=DEFAULT_TOL):

@@ -225,8 +225,7 @@ class TestJordanMpIsClosedForm:
     """jordan-mp, and sl2-complete on a short grading, take the closed form; the sl2
     engine is entered only outside short gradings."""
 
-    ENGINE = {"graded": ("minimal_characteristic",),
-              "numcore": ("solve_least_squares_constrained",)}
+    ENGINE = {"graded": ("minimal_characteristic", "_minimal_triple")}
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -251,24 +250,24 @@ class TestJordanMpIsClosedForm:
 
     def test_mp_element_outside_short_gradings_enters_the_engine(self, counts):  # sl(1,1,1)
         assert run_job(golden_job("mp-element"))[0] == EXIT_OK
-        assert counts == {"minimal_characteristic": 1, "solve_least_squares_constrained": 1}
+        assert counts == {"minimal_characteristic": 1, "_minimal_triple": 1}
 
     @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
     def test_short_job_builds_the_triple_once(self, monkeypatch, tmp_path, command):
         # the direction space reads the triple minimal_characteristic completed
-        counts = count_calls(monkeypatch, {"graded": ("_short_triple",)})
+        counts = count_calls(monkeypatch, {"graded": ("_block_triple",)})
         alg = GradedAlgebra("sl", (4, 4))
         e = alg.random_element(1, np.random.default_rng(41))
         path = tmp_path / "doc.json"
         path.write_text(json.dumps({"algebra": "sl", "blocks": [4, 4],
                                     "element": encode_complex_matrix(e).tolist()}))
         assert run_job(JobSpec(command, str(path)))[0] == EXIT_OK
-        assert counts == {"_short_triple": 1}
+        assert counts == {"_block_triple": 1}
 
 
 class TestOneSplitPerJob:
-    """h is split into its levels once, where it is made: sl2-complete splits it once, and
-    mp-element a second time only in the public criterion, which a graded job calls."""
+    """h is split into its levels once, where it is made: sl2-complete and mp-element split
+    it once, and the criterion of mp-element reads that split."""
 
     @staticmethod
     def element(kind, blocks):
@@ -280,16 +279,15 @@ class TestOneSplitPerJob:
         g = scipy.linalg.expm(0.5 * alg.random_element(None, rng))
         return g @ np.diag(np.ones(alg.ambient_dim - 1), 1) @ np.linalg.inv(g)
 
-    @pytest.mark.parametrize("kind, blocks, degree, splits", [
-        ("sl", (4, 4), None, {"sl2-complete": 1, "mp-element": 2}),  # the closed form
-        ("sl", (4, 4, 4), None, {"sl2-complete": 1, "mp-element": 2}),  # the engine
-        ("sp", (2, 2, 2), None, {"sl2-complete": 1, "mp-element": 2}),
-        ("sl", (6,), None, {"sl2-complete": 1, "mp-element": 2}),
-        ("sl", (3, 3), 0, {"sl2-complete": 1, "mp-element": 1}),  # the ungraded problem
+    @pytest.mark.parametrize("kind, blocks, degree", [
+        ("sl", (4, 4), None),  # the closed form
+        ("sl", (4, 4, 4), None),  # the engine
+        ("sp", (2, 2, 2), None),
+        ("sl", (6,), None),
+        ("sl", (3, 3), 0),  # the ungraded problem
     ], ids=["sl44-short", "sl444", "sp222", "sl6-ungraded", "sl33-degree-0"])
     @pytest.mark.parametrize("command", ["sl2-complete", "mp-element"])
-    def test_levels_calls_per_job(self, monkeypatch, tmp_path, kind, blocks, degree, splits,
-                                  command):
+    def test_levels_calls_per_job(self, monkeypatch, tmp_path, kind, blocks, degree, command):
         doc = {"algebra": kind, "blocks": list(blocks),
                "element": encode_complex_matrix(self.element(kind, blocks)).tolist()}
         if degree is not None:
@@ -299,7 +297,7 @@ class TestOneSplitPerJob:
         counts = count_calls(monkeypatch, {"graded": ("_levels",)})
         code, document = run_job(JobSpec(command, str(path)))
         assert code == EXIT_OK, document
-        assert counts == {"_levels": splits[command]}
+        assert counts == {"_levels": 1}
 
 
 class TestRegenGoldens:

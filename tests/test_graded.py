@@ -50,6 +50,7 @@ from helpers import (
     eager_index_bases,
     engine_characteristic,
     engine_direction_space,
+    engine_system,
     ill_conditioned_sp8_conjugate,
     is_mp_element_resplit,
     jordan_nilpotent,
@@ -64,6 +65,7 @@ from helpers import (
     random_matrix_with_rank,
     random_unitary,
     resplit,
+    solve_least_squares_constrained,
     split_form,
     stack_ad,
     standard_form,
@@ -1103,6 +1105,48 @@ def homogeneous_elements(alg, rng):
     yield None, np.zeros((alg.ambient_dim,) * 2, dtype=complex)
 
 
+class TestEngineSolve:
+    """The engine's two-step solve gives the h of the general constrained least-squares
+    solver on the engine's own system, and each of its gates raises NoTriple."""
+
+    @pytest.mark.parametrize("kind, blocks", HEIGHT_GRADINGS)
+    def test_h_is_that_of_the_least_squares_oracle(self, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        for degree, e in homogeneous_elements(alg, np.random.default_rng(3100)):
+            if degree is None:
+                continue
+            m, c, d, br_e = engine_system(alg, e, degree)
+            want = np.tensordot(solve_least_squares_constrained(m, np.zeros(len(m)), c, d), br_e, 1)
+            # the engine, also in short gradings, where minimal_characteristic takes the closed form
+            res = engine_characteristic(alg, e, degree) if degree else minimal_characteristic(alg, e, 0)
+            assert frob(res.h - want) <= 1e-12 * (1.0 + frob(want)), degree
+
+    @pytest.mark.parametrize("gate, message", [
+        ("constraints", "inconsistent"), ("optimality", "optimality"), ("svd", "did not converge")])
+    def test_each_gate_raises_no_triple(self, monkeypatch, gate, message):
+        # the regular nilpotent of sl_4 under a non-unitary conjugation: its
+        # characteristics form a 3-dimensional affine space, and the least-norm y on the
+        # constraints is not the least |h|
+        alg, g = GradedAlgebra("sl", (4,)), random_complex(np.random.default_rng(3101), 4, 4)
+        e = alg._unit_member(g @ jordan_nilpotent((4,)) @ np.linalg.inv(g), DEFAULT_TOL)[1]
+        neg = res = alg._index_basis()
+        pinv, calls = numcore._pinv, []
+
+        def broken(a, *args):  # an SVD that does not converge, or no second step
+            if gate == "svd":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            calls.append(a)
+            a_plus, dec = pinv(a, *args)
+            return (0.0 * a_plus if len(calls) == 2 else a_plus), dec
+
+        if gate == "constraints":  # no multiple y of one unit matrix has [[e, y], e] = 2e
+            neg = alg._unit_basis(alg._units[:1])
+        else:
+            monkeypatch.setattr(graded, "_pinv", broken)
+        with pytest.raises(NoTriple, match=message):
+            graded._minimal_triple(e, neg, res, res, (4,), DEFAULT_TOL)
+
+
 class TestHeightsByDegree:
     """Graded elements, homogeneous of each degree or not, take the Jordan type of e: on a
     unitary conjugate the heights are those of the whole of ad(e), and under Levi conjugates
@@ -1534,16 +1578,27 @@ class TestMultidegree:
         assert multidegree_characteristic(alg, 1, 2, np.zeros((3, 3))).is_hermitian
 
     @pytest.mark.parametrize("blocks", [b for k, b in TestDirectionSpaceOracles.LONG if k == "sl"])
-    def test_f_agrees_with_the_lstsq_oracle(self, blocks):
+    def test_f_agrees_with_the_lstsq_oracle(self, monkeypatch, blocks):
+        # and with the engine on the units of block (j, i), which the closed form never calls
         alg = GradedAlgebra("sl", blocks)
-        rng = np.random.default_rng(62)
+        rng, engine, calls = np.random.default_rng(62), graded._minimal_triple, []
+        monkeypatch.setattr(graded, "_minimal_triple", lambda *args: calls.append(args))
         for i in range(1, len(blocks) + 1):
             for j in [j for j in range(1, len(blocks) + 1) if j != i]:
-                block = random_complex(rng, blocks[i - 1], blocks[j - 1])
-                res = multidegree_characteristic(alg, i, j, alg.element_from_block(i, j, block))
-                opposite = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
-                neg = alg._unit_basis(np.flatnonzero(opposite))
-                TestDirectionSpaceOracles.assert_f_agrees(res, neg, alg._index_basis(0), (i, j))
+                p, q = blocks[i - 1], blocks[j - 1]
+                for rank in range(min(p, q) + 1):
+                    e = alg.element_from_block(i, j, random_matrix_with_rank(rng, p, q, rank))
+                    res = multidegree_characteristic(alg, i, j, e)
+                    opposite = (alg._block_of[:, None] == j - 1) & (alg._block_of[None, :] == i - 1)
+                    neg = alg._unit_basis(np.flatnonzero(opposite))
+                    case = (i, j, rank)
+                    TestDirectionSpaceOracles.assert_f_agrees(res, neg, alg._index_basis(0), case)
+                    unit, k = _unit_scale(e)
+                    ref = graded._at_scale(engine(unit, neg, alg._index_basis(j - i),
+                                                  alg._index_basis(0), blocks, DEFAULT_TOL), e, k)
+                    assert frob(res.h - ref.h) <= 1e-10 * (1.0 + frob(ref.h)), case
+                    assert frob(res.f - ref.f) <= 1e-10 * (1.0 + frob(ref.f)), case
+        assert not calls
 
     def test_unsupported_block(self):
         alg = GradedAlgebra("sl", (1, 1, 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liepinv import classical, forms, homform, jordan
-from liepinv.errors import EmbeddingMismatch, InconsistentConstraints, ShapeMismatch
+from liepinv.errors import EmbeddingMismatch, ShapeMismatch
 from liepinv.graded import GradedAlgebra
 from liepinv.numcore import (
     DEFAULT_TOL,
@@ -12,16 +12,17 @@ from liepinv.numcore import (
     as_matrix,
     frob,
     rank_decomposition,
-    solve_least_squares_constrained,
 )
 
 from helpers import (
+    InconsistentConstraints,
     quaternion_adjoint,
     quaternion_matmul,
     random_complex,
     random_matrix_with_rank,
     random_quaternion_matrix,
     random_unitary,
+    solve_least_squares_constrained,
 )
 
 
@@ -157,6 +158,8 @@ class TestRankDecomposition:
 
 
 class TestConstrainedLeastSquares:
+    """The general constrained least-squares solver of tests/helpers.py, the engine's oracle."""
+
     def test_unconstrained_minimal_norm(self):
         x = solve_least_squares_constrained(
             np.eye(3), np.zeros(3), np.zeros((0, 3)), np.zeros(0)
