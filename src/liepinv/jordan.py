@@ -2,17 +2,21 @@
 
 A short grading g = g_{-1} + g_0 + g_{+1} makes (g_{+1}, g_{-1}) a Jordan
 pair under {x, y, z} = [[x, y], z] / 2.  The module provides the Killing
-pairing Tr{x, y, .}, Cartan involutions (antilinear maps exchanging the two
-components), the positive Hermitian form H(x, y) = B(x, omega(y)), and the
-Moore-Penrose inverse characterized by
+pairing Tr{x, y, .}, Cartan involutions omega(z) = P z* P^-1 (antilinear
+maps exchanging the two components, P an ambient positive form), the
+positive Hermitian form H(x, y) = B(x, omega(y)), and the Moore-Penrose
+inverse characterized by
 
     (*)   {A A+ A} = A,  {A+ A A+} = A+,
     (**)  {A A+ .} and {A+ A .} are Hermitian for H.
 
-The inverse is the third leg of an sl2-triple with Hermitian characteristic,
-taken in closed form from :func:`graded.mp_inverse_short` and then verified
-against the pair equations.  An independent solver of the pair equations (a
-guarded Newton-Schulz iteration) lives with the tests as a uniqueness oracle.
+The operators of (**) are +-ad(m) / 2 on V+ and V- for m = [A, A+], so they
+are Hermitian exactly when m - P m* P^-1, which lies in [V+, V-], kills V+
+and V-; no nonzero element of [V+, V-] does, so (**) is m = P m* P^-1, one
+n x n check.  The inverse is the third leg of an sl2-triple with Hermitian
+characteristic, taken in closed form from :func:`graded.mp_inverse_short`
+and verified against the pair equations.  The tests keep the operator form
+of (**) and a guarded Newton-Schulz solver of the pair equations as oracles.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class JordanPair:
 
     def operator_matrix(self, x, y, sign: int) -> np.ndarray:
         """Coordinate matrix of z -> {x, y, z} on V_sign (x in V_sign, y opposite):
-        column k holds the coordinates of [[x, y], b_k] / 2."""
+        column k holds the coordinates of [[x, y], b_k] / 2; no command calls it."""
         return 0.5 * self._index(sign).ad(bracket(x, y))
 
 
@@ -124,15 +128,17 @@ def pairing_matrix(pair: JordanPair) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CartanInvolution:
-    """Antilinear involution exchanging V+ and V-, stored as coordinate matrices.
+    """Antilinear involution exchanging V+ and V-: omega(z) = P z* P^-1, stored as the
+    ambient positive form P (``form``, |P|_2 = 1) and as coordinate matrices.
 
-    omega(x) for x in V+ has V- coordinates omega_plus @ conj(coords(x)), and
-    symmetrically for omega_minus; omega is triple-product equivariant and
-    H(x) = B(x, omega(x)) is positive definite.
+    omega(x) for x in V+ has V- coordinates omega_plus @ conj(coords(x)), and symmetrically
+    for omega_minus; omega is triple-product equivariant and H(x) = B(x, omega(x)) is
+    positive definite.  The verifiers decide (**) through P, so every field is required.
     """
 
     omega_plus: np.ndarray
     omega_minus: np.ndarray
+    form: np.ndarray
 
     def apply(self, pair: JordanPair, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         x, unit, _ = pair.algebra._unit_member(x, tol)
@@ -143,36 +149,29 @@ class CartanInvolution:
         return pair.from_coords(mat @ pair._index(sign).coords(x).conj(), -sign)
 
 
-def _involution_matrices(pair: JordanPair, apply) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate matrices of a map that takes a stack of V+ or V- basis matrices across."""
-    return (
-        pair.index_minus.coords(apply(pair.basis_plus)).T,
-        pair.index_plus.coords(apply(pair.basis_minus)).T,
-    )
+def _involution(pair: JordanPair, p: np.ndarray, p_inv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The coordinate matrices of omega(z) = p z* p_inv on V+ and V-, and p."""
+    plus, minus = (p @ b.conj().swapaxes(1, 2) @ p_inv for b in (pair.basis_plus, pair.basis_minus))
+    return pair.index_minus.coords(plus).T, pair.index_plus.coords(minus).T, p
 
 
 def standard_cartan_involution(pair: JordanPair) -> CartanInvolution:
-    """The involution induced by the compact conjugation: omega(x) = x*, the adjoint.
+    """The involution induced by the compact conjugation: omega(x) = x*, the adjoint, P = 1.
 
     Its matrices depend on the algebra alone: they are built once per process and
     shared, read-only.
     """
+    n = pair.algebra.ambient_dim
     return CartanInvolution(*pair.algebra._derived(
-        "jordan.omega", lambda: _involution_matrices(pair, lambda x: x.conj().swapaxes(-1, -2))))
+        "jordan.omega", lambda: _involution(pair, *(np.eye(n, dtype=complex),) * 2)))
 
 
 def cartan_involution_from_group(pair: JordanPair, g) -> CartanInvolution:
-    """Involution induced by the compact form conjugated with a Levi group element g."""
+    """Involution induced by the compact form conjugated with a Levi group element g:
+    omega(x) = g (g^-1 x g)* g^-1 = P x* P^-1 with P = g g* / |g g*|_2."""
     g = as_matrix(g)
-    g_inv = np.linalg.inv(g)
-    return CartanInvolution(*_involution_matrices(
-        pair, lambda x: g @ (g_inv @ x @ g).conj().swapaxes(-1, -2) @ g_inv))
-
-
-def gram_matrix(pair: JordanPair, inv: CartanInvolution, sign: int = 1) -> np.ndarray:
-    """Gram matrix of H(x, y) = B(x, omega(y)) on the chosen component."""
-    k = pair.pairing
-    return k @ inv.omega_plus if sign > 0 else k.T @ inv.omega_minus
+    p = g @ g.conj().T / np.linalg.norm(g, 2) ** 2
+    return CartanInvolution(*_involution(pair, p, np.linalg.inv(p)))
 
 
 def mp_inverse_jordan(
@@ -181,38 +180,39 @@ def mp_inverse_jordan(
     """The unique element satisfying (*) and (**), via the short-grading closed form.
 
     Existence and uniqueness come with the short grading; the result is
-    verified against the pair equations and returned with that report (a
-    failing report raises ArithmeticError instead).
+    verified against the pair equations on the unit pair it was found on, and
+    returned with that report (a failing report raises ArithmeticError instead).
     """
-    a, unit, k = pair.algebra._unit_member(a, tol)
+    _, unit, k = pair.algebra._unit_member(a, tol)
     sign = pair._component(unit, tol)  # WrongComponent unless a lies in V+ or V-
-    x = _ldexp(_mp_inverse_short(pair.algebra, unit, sign or None, tol), -k)
-    report = verify_jordan_mp(pair, inv, a, x, tol)
+    x = _mp_inverse_short(pair.algebra, unit, sign or None, tol)
+    out, report = _ldexp(x, -k), _pair_report(unit, x, inv.form, tol)
     if not report.passed:
-        raise ArithmeticError(
-            f"closed-form inverse failed the pair equations: {report.residuals}"
-        )
-    return x, report
+        raise ArithmeticError(f"closed-form inverse failed the pair equations: {report.residuals}")
+    return out, report
 
 
 def verify_jordan_mp(
     pair: JordanPair, inv: CartanInvolution, a, x, tol: Tolerance = DEFAULT_TOL
 ) -> Report:
-    """Residuals of (*) and the Hermitian defects of the two operators in (**).
+    """Residuals of (*) and the Hermitian defect of (**), taken on m = [a, x] itself.
 
-    The component of a is decided once and that of x is required once; then
-    {a x a} and {x a x} come from the one commutator [a, x] of the unit pair.
+    a lies in V+ or V- (or is zero) and x in the other component; the residuals are
+    :func:`_pair_report` on the unit pair (a / 2**k, x * 2**k), k the scale of a.
     """
     (a, ua, k), (x, ux, _) = (pair.algebra._unit_member(m, tol) for m in (a, x))
-    sign = pair._component(ua, tol)
-    sign = -pair._component(ux, tol, -sign) or sign or 1  # a = 0 takes the side opposite x
-    a, x = ua, x * np.ldexp(1.0, k)  # the unit pair (a / 2**k, x * 2**k)
+    pair._component(ux, tol, -pair._component(ua, tol))  # a = 0: x may lie in either
+    return _pair_report(ua, x * np.ldexp(1.0, k), inv.form, tol)
+
+
+def _pair_report(a: np.ndarray, x: np.ndarray, p: np.ndarray, tol: Tolerance) -> Report:
+    """verify_jordan_mp of a checked unit pair for the involution of the form p: the
+    residuals of (*), with {a x a} and {x a x} from the one commutator m = [a, x], and
+    ``hermitian``, the defect |m p - p m*|_F / (1 + |a|_F |x|_F) of (**)."""
     ax = _bracket(a, x)
-    residuals = {
-        "recover_a": frob(0.5 * _bracket(ax, a) - a) / (1.0 + frob(a)),
-        "recover_x": frob(0.5 * _bracket(-ax, x) - x) / (1.0 + frob(x)),  # -ax is x a - a x
-    }
-    for name, y, z, side in (("hermitian_ax", a, x, sign), ("hermitian_xa", x, a, -sign)):
-        op, gram = pair.operator_matrix(y, z, side), gram_matrix(pair, inv, side)
-        residuals[name] = frob(op.T @ gram - gram @ op.conj()) / (1.0 + frob(gram) * frob(op))
-    return Report.gated(residuals, tol)
+    norm_a, norm_x = frob(a), frob(x)
+    return Report.gated({
+        "recover_a": frob(0.5 * _bracket(ax, a) - a) / (1.0 + norm_a),
+        "recover_x": frob(0.5 * _bracket(-ax, x) - x) / (1.0 + norm_x),  # -ax is x a - a x
+        "hermitian": frob(ax @ p - p @ ax.conj().T) / (1.0 + norm_a * norm_x),
+    }, tol)

@@ -24,9 +24,9 @@ depends on the scale; constructors rescale their answers exactly, and no
 other module computes a scale.  ``_``-prefixed helpers take checked
 unit-scale ndarrays and neither check nor scale again.  A few public calls
 stay inside those chains so that their counted metrics keep their meaning:
-``JordanPair.operator_matrix``, ``classify_orbit``, ``verify_homform``,
-``certify_complex`` and ``rank_decomposition``.  The tolerance is each call's
-argument, never the state of an object.
+``classify_orbit``, ``verify_homform``, ``certify_complex`` and
+``rank_decomposition``.  The tolerance is each call's argument, never the
+state of an object.
 """
 
 from __future__ import annotations

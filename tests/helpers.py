@@ -16,7 +16,6 @@ import scipy.linalg
 from liepinv import graded
 from liepinv.errors import NotNilpotent, ShapeMismatch
 from liepinv.graded import GradedAlgebra, bracket
-from liepinv.jordan import gram_matrix
 from liepinv.numcore import (
     DEFAULT_TOL,
     QuaternionMatrix,
@@ -183,20 +182,42 @@ def homform_basis_solve(form, f_mat, b: int, tol=DEFAULT_TOL) -> np.ndarray:
     return np.linalg.solve(basis.T, padded.T).T
 
 
-def unit_pair_jordan_residuals(pair, inv, a, x, tol=DEFAULT_TOL) -> dict:
-    """The residuals of ``jordan.verify_jordan_mp`` by its first formula, which formed
-    the unit pair with ``numcore._unit_pair`` and so scaled a a second time: an oracle
-    for the bit-identical pair built from the scale of the membership check."""
-    sign = pair.component_of(a, tol) or -pair.component_of(x, tol) or 1
+def gram_matrix(pair, inv, sign: int = 1) -> np.ndarray:
+    """Gram matrix of H(x, y) = B(x, omega(y)) on the chosen component."""
+    k = pair.pairing
+    return k @ inv.omega_plus if sign > 0 else k.T @ inv.omega_minus
+
+
+def _unit_pair_recoveries(a, x):
+    """The unit pair of ``numcore._unit_pair``, which scales a a second time, its
+    commutator [a, x], and the residuals of (*) on it."""
     a, x = _unit_pair(as_matrix(a), as_matrix(x))
     ax = bracket(a, x)
-    residuals = {
+    return a, x, ax, {
         "recover_a": frob(0.5 * bracket(ax, a) - a) / (1.0 + frob(a)),
         "recover_x": frob(0.5 * bracket(-ax, x) - x) / (1.0 + frob(x)),
     }
+
+
+def unit_pair_jordan_residuals(pair, inv, a, x, tol=DEFAULT_TOL) -> dict:
+    """The residuals of (*), and of (**) by the operator formula: the Hermitian defect of
+    each of the coordinate operators {a x .} and {x a .} for the Gram matrix of H.  The
+    oracle for the ambient check of ``jordan.verify_jordan_mp``."""
+    sign = pair.component_of(a, tol) or -pair.component_of(x, tol) or 1
+    a, x, _, residuals = _unit_pair_recoveries(a, x)
     for name, y, z, side in (("hermitian_ax", a, x, sign), ("hermitian_xa", x, a, -sign)):
         op, gram = pair.operator_matrix(y, z, side), gram_matrix(pair, inv, side)
         residuals[name] = frob(op.T @ gram - gram @ op.conj()) / (1.0 + frob(gram) * frob(op))
+    return residuals
+
+
+def unit_pair_ambient_residuals(inv, a, x) -> dict:
+    """The residuals of ``jordan.verify_jordan_mp`` by its formula on the unit pair of
+    ``numcore._unit_pair``: an oracle for the bit-identical pair built from the scale of
+    the membership check."""
+    a, x, ax, residuals = _unit_pair_recoveries(a, x)
+    p = inv.form
+    residuals["hermitian"] = frob(ax @ p - p @ ax.conj().T) / (1.0 + frob(a) * frob(x))
     return residuals
 
 

@@ -27,7 +27,7 @@ from liepinv.cli import (
     run_job,
     to_json,
 )
-from liepinv import classical, cli, forms, graded, homform
+from liepinv import classical, cli, forms, graded, homform, jordan
 from liepinv.classical import verify_penrose
 from liepinv.graded import GradedAlgebra, orbit_height
 from liepinv.numcore import QuaternionMatrix, Report, Tolerance, frob
@@ -168,7 +168,7 @@ VERIFIERS = {
               "verify_hermitian_pinv"),
     "homform": ("classify_orbit", "verify_homform"),
     "complexes": ("certify_complex", "verify_complex_pinv"),
-    "jordan": ("verify_jordan_mp",),
+    "jordan": ("verify_jordan_mp", "_pair_report"),
 }
 VERIFIER_CALLS = {
     "pinv": {"verify_penrose": 1},
@@ -178,7 +178,7 @@ VERIFIER_CALLS = {
     "hermitian-pinv": {"verify_hermitian_pinv": 1},
     "homform": {"classify_orbit": 1, "verify_homform": 1},
     "complex-pinv": {"certify_complex": 1, "verify_complex_pinv": 1},
-    "jordan-mp": {"verify_jordan_mp": 1},
+    "jordan-mp": {"_pair_report": 1},
 }
 
 
@@ -263,6 +263,27 @@ class TestJordanMpIsClosedForm:
                                     "element": encode_complex_matrix(e).tolist()}))
         assert run_job(JobSpec(command, str(path)))[0] == EXIT_OK
         assert counts == {"_block_triple": 1}
+
+
+class TestJordanMpChecksOnce:
+    """A jordan-mp job checks its element once and decides (**) on [a, x] itself: the
+    report takes the unit pair the closed form was found on, and no coordinate operator,
+    ad table or Gram matrix is built."""
+
+    SPIED = {"graded": ("GradedAlgebra._unit_member", "_IndexBasis.ad"),
+             "jordan": ("JordanPair.operator_matrix", "_pair_report")}
+
+    @pytest.mark.parametrize("kind,blocks", [("sl", (4, 4)), ("sp", (3, 3)), ("so", (1, 3, 1))])
+    def test_one_membership_check_and_no_operator(self, monkeypatch, tmp_path, kind, blocks):
+        alg = GradedAlgebra(kind, blocks)
+        e = alg.random_element(1, np.random.default_rng(42))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"algebra": kind, "blocks": list(blocks),
+                                    "element": encode_complex_matrix(e).tolist()}))
+        counts = count_calls(monkeypatch, self.SPIED)
+        assert run_job(JobSpec("jordan-mp", str(path)))[0] == EXIT_OK
+        assert counts == {"GradedAlgebra._unit_member": 1, "_pair_report": 1}
+        assert not hasattr(jordan, "gram_matrix")  # the operator oracle's, in the tests
 
 
 class TestOneSplitPerJob:

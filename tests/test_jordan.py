@@ -11,9 +11,9 @@ from liepinv.graded import (
     orbit_height,
 )
 from liepinv.jordan import (
+    CartanInvolution,
     JordanPair,
     cartan_involution_from_group,
-    gram_matrix,
     killing_pairing,
     mp_inverse_jordan,
     pairing_matrix,
@@ -21,15 +21,18 @@ from liepinv.jordan import (
     triple_product,
     verify_jordan_mp,
 )
-from liepinv.numcore import frob
+from liepinv.numcore import DEFAULT_TOL, frob
 
 from helpers import (
     ALL_PAIRS,
+    compact_group_element,
+    gram_matrix,
     jordan_mp_fixed_point,
     levi_group_element,
     random_complex,
     random_matrix_with_rank,
     stack_ad,
+    unit_pair_ambient_residuals,
     unit_pair_jordan_residuals,
 )
 
@@ -200,6 +203,12 @@ class TestCartanInvolution:
         eigvals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
         assert eigvals.min() > 1e-6 * eigvals.max()
 
+    def test_an_involution_needs_its_form(self):
+        # (**) is decided through P: omega+- matrices alone are no longer an involution
+        inv = standard_cartan_involution(matrix_pair(2, 2))
+        with pytest.raises(TypeError):
+            CartanInvolution(inv.omega_plus, inv.omega_minus)
+
     def test_conjugated_compact_form_gives_distinct_involution(self):
         rng = np.random.default_rng(108)
         alg = GradedAlgebra("sl", (2, 2))
@@ -281,7 +290,8 @@ class TestJordanInverse:
 
     def test_inner_inverse_hermitian_defects_move_together(self):
         # candidates satisfying (*) have both operators in (**) Hermitian or
-        # neither; sample reflexive generalized inverses of varying quality
+        # neither, and m = [a, x] Hermitian with them; sample reflexive generalized
+        # inverses of varying quality
         rng = np.random.default_rng(113)
         alg = GradedAlgebra("sl", (3, 3))
         pair = JordanPair(alg)
@@ -294,9 +304,10 @@ class TestJordanInverse:
             x = g2 @ classical.pinv(g1 @ a @ g2) @ g1
             f = alg.element_from_block(2, 1, x)
             report = verify_jordan_mp(pair, inv, e, f)
+            oracle = unit_pair_jordan_residuals(pair, inv, e, f)
             assert report.residuals["recover_a"] < 1e-9 and report.residuals["recover_x"] < 1e-9
-            assert ((report.residuals["hermitian_ax"] < 1e-9)
-                    == (report.residuals["hermitian_xa"] < 1e-9))
+            assert ((report.residuals["hermitian"] < 1e-9)
+                    == (oracle["hermitian_ax"] < 1e-9) == (oracle["hermitian_xa"] < 1e-9))
 
     @pytest.mark.parametrize("kind,blocks", [("sl", (2, 2)), ("sp", (2, 2)), ("so", (1, 3, 1))])
     def test_fixed_point_oracle_agrees(self, kind, blocks):
@@ -312,6 +323,106 @@ class TestJordanInverse:
                 assert frob(x_fp - x_sl2) <= 1e-8 * (1.0 + frob(x_sl2))
 
 
+class TestMovedInvolutions:
+    """An involution moved by a Levi element g is omega(z) = P z* P^-1 with P = g g*:
+    verify_jordan_mp judges (**) by it, while mp_inverse_jordan still returns the standard
+    closed form, which fails it loudly unless the inverse does not depend on P."""
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_fixed_point_of_the_moved_equations_passes(self, kind, blocks):
+        rng = np.random.default_rng(117)
+        alg = GradedAlgebra(kind, blocks)
+        pair = JordanPair(alg)
+        moved = cartan_involution_from_group(pair, levi_group_element(alg, rng))
+        a = alg.random_element(1, rng)
+        assert verify_jordan_mp(pair, moved, a, jordan_mp_fixed_point(pair, moved, a)).passed
+
+    @pytest.mark.parametrize("kind,blocks", [
+        ("sl", (2, 3)), ("sl", (3, 1)), ("sl", (3, 3)), ("sp", (3, 3)), ("so", (3, 3)),
+    ])
+    def test_standard_closed_form_fails_the_moved_involution(self, kind, blocks):
+        # a singular block: an invertible one has the same inverse for every involution
+        rng = np.random.default_rng(118)
+        alg = GradedAlgebra(kind, blocks)
+        pair = JordanPair(alg)
+        moved = cartan_involution_from_group(pair, levi_group_element(alg, rng))
+        c, d = random_complex(rng, blocks[0], 1), random_complex(rng, blocks[-1], 1)
+        if kind == "sl":
+            block = c @ d.T  # rank 1
+        else:  # rank 2 of 3, (skew-)symmetric as the form asks
+            block = c @ d.T + (1 if kind == "sp" else -1) * d @ c.T
+        a = alg.element_from_block(1, 2, block)
+        with pytest.raises(ArithmeticError, match="failed the pair equations"):
+            mp_inverse_jordan(pair, moved, a)
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_unitary_group_element_gives_the_standard_answer(self, kind, blocks):
+        rng = np.random.default_rng(119)
+        alg = GradedAlgebra(kind, blocks)
+        pair = JordanPair(alg)
+        unitary = cartan_involution_from_group(pair, compact_group_element(alg, rng))
+        assert frob(unitary.form - np.eye(alg.ambient_dim)) <= 1e-14
+        a = alg.random_element(1, rng)
+        x, report = mp_inverse_jordan(pair, unitary, a)
+        want, _ = mp_inverse_jordan(pair, standard_cartan_involution(pair), a)
+        np.testing.assert_array_equal(x, want)
+        assert report.passed
+
+    def test_form_is_the_positive_form_of_g_at_unit_norm(self):
+        rng = np.random.default_rng(120)
+        alg = GradedAlgebra("sl", (2, 3))
+        pair = JordanPair(alg)
+        g = levi_group_element(alg, rng)
+        moved = cartan_involution_from_group(pair, g)
+        p = g @ g.conj().T
+        assert abs(np.linalg.norm(moved.form, 2) - 1.0) <= 1e-14
+        assert frob(moved.form * np.linalg.norm(p, 2) - p) <= 1e-13 * frob(p)
+        x = alg.random_element(1, rng)
+        assert frob(moved.apply(pair, x) - p @ x.conj().T @ np.linalg.inv(p)) <= 1e-12 * frob(x)
+
+
+class TestAmbientCheckAgreesWithOperators:
+    """(**) on m = [a, x] itself, |m P - P m*|_F / (1 + |a|_F |x|_F), gives the verdict of
+    the two coordinate operators {a x .} and {x a .} with the Gram matrix of H.
+
+    Every ALL_PAIRS grading, so(2, 2) included (its g_0 does not act faithfully on V+),
+    with the standard and a Levi-moved involution and x the exact inverse perturbed by
+    eps.  The two normalizations differ by a factor of up to about 25, so the verdicts may
+    differ only inside a band: both Hermitian residuals between residual_tol / 5 and
+    5 residual_tol.  Of the 288 cases, 39 lie in the band, all at eps = 1e-9 or 1e-8, and
+    the verdicts differ in five of them, all at eps = 1e-9."""
+
+    EPS = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-2)
+    BAND = 5.0
+
+    @staticmethod
+    def _exact_inverses(alg, pair, g, a):
+        """(involution, its exact inverse of a): the moved inverse is g x0(g^-1 a g) g^-1."""
+        g_inv = np.linalg.inv(g)
+        moved = g @ mp_inverse_short(alg, alg.project(g_inv @ a @ g)) @ g_inv
+        return ((standard_cartan_involution(pair), mp_inverse_short(alg, a)),
+                (cartan_involution_from_group(pair, g), alg.project(moved)))
+
+    @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
+    def test_verdicts_agree_outside_the_band(self, kind, blocks):
+        tol = DEFAULT_TOL.residual_tol
+        rng = np.random.default_rng([0, len(blocks), sum(blocks), ord(kind[1])])
+        alg = GradedAlgebra(kind, blocks)
+        pair = JordanPair(alg)
+        a = alg.random_element(1, rng)
+        for inv, exact in self._exact_inverses(alg, pair, levi_group_element(alg, rng), a):
+            for eps in self.EPS:
+                r = alg.random_element(-1, rng)
+                x = exact + eps * frob(exact) / frob(r) * r
+                report = verify_jordan_mp(pair, inv, a, x)
+                oracle = unit_pair_jordan_residuals(pair, inv, a, x)
+                if report.passed == all(v <= tol for v in oracle.values()):
+                    continue
+                both = (report.residuals["hermitian"],
+                        max(oracle["hermitian_ax"], oracle["hermitian_xa"]))
+                assert all(tol / self.BAND <= h <= self.BAND * tol for h in both), (eps, both)
+
+
 class TestSharedValues:
     """The bases, the pairing and the standard involution depend on the algebra alone:
     every pair of one algebra shares them, read-only."""
@@ -322,9 +433,12 @@ class TestSharedValues:
         inv, other_inv = standard_cartan_involution(pair), standard_cartan_involution(other)
         for name in ("basis_plus", "basis_minus", "pairing"):
             assert getattr(other, name) is getattr(pair, name), name
-        assert other_inv.omega_plus is inv.omega_plus and other_inv.omega_minus is inv.omega_minus
+        for name in ("omega_plus", "omega_minus", "form"):
+            assert getattr(other_inv, name) is getattr(inv, name), name
         assert pairing_matrix(other) is pair.pairing
-        for value in (pair.basis_plus, pair.basis_minus, pair.pairing, inv.omega_plus, inv.omega_minus):
+        np.testing.assert_array_equal(inv.form, np.eye(pair.algebra.ambient_dim))
+        for value in (pair.basis_plus, pair.basis_minus, pair.pairing, inv.omega_plus,
+                      inv.omega_minus, inv.form):
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
         np.testing.assert_array_equal(pair.basis_plus, pair.algebra.basis(1))
@@ -340,7 +454,8 @@ class TestSharedValues:
 
 class TestVerifyScalesOnce:
     """verify_jordan_mp forms its unit pair from the scale that the membership check of a
-    found; the residuals are those of the formula that scaled a again, bit for bit."""
+    found; the residuals are those of the ambient formula that scaled a again, bit for
+    bit."""
 
     @pytest.mark.parametrize("kind,blocks", ALL_PAIRS)
     def test_residuals_equal_the_unit_pair_formula(self, kind, blocks):
@@ -354,7 +469,7 @@ class TestVerifyScalesOnce:
             x, _ = mp_inverse_jordan(pair, inv, a)
             near = x + 1e-3 * frob(x) * alg.random_element(-1, rng)
             for args in ((a, x), (x, a), (a, near), (near, a), (zero, x), (a, zero)):
-                want = unit_pair_jordan_residuals(pair, inv, *args)
+                want = unit_pair_ambient_residuals(inv, *args)
                 assert verify_jordan_mp(pair, inv, *args).residuals == want, (scale, args)
 
 
